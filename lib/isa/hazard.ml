@@ -16,7 +16,7 @@ let sequence_hazards words =
 
 (* Memory dependence: loads commute with loads; anything involving a store
    conflicts unless both references are to distinct absolute addresses. *)
-let mem_conflict m1 m2 =
+let mem_dependent m1 m2 =
   let open Mem in
   let addr_of = function
     | Load (_, a, _) -> Some a
@@ -31,29 +31,3 @@ let mem_conflict m1 m2 =
         match (a1, a2) with
         | Abs x, Abs y -> x = y
         | _ -> true)
-
-let mem_dependent = mem_conflict
-
-let special_conflict p q =
-  let rs p' =
-    match p' with Piece.Alu a -> Alu.reads_special a | _ -> None
-  and ws p' =
-    match p' with Piece.Alu a -> Alu.writes_special a | _ -> None
-  in
-  let clash a b = match (a, b) with Some x, Some y -> Alu.equal_special x y | _ -> false in
-  clash (ws p) (rs q) || clash (rs p) (ws q) || clash (ws p) (ws q)
-
-let reg_conflict p q =
-  let wp = Piece.writes p and wq = Piece.writes q in
-  let mem r set = match r with None -> false | Some r -> Reg.Set.mem r set in
-  mem wp (Piece.reads q) || mem wq (Piece.reads p)
-  || (match (wp, wq) with Some a, Some b -> Reg.equal a b | _ -> false)
-
-let independent p q =
-  if Piece.is_branch p || Piece.is_branch q then false
-  else if reg_conflict p q then false
-  else if special_conflict p q then false
-  else
-    match (p, q) with
-    | Piece.Mem m1, Piece.Mem m2 -> not (mem_conflict m1 m2)
-    | _ -> true

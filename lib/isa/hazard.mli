@@ -30,12 +30,6 @@ val sequence_hazards : 'lbl Word.t array -> (int * Reg.t) list
 val mem_dependent : Mem.t -> Mem.t -> bool
 (** Whether two memory pieces must keep their program order: any pair
     involving a store conflicts unless both reference provably distinct
-    absolute addresses (no aliasing assumptions otherwise). *)
-
-val independent : 'lbl Piece.t -> 'lbl Piece.t -> bool
-(** Whether two pieces have no register/memory/special dependence in either
-    direction, so the scheduler may reorder them.  Any two memory references
-    where at least one is a store are treated as dependent unless both are
-    provably distinct statically (we make no aliasing assumptions, as the
-    paper requires: "the algorithm must also avoid reordering loads and
-    stores that might be aliased"). *)
+    absolute addresses (no aliasing assumptions otherwise: "the algorithm
+    must also avoid reordering loads and stores that might be aliased").
+    The reorganizer's whole dependence rule is [Mips_reorg.Dag.latency]. *)

@@ -24,5 +24,24 @@ let name = function
 
 let pp ppf t = Format.pp_print_string ppf (name t)
 
-module Set = Set.Make (Int)
-module Map = Map.Make (Int)
+module Set = struct
+  type elt = int
+  type t = int
+
+  let empty = 0
+  let is_empty s = s = 0
+  let singleton r = 1 lsl r
+  let add r s = s lor (1 lsl r)
+  let mem r s = s land (1 lsl r) <> 0
+  let union = ( lor )
+  let inter = ( land )
+  let diff a b = a land lnot b
+  let equal = Int.equal
+  let of_list rs = List.fold_left (fun s r -> add r s) empty rs
+
+  let fold f s acc =
+    let rec go r acc = if s lsr r = 0 then acc else go (r + 1) (if mem r s then f r acc else acc) in
+    go 0 acc
+
+  let iter f s = fold (fun r () -> f r) s ()
+end

@@ -41,5 +41,26 @@ val name : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-module Set : Set.S with type elt = t
-module Map : Map.S with type key = t
+(** Register sets as 16-bit masks: every operation is a few machine
+    instructions, which the reorganizer's dependence tests rely on. *)
+module Set : sig
+  type elt = t
+  type t [@@immediate]
+
+  val empty : t
+  val is_empty : t -> bool
+  val singleton : elt -> t
+  val add : elt -> t -> t
+  val mem : elt -> t -> bool
+  val union : t -> t -> t
+  val inter : t -> t -> t
+  val diff : t -> t -> t
+  val equal : t -> t -> bool
+  val of_list : elt list -> t
+
+  val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Visits members in ascending register order. *)
+
+  val iter : (elt -> unit) -> t -> unit
+  (** Ascending register order, like {!fold}. *)
+end

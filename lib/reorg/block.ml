@@ -78,15 +78,16 @@ let use_def b =
 let block_uses b = fst (use_def b)
 let block_defs b = snd (use_def b)
 
-let successors blocks i =
+let label_index blocks =
+  let index = Hashtbl.create 64 in
+  Array.iteri
+    (fun i b ->
+      List.iter (fun l -> if not (Hashtbl.mem index l) then Hashtbl.add index l i) b.labels)
+    blocks;
+  index
+
+let successors index blocks i =
   let b = blocks.(i) in
-  let target_of l =
-    let found = ref None in
-    Array.iteri
-      (fun j b' -> if !found = None && List.mem l b'.labels then found := Some j)
-      blocks;
-    !found
-  in
   let fallthrough = if i + 1 < Array.length blocks then [ i + 1 ] else [] in
   match b.term with
   | None -> fallthrough
@@ -94,7 +95,7 @@ let successors blocks i =
       let to_label =
         match Branch.label br with
         | None -> []
-        | Some l -> ( match target_of l with None -> [] | Some j -> [ j ])
+        | Some l -> Option.to_list (Hashtbl.find_opt index l)
       in
       match br with
       | Branch.Jump _ -> to_label

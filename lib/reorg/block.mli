@@ -33,8 +33,13 @@ val block_defs : t -> Reg.Set.t
 (** Registers written in the block (liveness [def] set).  A trap defines the
     result register. *)
 
-val successors : t array -> int -> int list
-(** Successor block indices of block [i] in the array: the fall-through
+val label_index : t array -> (string, int) Hashtbl.t
+(** Each entry label mapped to the first block carrying it.  Built once
+    per compile, so no label lookup scans the blocks. *)
+
+val successors : (string, int) Hashtbl.t -> t array -> int -> int list
+(** [successors index blocks i], with [index = label_index blocks]:
+    successor block indices of block [i] in the array: the fall-through
     block (when the terminator is absent, conditional, a call, or a trap)
     and the branch target (when the terminator names a label).  Indirect
     jumps (returns) have no static successors. *)

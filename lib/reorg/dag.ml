@@ -3,76 +3,78 @@ open Mips_isa
 type t = {
   items : Asm.item array;
   preds : (int * int) list array;
-  succs : int list array;
+  succs : (int * int) list array;
   priority : int array;
 }
 
-let reg_set_of = function None -> Reg.Set.empty | Some r -> Reg.Set.singleton r
+(* What the dependence test needs of one item, computed once per item. *)
+type summary = {
+  fixed : bool;
+  reads : Reg.Set.t;
+  writes : Reg.Set.t;
+  load : bool;
+  sp_reads : Alu.special option;
+  sp_writes : Alu.special option;
+  mem : Mem.t option;
+}
 
-let is_load (p : _ Piece.t) =
-  match p with Piece.Mem (Mem.Load _) -> true | _ -> false
+let summarize (i : Asm.item) =
+  let p = i.piece in
+  let sp_reads, sp_writes =
+    match p with
+    | Piece.Alu a -> (Alu.reads_special a, Alu.writes_special a)
+    | _ -> (None, None)
+  in
+  {
+    fixed = i.fixed;
+    reads = Piece.reads p;
+    writes =
+      (match Piece.writes p with None -> Reg.Set.empty | Some r -> Reg.Set.singleton r);
+    load = (match p with Piece.Mem (Mem.Load _) -> true | _ -> false);
+    sp_reads;
+    sp_writes;
+    mem = (match p with Piece.Mem m -> Some m | _ -> None);
+  }
 
-let latency (a : Asm.item) (b : Asm.item) =
-  if a.fixed || b.fixed then Some 1
-  else
-    let pa = a.piece and pb = b.piece in
-    let wa = reg_set_of (Piece.writes pa) and wb = reg_set_of (Piece.writes pb) in
-    let ra = Piece.reads pa and rb = Piece.reads pb in
-    let inter x y = not (Reg.Set.is_empty (Reg.Set.inter x y)) in
-    let raw = inter wa rb in
-    let waw = inter wa wb in
-    let war = inter ra wb in
-    let special =
-      let sp p =
-        match p with
-        | Piece.Alu alu -> (Alu.reads_special alu, Alu.writes_special alu)
-        | _ -> (None, None)
-      in
-      let ra', wa' = sp pa and rb', wb' = sp pb in
-      let clash x y =
-        match (x, y) with Some s, Some s' -> Alu.equal_special s s' | _ -> false
-      in
-      if clash wa' rb' || clash wa' wb' then Some 1
-      else if clash ra' wb' then Some 0
-      else None
-    in
-    let memdep =
-      match (pa, pb) with
-      | Piece.Mem m1, Piece.Mem m2 when Hazard.mem_dependent m1 m2 -> Some 1
-      | _ -> None
-    in
-    let candidates =
-      (if raw then [ (if is_load pa then 2 else 1) ] else [])
-      @ (if waw then [ 1 ] else [])
-      @ (if war then [ 0 ] else [])
-      @ (match special with Some l -> [ l ] | None -> [])
-      @ match memdep with Some l -> [ l ] | None -> []
-    in
-    match candidates with [] -> None | l -> Some (List.fold_left max 0 l)
+let meets x y = not (Reg.Set.is_empty (Reg.Set.inter x y))
+let clash x y = match (x, y) with Some s, Some s' -> Alu.equal_special s s' | _ -> false
+
+(* Latency of the edge from [a] to a later [b], or -1 when independent: the
+   largest latency any one dependence between them asks for. *)
+let dep a b =
+  if a.fixed || b.fixed then 1
+  else if meets a.writes b.reads then if a.load then 2 else 1
+  else if
+    meets a.writes b.writes
+    || clash a.sp_writes b.sp_reads
+    || clash a.sp_writes b.sp_writes
+    || match (a.mem, b.mem) with Some m, Some m' -> Hazard.mem_dependent m m' | _ -> false
+  then 1
+  else if meets a.reads b.writes || clash a.sp_reads b.sp_writes then 0
+  else -1
+
+let latency a b = match dep (summarize a) (summarize b) with -1 -> None | l -> Some l
 
 let build items =
   let n = Array.length items in
+  let sums = Array.map summarize items in
   let preds = Array.make n [] in
   let succs = Array.make n [] in
   for j = 0 to n - 1 do
     for i = 0 to j - 1 do
-      match latency items.(i) items.(j) with
-      | None -> ()
-      | Some l ->
-          preds.(j) <- (i, l) :: preds.(j);
-          succs.(i) <- j :: succs.(i)
+      let l = dep sums.(i) sums.(j) in
+      if l >= 0 then begin
+        preds.(j) <- (i, l) :: preds.(j);
+        succs.(i) <- (j, l) :: succs.(i)
+      end
     done
   done;
-  (* critical-path priority, computed bottom-up (nodes are in program order,
-     so every successor has a larger index) *)
+  (* critical-path priority: walking down from the block's end, a node's
+     priority is final before any of its predecessors reads it *)
   let priority = Array.make n 0 in
-  for i = n - 1 downto 0 do
+  for j = n - 1 downto 0 do
     List.iter
-      (fun j ->
-        let lat =
-          match List.assoc_opt i preds.(j) with Some l -> l | None -> 1
-        in
-        priority.(i) <- max priority.(i) (priority.(j) + max lat 1))
-      succs.(i)
+      (fun (i, l) -> priority.(i) <- max priority.(i) (priority.(j) + max l 1))
+      preds.(j)
   done;
   { items; preds; succs; priority }

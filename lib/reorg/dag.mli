@@ -18,14 +18,19 @@
 type t = {
   items : Asm.item array;
   preds : (int * int) list array;  (** per node: (predecessor index, latency) *)
-  succs : int list array;
+  succs : (int * int) list array;  (** per node: (successor index, latency) *)
   priority : int array;
       (** critical-path length to the block's end, used as the scheduling
           heuristic's tie-breaker *)
 }
 
 val build : Asm.item array -> t
+(** Summarises each item once (register read/write masks, load flag,
+    special-register accesses, memory piece), then runs {!latency}'s test
+    on the summaries of every pair [i < j]: one pass over item pairs, with
+    no set built per pair. *)
 
 val latency : Asm.item -> Asm.item -> int option
 (** [latency earlier later] for two pieces in program order: [None] when
-    they are fully independent, [Some l] otherwise.  Exposed for tests. *)
+    they are fully independent, [Some l] otherwise.  The same test
+    {!build} runs, exposed for tests. *)

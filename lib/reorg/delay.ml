@@ -2,13 +2,6 @@ open Mips_isa
 
 type stats = { scheme1 : int; scheme2 : int; scheme3 : int; unfilled : int }
 
-let fresh_label =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Printf.sprintf ".Ldelay%d" !counter
-
-let word_writes w = Word.writes w
 let is_nop (sw : Sblock.sword) = match sw.Sblock.word with Word.Nop -> true | _ -> false
 
 (* A word that may execute speculatively on a path that does not need it:
@@ -31,12 +24,12 @@ let safe_speculative (sw : Sblock.sword) =
 let movable_past_branch ~(prev : Sblock.sword option) (sw : Sblock.sword) br =
   (not sw.Sblock.fixed)
   && Reg.Set.is_empty (Word.load_writes sw.Sblock.word)  (* no loads *)
-  && Reg.Set.is_empty (Reg.Set.inter (word_writes sw.Sblock.word) (Branch.reads br))
+  && Reg.Set.is_empty (Reg.Set.inter (Word.writes sw.Sblock.word) (Branch.reads br))
   && (match Branch.writes br with
      | None -> true
      | Some link ->
          (not (Reg.Set.mem link (Word.reads sw.Sblock.word)))
-         && not (Reg.Set.mem link (word_writes sw.Sblock.word)))
+         && not (Reg.Set.mem link (Word.writes sw.Sblock.word)))
   &&
   (* removing it must not put the branch word in a load's delay shadow *)
   match prev with
@@ -70,12 +63,11 @@ let scheme1 (sb : Sblock.t) br =
 
 let set_target br l' = Branch.map (fun _ -> l') br
 
-(* live registers on entry to block [j], given the precomputed solution *)
-let live_at live j = live.(j)
-
 type ctx = {
   blocks : Block.t array;
+  index : (string, int) Hashtbl.t;  (* Block.label_index of [blocks] *)
   live : Reg.Set.t array;
+  mutable labels : int;  (* synthetic labels made so far by this fill *)
   sblocks : Sblock.t array;
   mutable s1 : int;
   mutable s2 : int;
@@ -83,10 +75,16 @@ type ctx = {
   mutable nops : int;
 }
 
+(* numbered per fill, so a compile's labels do not depend on what else the
+   process (or another Domain) compiled before it *)
+let fresh_label ctx =
+  ctx.labels <- ctx.labels + 1;
+  Printf.sprintf ".Ldelay%d" ctx.labels
+
 (* Scheme 2: backward branch to label [l]; duplicate the target's first word
    into the slot and branch past it. *)
 let scheme2 ctx i br note l =
-  match Liveness.find_label ctx.blocks l with
+  match Hashtbl.find_opt ctx.index l with
   | None -> false
   | Some j when j > i -> false  (* only backward (loop) branches *)
   | Some j -> (
@@ -102,13 +100,12 @@ let scheme2 ctx i br note l =
                 safe_speculative w0
                 && i + 1 < Array.length ctx.blocks
                 && Reg.Set.is_empty
-                     (Reg.Set.inter (word_writes w0.Sblock.word)
-                        (live_at ctx.live (i + 1)))
+                     (Reg.Set.inter (Word.writes w0.Sblock.word) ctx.live.(i + 1))
               else not w0.Sblock.fixed
             in
             if not spurious_ok then false
             else begin
-              let l' = fresh_label () in
+              let l' = fresh_label ctx in
               ctx.sblocks.(j) <-
                 { tb with Sblock.mid_labels = [ (1, l') ] };
               ctx.sblocks.(i) <-
@@ -130,13 +127,13 @@ let scheme3 ctx i br note =
     else
       match (ft.Sblock.body, Branch.label br) with
       | w0 :: rest, Some l -> (
-          match Liveness.find_label ctx.blocks l with
+          match Hashtbl.find_opt ctx.index l with
           | None -> false
           | Some j ->
               if
                 safe_speculative w0
                 && Reg.Set.is_empty
-                     (Reg.Set.inter (word_writes w0.Sblock.word) (live_at ctx.live j))
+                     (Reg.Set.inter (Word.writes w0.Sblock.word) ctx.live.(j))
               then begin
                 ctx.sblocks.(i + 1) <- { ft with Sblock.body = rest };
                 ctx.sblocks.(i) <-
@@ -151,9 +148,10 @@ let scheme3 ctx i br note =
       | _ -> false
 
 let fill ~blocks sblocks =
-  let live = Liveness.live_in blocks in
+  let index = Block.label_index blocks in
   let ctx =
-    { blocks; live; sblocks = Array.copy sblocks; s1 = 0; s2 = 0; s3 = 0; nops = 0 }
+    { blocks; index; live = Liveness.live_in ~index blocks; labels = 0;
+      sblocks = Array.copy sblocks; s1 = 0; s2 = 0; s3 = 0; nops = 0 }
   in
   Array.iteri
     (fun i _ ->

@@ -29,4 +29,7 @@ val fill : blocks:Block.t array -> Sblock.t array -> Sblock.t array * stats
 (** [fill ~blocks sblocks] — [blocks] are the pre-scheduling blocks (used
     for liveness), positionally parallel to [sblocks].  Returns rewritten
     scheduled blocks (bodies moved, loop heads duplicated with synthetic
-    mid-block labels, branches retargeted) and fill statistics. *)
+    mid-block labels, branches retargeted) and fill statistics.  The
+    synthetic labels are numbered [.Ldelay1], [.Ldelay2], ... per call, so
+    two compiles of one program give the same image, symbols included, and
+    fills on different Domains share no state. *)

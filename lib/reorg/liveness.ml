@@ -1,16 +1,10 @@
 open Mips_isa
 
-let find_label blocks l =
-  let found = ref None in
-  Array.iteri
-    (fun i (b : Block.t) -> if !found = None && List.mem l b.Block.labels then found := Some i)
-    blocks;
-  !found
-
-let live_in blocks =
+let live_in ~index blocks =
   let n = Array.length blocks in
   let uses = Array.map Block.block_uses blocks in
   let defs = Array.map Block.block_defs blocks in
+  let succs = Array.init n (Block.successors index blocks) in
   let live_in = Array.make n Reg.Set.empty in
   let changed = ref true in
   while !changed do
@@ -19,7 +13,7 @@ let live_in blocks =
       let out =
         List.fold_left
           (fun acc j -> Reg.Set.union acc live_in.(j))
-          Reg.Set.empty (Block.successors blocks i)
+          Reg.Set.empty succs.(i)
       in
       let li = Reg.Set.union uses.(i) (Reg.Set.diff out defs.(i)) in
       if not (Reg.Set.equal li live_in.(i)) then begin

@@ -9,8 +9,7 @@
 
 open Mips_isa
 
-val live_in : Block.t array -> Reg.Set.t array
-(** Fixpoint solution of the standard backward dataflow equations. *)
-
-val find_label : Block.t array -> string -> int option
-(** Index of the block carrying the given entry label. *)
+val live_in : index:(string, int) Hashtbl.t -> Block.t array -> Reg.Set.t array
+(** Fixpoint solution of the standard backward dataflow equations.
+    [index] is {!Block.label_index} of the blocks; successors are computed
+    from it once, before the first iteration. *)

@@ -31,19 +31,28 @@ let schedule ~pack items =
   let items = Array.of_list items in
   let dag = Dag.build items in
   let n = Array.length items in
-  let slot_of = Array.make n max_int in
+  (* readiness, kept up to date as nodes are placed: a node is ready at
+     slot [s] once no predecessor is unplaced and [earliest] <= [s] *)
+  let unplaced_preds = Array.map List.length dag.preds in
+  let earliest = Array.make n 0 in
   let done_ = Array.make n false in
   let remaining = ref n in
   let out = ref [] in
   let slot = ref 0 in
-  let ready_at s i =
-    (not done_.(i))
-    && List.for_all (fun (p, lat) -> done_.(p) && slot_of.(p) + lat <= s) dag.preds.(i)
+  let place i =
+    done_.(i) <- true;
+    decr remaining;
+    List.iter
+      (fun (j, lat) ->
+        unplaced_preds.(j) <- unplaced_preds.(j) - 1;
+        earliest.(j) <- max earliest.(j) (!slot + lat))
+      dag.succs.(i)
   in
-  let best_ready s ~filter =
+  let best_ready ~filter =
     let best = ref None in
     for i = n - 1 downto 0 do
-      if ready_at s i && filter i then
+      if (not done_.(i)) && unplaced_preds.(i) = 0 && earliest.(i) <= !slot && filter i
+      then
         match !best with
         | Some j when dag.priority.(j) > dag.priority.(i) -> ()
         | _ -> best := Some i
@@ -51,19 +60,17 @@ let schedule ~pack items =
     !best
   in
   while !remaining > 0 do
-    (match best_ready !slot ~filter:(fun _ -> true) with
+    (match best_ready ~filter:(fun _ -> true) with
     | None -> out := Sblock.nop :: !out
     | Some i ->
-        done_.(i) <- true;
-        slot_of.(i) <- !slot;
-        decr remaining;
+        place i;
         let item = items.(i) in
         let emitted =
           if (not pack) || item.fixed then sword_of_item item
           else
             (* look for a partner that fits in the other slot of this word *)
             let partner =
-              best_ready !slot ~filter:(fun j ->
+              best_ready ~filter:(fun j ->
                   (not items.(j).fixed)
                   && Option.is_some (Word.pack item.piece items.(j).piece))
             in
@@ -73,9 +80,7 @@ let schedule ~pack items =
                 match Word.pack item.piece items.(j).piece with
                 | None -> sword_of_item item
                 | Some w ->
-                    done_.(j) <- true;
-                    slot_of.(j) <- !slot;
-                    decr remaining;
+                    place j;
                     Sblock.of_word ~note:(merge_note item items.(j)) w)
         in
         out := emitted :: !out);

@@ -7,7 +7,10 @@
      the JSON rendering fails here), and
    - a schema skeleton of `mipsc report --json` (object keys with value
      types; lists by their first element) so the report can keep evolving
-     numerically while structural drift still fails the build.
+     numerically while structural drift still fails the build, and
+   - a digest of every program image the reorganizer produces for the
+     corpus, so a change to scheduling, packing or delay filling that moves
+     a single word fails here.
 
    Regenerate intentionally with:
      GOLDEN_UPDATE=1 GOLDEN_DIR=$PWD/test/golden \
@@ -97,8 +100,60 @@ let test_report_schema () =
         "schema_version value" Mips_analysis.Report.report_schema_version v
   | _ -> Alcotest.fail "schema_version must be the first report key")
 
+(* One line per (program, config, level): the MD5 of the image without its
+   symbol table, and the delay-slot statistics.  Symbols are left out so
+   that renaming synthetic labels does not count as a code change. *)
+let image_digest (p : Mips_machine.Program.t) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (p.code, p.notes, p.entry, p.data, p.data_words)
+          [ Marshal.No_sharing ]))
+
+let compile_digest_text () =
+  let module Pipeline = Mips_reorg.Pipeline in
+  let module Corpus = Mips_corpus.Corpus in
+  let configs =
+    Mips_ir.Config.[ ("word", default); ("byte", byte_machine) ]
+  in
+  let levels =
+    Pipeline.
+      [ (Naive, "naive"); (Reorganized, "reorganized"); (Packed, "packed");
+        (Delay_filled, "delay_filled") ]
+  in
+  let stats = function
+    | None -> "-"
+    | Some (s : Mips_reorg.Delay.stats) ->
+        Printf.sprintf "s1=%d s2=%d s3=%d unfilled=%d" s.scheme1 s.scheme2
+          s.scheme3 s.unfilled
+  in
+  let lines =
+    List.concat_map
+      (fun (e : Corpus.entry) ->
+        List.concat_map
+          (fun (cname, config) ->
+            let asm = Mips_codegen.Compile.to_asm ~config e.source in
+            let line level digest st =
+              Printf.sprintf "%s %s %s %s %s" e.name cname level digest st
+            in
+            List.map
+              (fun (level, lname) ->
+                let p, st = Pipeline.compile_with_stats ~level asm in
+                line lname (image_digest p) (stats st))
+              levels
+            @ [ line "raw" (image_digest (Pipeline.compile_raw asm)) "-" ])
+          configs)
+      Corpus.all (* the Table 11 trio included *)
+  in
+  String.concat "\n" lines ^ "\n"
+
+let test_compile_digest () =
+  check_golden "compile_digest.txt" (compile_digest_text ())
+
 let suite =
-  [ ( "golden:cli-json",
+  [ ( "golden:compile",
+      [ tc_slow "reorganizer output digest" test_compile_digest ] );
+    ( "golden:cli-json",
       [ tc_slow "run --stats-json fib" (test_stats_golden "fib");
         tc_slow "run --stats-json strops" (test_stats_golden "strops");
         tc_slow "fast engine matches fib snapshot"

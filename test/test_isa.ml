@@ -130,20 +130,24 @@ let test_load_use_hazard () =
   check_int "gap removes hazard" 0
     (List.length (Hazard.sequence_hazards [| load; other; use |]))
 
+(* Independence is the reorganizer's one dependence rule, Dag.latency,
+   answering None: only then may the scheduler reorder two pieces. *)
+let item ?(fixed = false) piece = { Mips_reorg.Asm.piece; note = Note.plain; fixed }
+let independent p q = Mips_reorg.Dag.latency p q = None
+
 let test_independent () =
   let a = add 2 and b = Piece.Alu (Alu.Mov (Operand.imm4 3, Reg.r 5)) in
-  check "independent alus" true (Hazard.independent a b);
+  check "independent alus" true (independent (item a) (item b));
   check "dep via write-read" false
-    (Hazard.independent a (Piece.Alu (Alu.Mov (Operand.reg (Reg.r 2), Reg.r 6))));
+    (independent (item a) (item (Piece.Alu (Alu.Mov (Operand.reg (Reg.r 2), Reg.r 6)))));
   let st1 = Piece.Mem (Mem.Store (Mem.W32, Reg.r 1, Mem.Abs 10)) in
   let st2 = Piece.Mem (Mem.Store (Mem.W32, Reg.r 2, Mem.Abs 11)) in
   let st_unknown = Piece.Mem (Mem.Store (Mem.W32, Reg.r 2, Mem.Disp (Reg.r 3, 0))) in
   let ld_abs = Piece.Mem (Mem.Load (Mem.W32, Mem.Abs 10, Reg.r 4)) in
-  check "distinct abs stores commute" true (Hazard.independent st1 st2);
-  check "aliasing store blocks" false (Hazard.independent st1 st_unknown);
-  check "load vs same-abs store" false (Hazard.independent st1 ld_abs);
-  check "branches never move" false
-    (Hazard.independent a (Piece.Branch (Branch.Jump "L")))
+  check "distinct abs stores commute" true (independent (item st1) (item st2));
+  check "aliasing store blocks" false (independent (item st1) (item st_unknown));
+  check "load vs same-abs store" false (independent (item st1) (item ld_abs));
+  check "fixed pieces never move" false (independent (item a) (item ~fixed:true b))
 
 let prop_independent_symmetric =
   let piece =
@@ -154,7 +158,39 @@ let prop_independent_symmetric =
   in
   QCheck2.Test.make ~name:"hazard: independence symmetric" ~count:1000
     QCheck2.Gen.(pair piece piece)
-    (fun (p, q) -> Hazard.independent p q = Hazard.independent q p)
+    (fun (p, q) -> independent (item p) (item q) = independent (item q) (item p))
+
+(* --- Reg.Set ------------------------------------------------------------- *)
+
+module IntSet = Set.Make (Int)
+
+let prop_reg_set_model =
+  let set = QCheck2.Gen.(list_size (int_range 0 6) Gen.reg) in
+  QCheck2.Test.make ~name:"reg set: agrees with a Set.Make(Int) model"
+    ~count:2000
+    QCheck2.Gen.(triple set set Gen.reg)
+    (fun (xs, ys, r) ->
+      let s = Reg.Set.of_list xs and t = Reg.Set.of_list ys in
+      let model rs = IntSet.of_list (List.map Reg.to_int rs) in
+      let m = model xs and m' = model ys in
+      let elements s = List.rev (Reg.Set.fold (fun r acc -> Reg.to_int r :: acc) s []) in
+      let iterated s =
+        let acc = ref [] in
+        Reg.Set.iter (fun r -> acc := Reg.to_int r :: !acc) s;
+        List.rev !acc
+      in
+      let agrees s m = elements s = IntSet.elements m && iterated s = IntSet.elements m in
+      agrees s m
+      && agrees (Reg.Set.union s t) (IntSet.union m m')
+      && agrees (Reg.Set.inter s t) (IntSet.inter m m')
+      && agrees (Reg.Set.diff s t) (IntSet.diff m m')
+      && agrees (Reg.Set.add r s) (IntSet.add (Reg.to_int r) m)
+      && agrees (Reg.Set.singleton r) (IntSet.singleton (Reg.to_int r))
+      && agrees Reg.Set.empty IntSet.empty
+      && Reg.Set.mem r s = IntSet.mem (Reg.to_int r) m
+      && Reg.Set.is_empty s = IntSet.is_empty m
+      && Reg.Set.equal s t = IntSet.equal m m'
+      && Reg.Set.equal s (Reg.Set.of_list (List.rev xs)))
 
 (* --- Predecode (fast-engine lowering) ------------------------------------ *)
 
@@ -255,6 +291,7 @@ let suite =
       [ Alcotest.test_case "load-use" `Quick test_load_use_hazard;
         Alcotest.test_case "independence" `Quick test_independent ]
       @ qsuite [ prop_independent_symmetric ] );
+    ("isa:reg", qsuite [ prop_reg_set_model ]);
     ( "isa:encode",
       Alcotest.test_case "unencodable rejected" `Quick test_unencodable
       :: qsuite [ prop_encode_roundtrip ] );

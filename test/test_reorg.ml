@@ -310,12 +310,131 @@ let prop_interlock_agrees =
       in
       state Cpu.default_config = state Cpu.interlocked_config)
 
+(* --- properties: the DAG and the schedule against their definitions ------ *)
+
+(* Dag.build agrees with the pairwise rule on every pair i < j, and its
+   priority with the critical-path recurrence computed from that rule. *)
+let dag_agrees_pairwise items =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let dag = Dag.build items in
+  let pairs = ref [] in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      match Dag.latency items.(i) items.(j) with
+      | Some l -> pairs := (i, j, l) :: !pairs
+      | None -> ()
+    done
+  done;
+  let priority = Array.make n 0 in
+  List.iter
+    (fun (i, j, l) -> priority.(i) <- max priority.(i) (priority.(j) + max l 1))
+    (List.sort (fun (_, j, _) (_, j', _) -> compare j' j) !pairs);
+  let edges f = List.sort compare (List.concat (List.init n f)) in
+  edges (fun j -> List.map (fun (i, l) -> (i, j, l)) dag.Dag.preds.(j))
+  = List.sort compare !pairs
+  && edges (fun i -> List.map (fun (j, l) -> (i, j, l)) dag.Dag.succs.(i))
+     = List.sort compare !pairs
+  && dag.Dag.priority = priority
+
+(* The slot of every item in a schedule, matching each emitted piece to the
+   first unplaced item carrying it; -1 for an item that never appears. *)
+let slots_of items words =
+  let slot = Array.make (Array.length items) (-1) in
+  List.iteri
+    (fun s (sw : Sblock.sword) ->
+      List.iter
+        (fun p ->
+          let rec find i =
+            if i >= Array.length items then Alcotest.fail "piece not in block"
+            else if slot.(i) < 0 && items.(i).Asm.piece = p then slot.(i) <- s
+            else find (i + 1)
+          in
+          find 0)
+        (Word.pieces sw.Sblock.word))
+    words;
+  slot
+
+(* every item is placed once, and every edge's latency is respected *)
+let schedule_respects_edges ~pack items =
+  let arr = Array.of_list items in
+  let dag = Dag.build arr in
+  let slot = slots_of arr (Sched.schedule ~pack items) in
+  Array.for_all (fun s -> s >= 0) slot
+  && List.for_all
+       (fun j -> List.for_all (fun (i, l) -> slot.(j) >= slot.(i) + l) dag.Dag.preds.(j))
+       (List.init (Array.length arr) Fun.id)
+
+let corpus_blocks =
+  lazy
+    (List.concat_map
+       (fun (e : Mips_corpus.Corpus.entry) ->
+         List.concat_map
+           (fun config ->
+             let asm = Mips_codegen.Compile.to_asm ~config e.source in
+             List.map (fun (b : Block.t) -> b.Block.body) (Block.partition asm.Asm.lines))
+           [ Mips_ir.Config.default; Mips_ir.Config.byte_machine ])
+       Mips_corpus.Corpus.all)
+
+let test_corpus_dags () =
+  List.iter
+    (fun items ->
+      check "dag agrees with pairwise latency" true (dag_agrees_pairwise items);
+      check "unpacked schedule respects edges" true
+        (schedule_respects_edges ~pack:false items);
+      check "packed schedule respects edges" true (schedule_respects_edges ~pack:true items))
+    (Lazy.force corpus_blocks)
+
+(* random blocks, with some items fixed in place *)
+let gen_block =
+  let open QCheck2.Gen in
+  list_size (int_range 0 25)
+    (map2
+       (fun line fixed ->
+         match line with
+         | Asm.Ins i -> { i with Asm.fixed }
+         | Asm.Label _ -> assert false)
+       gen_item
+       (map (fun k -> k = 0) (int_range 0 7)))
+
+let prop_dag_pairwise =
+  QCheck2.Test.make ~name:"dag: build agrees with pairwise latency" ~count:300
+    gen_block dag_agrees_pairwise
+
+let prop_schedule_edges =
+  QCheck2.Test.make ~name:"schedule: every edge latency respected" ~count:300
+    QCheck2.Gen.(pair bool gen_block)
+    (fun (pack, items) -> schedule_respects_edges ~pack items)
+
+(* --- delay labels: deterministic and safe on several Domains ------------- *)
+
+let corpus_images () =
+  List.concat_map
+    (fun (e : Mips_corpus.Corpus.entry) ->
+      List.map
+        (fun config -> Mips_codegen.Compile.compile ~config e.source)
+        [ Mips_ir.Config.default; Mips_ir.Config.byte_machine ])
+    Mips_corpus.Corpus.all
+
+let test_labels_deterministic () =
+  check "two compiles give equal images, symbols included" true
+    (corpus_images () = corpus_images ())
+
+let test_labels_domain_safe () =
+  let serial = corpus_images () in
+  let workers = List.init 2 (fun _ -> Domain.spawn corpus_images) in
+  List.iter
+    (fun d -> check "concurrent compile equals serial" true (Domain.join d = serial))
+    workers
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let tc n f = Alcotest.test_case n `Quick f
 
 let suite =
   [ ( "reorg:blocks",
-      [ tc "partition/flatten" test_partition; tc "dag latencies" test_dag_latencies ] );
+      [ tc "partition/flatten" test_partition; tc "dag latencies" test_dag_latencies;
+        tc "corpus dags and schedules" test_corpus_dags ]
+      @ qsuite [ prop_dag_pairwise; prop_schedule_edges ] );
     ( "reorg:schedule",
       [ tc "naive inserts noop" test_naive_inserts_noop;
         tc "packing merges" test_packing_merges;
@@ -323,7 +442,9 @@ let suite =
     ( "reorg:delay",
       [ tc "scheme1: move before branch" test_scheme1;
         tc "scheme2: loop duplication" test_scheme2;
-        tc "scheme3: fall-through move" test_scheme3 ] );
+        tc "scheme3: fall-through move" test_scheme3;
+        tc "labels deterministic" test_labels_deterministic;
+        tc "labels domain-safe" test_labels_domain_safe ] );
     ( "reorg:integration",
       [ tc "sum loop at all levels" test_sum_loop_all_levels;
         tc "call at all levels" test_call_all_levels;
