@@ -37,12 +37,13 @@
    --checkpoint-every N) to write versioned, checksummed snapshots as they
    go, and --resume FILE to continue a killed run — the completed run is
    bit-identical to one that was never interrupted.  `report` runs its
-   warm-up under a supervisor (retry, quarantine, circuit breaker) and
-   takes --stats-json for the resilience counters plus --inject-poison
-   LABEL to exercise the degraded path.  Exit codes are standardized in
+   warm-up under a supervisor (retry, quarantine) and takes --stats-json
+   for the resilience counters plus --inject-poison LABEL to exercise
+   retry, quarantine and failure attribution.  Exit codes are standardized in
    Exit_code and listed in every subcommand's --help. *)
 
 open Cmdliner
+module Supervise = Mips_resilience.Supervise
 
 let read_source path =
   if Sys.file_exists path then In_channel.with_open_text path In_channel.input_all
@@ -397,25 +398,7 @@ let run_cmd =
           match resume with
           | None -> None
           | Some path -> (
-              let open Snapshot in
-              match
-                let* c = read_file path in
-                let* () =
-                  if String.equal c.kind "run" then Ok ()
-                  else
-                    Error
-                      (Corrupt (Printf.sprintf "not a run checkpoint: %S" c.kind))
-                in
-                let* m = section c "meta" in
-                let* () =
-                  if String.equal m meta then Ok ()
-                  else Error (Corrupt "checkpoint does not match this run")
-                in
-                let* h = section c "host" in
-                let* h = host_of_string h in
-                let* mach = section c "machine" in
-                let* () = restore_machine cpu mach in
-                Ok h
+              match Snapshot.restore_hosted ~kind:"run" ~meta cpu path
               with
               | Ok h ->
                   if Mips_obs.Sink.enabled trace_sink then
@@ -426,7 +409,7 @@ let run_cmd =
                   Some h
               | Error e ->
                   Printf.eprintf "mipsc: cannot resume from %s: %s\n" path
-                    (error_to_string e);
+                    (Snapshot.error_to_string e);
                   exit Exit_code.checkpoint)
         in
         let ckpt =
@@ -435,12 +418,7 @@ let run_cmd =
               ( checkpoint_every,
                 fun (h : Mips_machine.Hosted.host_state) ->
                   let data =
-                    Snapshot.encode
-                      { Snapshot.kind = "run";
-                        sections =
-                          [ ("meta", meta);
-                            ("machine", Snapshot.machine_to_string cpu);
-                            ("host", Snapshot.host_to_string h) ] }
+                    Snapshot.hosted_checkpoint ~kind:"run" ~meta cpu h
                   in
                   (try Snapshot.write_file path data
                    with Sys_error msg ->
@@ -833,6 +811,8 @@ let soak_cmd =
         max_injections = 0;
       }
     in
+    let metrics = Mips_obs.Metrics.create () in
+    let breaker = Supervise.default_breaker () in
     (* with no resilience flags the original two-phase path runs untouched;
        with --checkpoint/--resume the checkpointed runner produces the same
        summary and diff list (both are pure functions of the parameters),
@@ -850,7 +830,8 @@ let soak_cmd =
           Mips_obs.Span.with_ sp "soak_checkpointed" (fun () ->
               Mips_soak.Soak.run_checkpointed ~programs ?segments ~quantum
                 ?watchdog ~steps ~diff_count:differential ?checkpoint
-                ~checkpoint_every ?resume ~engine ~plan ~seed ())
+                ~checkpoint_every ?resume ~metrics ~breaker ~engine ~plan
+                ~seed ())
         with
         | Ok (Mips_soak.Soak.Complete (s, diffs)) -> (s, diffs)
         | Ok Mips_soak.Soak.Interrupted ->
@@ -909,7 +890,8 @@ let soak_cmd =
     (* resilience counters go to their own file, never into the soak JSON —
        kill/resume byte-identity is checked on the main output *)
     (match stats_json with
-    | Some dest -> write_json dest (Mips_resilience.Supervise.stats_json ())
+    | Some dest ->
+        write_json dest (Supervise.stats_json ~breaker ~metrics)
     | None -> ());
     write_host_trace ~process:"mipsc soak" tracer host_trace;
     if diverged <> [] then exit Exit_code.divergence
@@ -992,16 +974,20 @@ let report_cmd =
         host_trace
     in
     let sp = Mips_obs.Span.lane tracer 0 in
-    (* the warm-up runs supervised: a failing artifact job is retried,
-       quarantined and attributed, and the breaker degrades later maps to
-       serial — the tables still render from whatever warmed.  On a healthy
-       run this is byte-identical to the plain warm-up. *)
+    (* the warm-up is one supervised map: a failing artifact job is
+       retried, quarantined and attributed in its outcome, and the tables
+       still render from whatever warmed.  The breaker only counts the
+       quarantines for --stats-json; no later map consults it.  On a
+       healthy run this is byte-identical to the plain warm-up. *)
+    let metrics = Mips_obs.Metrics.create () in
+    let breaker = Supervise.default_breaker () in
     let outcomes =
       Mips_obs.Span.with_ sp "prepare" (fun () ->
           Mips_analysis.Report.prepare_supervised
-            ~include_heavy:with_benchmarks ~inject_poison ~tracer ())
+            ~include_heavy:with_benchmarks ~inject_poison ~breaker ~metrics
+            ~tracer ())
     in
-    let failed = Mips_resilience.Supervise.failures outcomes in
+    let failed = Supervise.failures outcomes in
     Mips_obs.Span.with_ sp "render" (fun () ->
         if json then begin
           let j =
@@ -1026,14 +1012,13 @@ let report_cmd =
             Mips_analysis.Report.hotspots Format.std_formatter
         end);
     write_host_trace ~process:"mipsc report" tracer host_trace;
+    let error (o : unit Supervise.outcome) =
+      match o.result with Error e -> e | Ok () -> "ok"
+    in
     List.iter
-      (fun (o : unit Mips_resilience.Supervise.outcome) ->
-        Printf.eprintf "mipsc: job %s failed after %d attempt%s: %s\n"
-          o.Mips_resilience.Supervise.label o.Mips_resilience.Supervise.attempts
-          (if o.Mips_resilience.Supervise.attempts = 1 then "" else "s")
-          (match o.Mips_resilience.Supervise.result with
-          | Error e -> e
-          | Ok () -> "ok"))
+      (fun (o : unit Supervise.outcome) ->
+        Printf.eprintf "mipsc: job %s failed after %d attempt%s: %s\n" o.label
+          o.attempts (if o.attempts = 1 then "" else "s") (error o))
       failed;
     match stats_json with
     | None -> ()
@@ -1041,23 +1026,15 @@ let report_cmd =
         let c = Mips_artifact.counters () in
         write_json dest
           (Mips_obs.Json.Obj
-             [ ("supervision", Mips_resilience.Supervise.stats_json ());
+             [ ("supervision", Supervise.stats_json ~breaker ~metrics);
                ( "failures",
                  Mips_obs.Json.List
                    (List.map
-                      (fun (o : unit Mips_resilience.Supervise.outcome) ->
+                      (fun (o : unit Supervise.outcome) ->
                         Mips_obs.Json.Obj
-                          [ ( "label",
-                              Mips_obs.Json.Str
-                                o.Mips_resilience.Supervise.label );
-                            ( "attempts",
-                              Mips_obs.Json.Int
-                                o.Mips_resilience.Supervise.attempts );
-                            ( "error",
-                              Mips_obs.Json.Str
-                                (match o.Mips_resilience.Supervise.result with
-                                | Error e -> e
-                                | Ok () -> "ok") ) ])
+                          [ ("label", Mips_obs.Json.Str o.label);
+                            ("attempts", Mips_obs.Json.Int o.attempts);
+                            ("error", Mips_obs.Json.Str (error o)) ])
                       failed) );
                ( "artifact_cache",
                  Mips_obs.Json.Obj
@@ -1088,9 +1065,9 @@ let report_cmd =
           & info [ "inject-poison" ] ~docv:"LABEL"
               ~doc:
                 "Prepend an always-failing warm-up job with this label \
-                 (repeatable) — exercises retry, quarantine and the circuit \
-                 breaker; the report still completes, degraded, with the \
-                 failure attributed under $(b,--stats-json).")
+                 (repeatable) — exercises retry and quarantine; the report \
+                 still completes, unchanged, with the failure attributed \
+                 under $(b,--stats-json).")
       $ Arg.(
           value
           & opt (some string) None

@@ -77,22 +77,23 @@ let prepare ?jobs ?include_heavy () =
        (fun (_, job) -> job ())
        (prepare_jobs ?include_heavy ()))
 
-(* The resilient warm-up: the same bag of jobs under the supervisor.  A
+(* The resilient warm-up: the same bag of jobs as one supervised map.  A
    poisoned job (injected by tests and the CI smoke run) is retried,
    quarantined and attributed in its outcome; the cache still ends up warm
    for every healthy artifact, so the tables render with at worst per-row
-   failures instead of the report aborting.  Poison labels are listed
-   first so a breaker trip degrades the bulk of the map — the interesting
-   path to exercise. *)
-let prepare_supervised ?policy ?jobs ?include_heavy ?(inject_poison = []) ?obs
-    ?tracer () =
+   failures instead of the report aborting.  The quarantines land in
+   [breaker]; being consulted only when a map starts, it cannot change how
+   this one runs. *)
+let prepare_supervised ?policy ?breaker ?metrics ?jobs ?include_heavy
+    ?(inject_poison = []) ?obs ?tracer () =
   let poison =
     List.map
       (fun lbl ->
         (lbl, fun () -> failwith (Printf.sprintf "injected poison job %s" lbl)))
       inject_poison
   in
-  Mips_resilience.Supervise.supervised_map ?policy ?jobs ?obs ?tracer
+  Mips_resilience.Supervise.supervised_map ?policy ?breaker ?metrics ?jobs
+    ?obs ?tracer
     ~label:fst
     (fun (_, job) -> job ())
     (poison @ prepare_jobs ?include_heavy ())

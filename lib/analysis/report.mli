@@ -16,18 +16,21 @@ val prepare : ?jobs:int -> ?include_heavy:bool -> unit -> unit
     that want to time or stage the warm-up separately. *)
 
 val prepare_supervised :
-  ?policy:Mips_resilience.Supervise.policy -> ?jobs:int ->
+  ?policy:Mips_resilience.Supervise.policy ->
+  ?breaker:Mips_resilience.Policy.Breaker.t -> ?metrics:Mips_obs.Metrics.t ->
+  ?jobs:int ->
   ?include_heavy:bool -> ?inject_poison:string list -> ?obs:Mips_obs.Sink.t ->
   ?tracer:Mips_obs.Span.tracer ->
   unit -> unit Mips_resilience.Supervise.outcome list
 (** {!prepare} under the {!Mips_resilience.Supervise} policy: failing jobs
     are retried, persistent failures quarantined and attributed in the
     returned outcomes (labelled ["sim:<config>:<entry>"], ["level:..."],
-    ["os:..."], ["asm:..."]), and the breaker degrades later maps to serial
-    execution instead of aborting — the cache still warms for every healthy
-    artifact.  [inject_poison] prepends always-failing jobs with the given
-    labels (tests and the CI smoke run).  On a fault-free run the warmed
-    cache is identical to {!prepare}'s. *)
+    ["os:..."], ["asm:..."]) — the cache still warms for every healthy
+    artifact.  The warm-up is a single supervised map, so [breaker] and
+    [metrics] only record its quarantines and counters.
+    [inject_poison] prepends always-failing jobs with the given labels
+    (tests and the CI smoke run).  On a fault-free run the warmed cache is
+    identical to {!prepare}'s. *)
 
 val table1 : Format.formatter -> unit
 val table2 : Format.formatter -> unit

@@ -111,6 +111,10 @@ let call ?(policy = default_policy) ?id ?(metrics = Mips_obs.Metrics.null)
   let jitter =
     Mips_fault.Rng.create (Hashtbl.hash (Protocol.encode_request req))
   in
+  let backoff =
+    { Mips_resilience.Policy.Backoff.base_s = policy.base_backoff_s;
+      max_s = policy.max_backoff_s }
+  in
   let started = Unix.gettimeofday () in
   let deadline = started +. policy.deadline_s in
   let fail k failure gave_up =
@@ -144,13 +148,9 @@ let call ?(policy = default_policy) ?id ?(metrics = Mips_obs.Metrics.null)
           if k >= policy.attempts then fail k failure `Attempts
           else begin
             Mips_obs.Metrics.incr metrics "client.retries";
-            let cap =
-              Float.min policy.max_backoff_s
-                (policy.base_backoff_s *. (2. ** float_of_int (k - 1)))
-            in
-            let b = cap *. (0.5 +. (Mips_fault.Rng.float jitter *. 0.5)) in
             let sleep =
-              Float.min b (Float.max 0. (deadline -. Unix.gettimeofday ()))
+              Mips_resilience.Policy.Backoff.delay backoff jitter
+                ~left_s:(deadline -. Unix.gettimeofday ()) k
             in
             Mips_obs.Metrics.observe metrics "client.backoff_seconds" sleep;
             if sleep > 0. then Unix.sleepf sleep;

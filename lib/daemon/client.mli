@@ -9,7 +9,7 @@
     {!call} is the production entry point: it wraps mutating requests in
     the {!Protocol.Tagged} idempotency envelope, arms kernel receive
     deadlines so a stalled peer cannot hang it, and retries transport
-    failures with capped exponential backoff and jitter.  Together with
+    failures with {!Mips_resilience.Policy.Backoff}.  Together with
     the server's replay window this makes blind retry safe: a request
     whose response frame was lost to the wire is answered from the
     recorded first execution, never executed twice. *)
@@ -46,7 +46,10 @@ type policy = {
 }
 
 val default_policy : policy
-(** 10 attempts, 50 ms base doubling to a 2 s cap, 60 s deadline. *)
+(** 10 attempts, 50 ms base doubling to a 2 s cap, 60 s deadline.  The
+    two backoff fields become the call's {!Mips_resilience.Policy.Backoff.t};
+    its jitter stream is seeded from the request bytes, and each delay is
+    clamped to the time left before the deadline and then slept. *)
 
 (** The last thing that went wrong on the wire.  [Garbled] is the
     server-reported flavour: the frame arrived but failed its digest or

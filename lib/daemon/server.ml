@@ -2,12 +2,11 @@
    only I/O and bookkeeping; all compute goes through the Admission
    executor's worker domains.  One server mutex + condition guard the
    session table, the metrics registry and the stop flag; Tenants and
-   Admission carry their own locks.  The supervision machinery
-   (Soak.run_checkpointed's supervised differential chunks, the report
-   warm-up) folds into a process-global metrics registry that is not
-   domain-safe, so soak and report job bodies are serialized by
-   [heavy_lock] — runs and compiles, the latency-sensitive requests, stay
-   fully parallel. *)
+   Admission carry their own locks.  Report jobs are serialized by
+   [heavy_lock] because the report's reference-pattern tables memoize in
+   [Refpatterns.cache], an unsynchronized global [Hashtbl].  Everything
+   else — runs, compiles and soaks, whose supervision breaker and metrics
+   belong to the call — runs fully parallel. *)
 
 module Snapshot = Mips_resilience.Snapshot
 module Supervise = Mips_resilience.Supervise
@@ -81,7 +80,7 @@ type t = {
          by [stop] only) ends the accept loop itself *)
   tenants : Tenants.t;
   exec : Admission.t;
-  heavy_lock : Mutex.t;  (* serializes soak/report (supervision registry) *)
+  heavy_lock : Mutex.t;  (* serializes report jobs (Refpatterns.cache) *)
   listen_fd : Unix.file_descr;
   mutable accept_thread : Thread.t option;
   mutable janitor_thread : Thread.t option;
@@ -239,23 +238,7 @@ let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
   let resume_state =
     match ckpt_path with
     | Some path when Sys.file_exists path -> (
-        let open Snapshot in
-        match
-          let* c = read_file path in
-          let* () =
-            if String.equal c.kind "mipsd-run" then Ok ()
-            else Error (Corrupt "not a mipsd run checkpoint")
-          in
-          let* m = section c "meta" in
-          let* () =
-            if String.equal m req_digest then Ok ()
-            else Error (Corrupt "checkpoint does not match this session")
-          in
-          let* h = section c "host" in
-          let* h = host_of_string h in
-          let* mach = section c "machine" in
-          let* () = restore_machine cpu mach in
-          Ok h
+        match Snapshot.restore_hosted ~kind:"mipsd-run" ~meta:req_digest cpu path
         with
         | Ok h -> Some h
         | Error _ ->
@@ -281,12 +264,7 @@ let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
     | Some path ->
         journal_op t;
         Snapshot.write_file path
-          (Snapshot.encode
-             { Snapshot.kind = "mipsd-run";
-               sections =
-                 [ ("meta", req_digest);
-                   ("machine", Snapshot.machine_to_string cpu);
-                   ("host", Snapshot.host_to_string h) ] }));
+          (Snapshot.hosted_checkpoint ~kind:"mipsd-run" ~meta:req_digest cpu h));
     incr checkpoints;
     match t.config.test_crash_after_checkpoints with
     | Some n when session <> None && !checkpoints >= n -> raise Crashed
@@ -343,8 +321,6 @@ let soak_job t ~session ~seed ~steps ~programs ~segments ~differential
     | Some path when Sys.file_exists path -> Some path
     | _ -> None
   in
-  Mutex.lock t.heavy_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.heavy_lock) @@ fun () ->
   match
     Mips_soak.Soak.run_checkpointed ~programs ~segments ~quantum:500 ~steps
       ~diff_count:differential ~diff_jobs:1 ?checkpoint

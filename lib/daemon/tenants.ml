@@ -17,14 +17,11 @@ let default_quota =
     breaker_cooldown_s = 30.;
   }
 
-(* Closed counts the current run of consecutive failures; Open refuses
-   until its deadline; Half_open has let one probe through and is waiting
-   to hear how it went. *)
-type breaker = Closed of int | Open of float | Half_open
+module Breaker = Mips_resilience.Policy.Breaker
 
 type entry = {
   mutable inflight : int;
-  mutable breaker : breaker;
+  breaker : Breaker.t;
   mutable requests : int;
   mutable failures : int;
   mutable quarantine_refusals : int;
@@ -64,8 +61,11 @@ let admit t ~now name =
                 t.max_tenants )
         else begin
           let e =
-            { inflight = 0; breaker = Closed 0; requests = 0; failures = 0;
-              quarantine_refusals = 0 }
+            { inflight = 0;
+              breaker =
+                Breaker.create ~threshold:t.quota.breaker_threshold
+                  ~cooldown_s:t.quota.breaker_cooldown_s;
+              requests = 0; failures = 0; quarantine_refusals = 0 }
           in
           Hashtbl.add t.table name e;
           Ok e
@@ -81,29 +81,23 @@ let admit t ~now name =
             Printf.sprintf "circuit breaker open after %d consecutive failures"
               t.quota.breaker_threshold )
       in
-      match e.breaker with
-      | Open until when now < until -> quarantined ()
-      | Open _ ->
-          (* cooldown over: let exactly one probe through *)
-          if e.inflight >= 1 then quarantined ()
-          else begin
-            e.breaker <- Half_open;
-            e.inflight <- e.inflight + 1;
-            e.requests <- e.requests + 1;
-            Ok ()
-          end
-      | Half_open -> quarantined ()
-      | Closed _ ->
+      let billed () =
+        e.inflight <- e.inflight + 1;
+        e.requests <- e.requests + 1;
+        Ok ()
+      in
+      (* the one probe after a cooldown waits until requests admitted
+         before the trip have drained *)
+      match Breaker.admit e.breaker ~now ~can_probe:(e.inflight = 0) with
+      | Breaker.Refuse -> quarantined ()
+      | Breaker.Probe -> billed ()
+      | Breaker.Pass ->
           if e.inflight >= t.quota.max_concurrent then
             Error
               ( Protocol.Quota "concurrency",
                 Printf.sprintf "%d requests already in flight (quota %d)"
                   e.inflight t.quota.max_concurrent )
-          else begin
-            e.inflight <- e.inflight + 1;
-            e.requests <- e.requests + 1;
-            Ok ()
-          end)
+          else billed ())
 
 let release t ~now ~failed name =
   locked t @@ fun () ->
@@ -111,21 +105,8 @@ let release t ~now ~failed name =
   | None -> ()
   | Some e ->
       e.inflight <- max 0 (e.inflight - 1);
-      if failed then begin
-        e.failures <- e.failures + 1;
-        match e.breaker with
-        | Half_open -> e.breaker <- Open (now +. t.quota.breaker_cooldown_s)
-        | Open _ -> ()
-        | Closed k ->
-            let k = k + 1 in
-            if k >= t.quota.breaker_threshold then
-              e.breaker <- Open (now +. t.quota.breaker_cooldown_s)
-            else e.breaker <- Closed k
-      end
-      else
-        match e.breaker with
-        | Half_open | Closed _ -> e.breaker <- Closed 0
-        | Open _ -> ()
+      if failed then e.failures <- e.failures + 1;
+      Breaker.record e.breaker ~now ~ok:(not failed)
 
 let json t ~now =
   locked t @@ fun () ->
@@ -141,12 +122,6 @@ let json t ~now =
                ( "quarantine_refusals",
                  Mips_obs.Json.Int e.quarantine_refusals );
                ( "breaker",
-                 Mips_obs.Json.Str
-                   (match e.breaker with
-                   | Closed 0 -> "closed"
-                   | Closed k -> Printf.sprintf "closed(%d failures)" k
-                   | Half_open -> "half-open"
-                   | Open until when now < until -> "open"
-                   | Open _ -> "open(cooldown over)") ) ])
+                 Mips_obs.Json.Str (Breaker.to_string e.breaker ~now) ) ])
   in
   Mips_obs.Json.List rows

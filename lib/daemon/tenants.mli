@@ -7,11 +7,13 @@
     quotas in {!quota} are enforced {e during} execution by the server's
     watchdog callbacks and reported back here as failures.
 
-    The breaker is per tenant, so one poison tenant is quarantined without
-    degrading its neighbors: [breaker_threshold] consecutive failures open
-    it and requests are refused with [Quarantined] for
-    [breaker_cooldown_s]; after the cooldown one probe request is let
-    through (half-open) — success closes the breaker, failure re-opens it.
+    Each tenant owns one {!Mips_resilience.Policy.Breaker}, so one poison
+    tenant is quarantined without degrading its neighbors:
+    [breaker_threshold] consecutive failures open it and requests are
+    refused with [Quarantined] for [breaker_cooldown_s]; after the cooldown
+    one probe request is let through (half-open) once the tenant has
+    nothing else in flight — success closes the breaker, failure re-opens
+    it.
 
     All entry points are safe from any thread or domain. *)
 

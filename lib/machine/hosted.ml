@@ -103,39 +103,27 @@ let run ?fuel ?(input = "") ?(on_unhandled = `Abort) ?(engine = Cpu.Ref)
             Cpu.set_epc c 2 (Cpu.epc c 2 + 1);
             `Resume)
   in
+  let total = Option.value fuel ~default:10_000_000 in
   let halted =
     match checkpoint with
-    | None -> Cpu.run_engine ?fuel ~engine cpu handler
-    | Some (every, save) ->
-        (* Chunked execution with a durable save at every chunk boundary.
-           The step sequence is identical to one call with the total fuel —
-           machine state persists across chunks — but [Cpu.run_with] marks
-           fuel exhaustion whenever its own argument reaches zero, so the
-           flag is cleared at interior boundaries and only the final chunk's
-           verdict survives. *)
-        let every = max 1 every in
-        let total = match fuel with Some f -> f | None -> 10_000_000 in
-        let remaining = ref total in
-        let halted =
-          (* nonpositive fuel: defer to the engine for the exhaustion mark *)
-          ref (total <= 0 && Cpu.run_engine ~fuel:total ~engine cpu handler)
-        in
-        while (not !halted) && !remaining > 0 do
-          let chunk = min every !remaining in
-          halted := Cpu.run_engine ~fuel:chunk ~engine cpu handler;
-          remaining := !remaining - chunk;
-          if (not !halted) && !remaining > 0 then begin
+    | Some (every, save) when total > 0 ->
+        (* [Cpu.run_with] marks fuel exhaustion whenever its own argument
+           reaches zero, so the flag is cleared at interior boundaries and
+           only the final slice's verdict survives. *)
+        Slice.run ~every ~total
+          ~step:(fun n -> Cpu.run_engine ~fuel:n ~engine cpu handler)
+          ~boundary:(fun done_ ->
             (Cpu.stats cpu).Stats.fuel_exhausted <- false;
             save
               {
                 h_output = Buffer.contents out;
                 h_in_pos = !in_pos;
                 h_retries = !retries;
-                h_fuel_left = !remaining;
-              }
-          end
-        done;
-        !halted
+                h_fuel_left = total - done_;
+              })
+          ()
+        = Slice.Finished
+    | _ -> Cpu.run_engine ?fuel ~engine cpu handler
   in
   {
     halted;

@@ -50,7 +50,7 @@ val run :
     fault-injection tests).  [engine] selects the execution engine
     (default {!Cpu.Ref}); {!Cpu.Fast} must be observationally identical.
 
-    [checkpoint = (every, save)] runs in chunks of [every] steps and calls
+    [checkpoint = (every, save)] runs in {!Slice}s of [every] steps and calls
     [save] at each interior boundary with the live host state — the caller
     snapshots the machine in the same callback.  The step sequence, final
     result and statistics (including [fuel_exhausted]) are identical to an

@@ -64,8 +64,8 @@ type t =
       (** a job exhausted its retry budget and was poisoned — the pool keeps
           running without it; [error] is the rendered last exception *)
   | Circuit_open of { failures : int }
-      (** the supervisor's circuit breaker tripped: subsequent fan-outs run
-          serially on the calling domain until reset *)
+      (** a supervised map's breaker opened after [failures] consecutive
+          quarantines: maps that start while it is open run serially *)
   | Checkpoint_write of { path : string; phase : string; steps : int; bytes : int }
       (** a durable snapshot was committed (atomic rename); [steps] is the
           phase-local progress mark it captures *)

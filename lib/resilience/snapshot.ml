@@ -794,3 +794,29 @@ let sched_of_string data =
 
 (* monadic helpers for callers assembling multi-section restores *)
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+
+(* --- hosted-run checkpoints ------------------------------------------------- *)
+
+let hosted_checkpoint ~kind ~meta cpu h =
+  encode
+    { kind;
+      sections =
+        [ ("meta", meta); ("machine", machine_to_string cpu);
+          ("host", host_to_string h) ] }
+
+let restore_hosted ~kind ~meta cpu path =
+  let* c = read_file path in
+  let* () =
+    if String.equal c.kind kind then Ok ()
+    else Error (Corrupt (Printf.sprintf "not a %s checkpoint: %S" kind c.kind))
+  in
+  let* m = section c "meta" in
+  let* () =
+    if String.equal m meta then Ok ()
+    else Error (Corrupt "checkpoint does not match this run")
+  in
+  let* h = section c "host" in
+  let* h = host_of_string h in
+  let* mach = section c "machine" in
+  let* () = restore_machine cpu mach in
+  Ok h

@@ -4,8 +4,9 @@
     string saying what the checkpoint is of ("soak", "run", ...), a list of
     named sections, and a trailing digest over everything before it.  The
     payload codecs below fill sections with machine state
-    ({!machine_to_string}), hosted-loop state ({!host_to_string}) and kernel
-    scheduler state ({!sched_to_string}); callers add their own sections
+    ({!machine_to_string}) and kernel scheduler state ({!sched_to_string}),
+    and {!hosted_checkpoint} packs a whole {!Hosted.run}; callers add their
+    own sections
     (parameters, progress) with the {!Io} primitives and are responsible
     for checking them on restore.
 
@@ -64,8 +65,6 @@ val restore_machine : Cpu.t -> string -> (unit, error) result
     same configuration whose {e code} has already been loaded (the
     pipeline's previous-word text is re-derived from instruction memory). *)
 
-val host_to_string : Hosted.host_state -> string
-val host_of_string : string -> (Hosted.host_state, error) result
 val sched_to_string : Kernel.sched_snapshot -> string
 val sched_of_string : string -> (Kernel.sched_snapshot, error) result
 
@@ -117,6 +116,19 @@ end
 exception Bad of string
 (** Structural failure inside a digest-valid body — raised by the {!Io}
     readers on malformed tags, turned into {!Corrupt} by the decoders. *)
+
+(** {2 Hosted-run checkpoints} *)
+
+val hosted_checkpoint :
+  kind:string -> meta:string -> Cpu.t -> Hosted.host_state -> string
+(** What a {!Hosted.run} [save] callback writes: the caller's [meta] (all
+    the run depends on), the machine and the hosted-loop state. *)
+
+val restore_hosted :
+  kind:string -> meta:string -> Cpu.t -> string ->
+  (Hosted.host_state, error) result
+(** Read that file, refuse another [kind] or [meta] as [Corrupt], restore
+    the machine and return the state for [Hosted.run ~resume]. *)
 
 val ( let* ) :
   ('a, error) result -> ('a -> ('b, error) result) -> ('b, error) result

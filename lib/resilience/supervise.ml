@@ -1,31 +1,21 @@
 (* Supervised parallel jobs: bounded retry with jittered exponential
-   backoff, poison-job quarantine, and a circuit breaker that degrades the
-   whole harness to serial single-job execution once too many jobs have
-   been quarantined.
+   backoff, poison-job quarantine, and a circuit breaker (the caller's, or
+   a fresh one per map) that runs a map serially while it is open.
 
    The attempt loop runs on the worker domains (inside Mips_par.map), but
    all bookkeeping — metrics, trace events, the breaker — is folded on the
    calling domain after the join, from the per-job outcome records.  The
    metrics registry and event sinks are not thread-safe; outcomes are. *)
 
-type policy = {
-  max_attempts : int;  (* total attempts per job, >= 1 *)
-  base_backoff_s : float;
-  jitter : float;  (* extra backoff fraction, drawn per retry *)
-  wall_deadline_s : float option;  (* per-job wall-clock budget *)
-  quarantine_threshold : int;  (* quarantined jobs before the breaker opens *)
-  seed : int;  (* jitter stream seed *)
-}
+module Breaker = Policy.Breaker
+module Metrics = Mips_obs.Metrics
+
+type policy = { max_attempts : int; backoff : Policy.Backoff.t }
 
 let default_policy =
-  {
-    max_attempts = 3;
-    base_backoff_s = 0.05;
-    jitter = 0.5;
-    wall_deadline_s = None;
-    quarantine_threshold = 4;
-    seed = 0;
-  }
+  { max_attempts = 3; backoff = { Policy.Backoff.base_s = 0.05; max_s = 2.0 } }
+
+let default_breaker () = Breaker.create ~threshold:4 ~cooldown_s:30.
 
 exception Deadline of string
 (* raised by a job that exhausted a deterministic budget (e.g. cycle fuel):
@@ -41,33 +31,13 @@ type 'b outcome = {
   duration_s : float;
 }
 
-(* --- the breaker and the counters (calling domain only) ------------------- *)
-
-let metrics = Mips_obs.Metrics.create ()
-let quarantines = Atomic.make 0
-let circuit = Atomic.make false
-
-let circuit_open () = Atomic.get circuit
-
-let reset_circuit () =
-  Atomic.set circuit false;
-  Atomic.set quarantines 0
-
 (* --- one supervised job (worker domain) ------------------------------------ *)
 
-let backoff_for policy rng attempt =
-  let base = policy.base_backoff_s *. (2. ** float_of_int (attempt - 1)) in
-  base *. (1. +. (policy.jitter *. Mips_fault.Rng.float rng))
-
 let supervise_one policy ~label:lbl ~index f x =
-  (* a private jitter stream per job, derived from (seed, index), so the
+  (* a private jitter stream per job, derived from its index, so the
      backoff sequence is deterministic whatever the scheduling *)
-  let rng = Mips_fault.Rng.create (policy.seed lxor (index * 0x9E3779B1)) in
+  let rng = Mips_fault.Rng.create (index * 0x9E3779B1) in
   let t0 = Unix.gettimeofday () in
-  let deadline = Option.map (fun d -> t0 +. d) policy.wall_deadline_s in
-  let overdue () =
-    match deadline with Some d -> Unix.gettimeofday () > d | None -> false
-  in
   let finish result attempts backoffs ~quarantined ~overrun =
     {
       label = lbl;
@@ -85,61 +55,68 @@ let supervise_one policy ~label:lbl ~index f x =
     | exception Deadline msg ->
         finish (Error msg) attempt backoffs ~quarantined:true ~overrun:true
     | exception e ->
-        let err = Printexc.to_string e in
-        if overdue () then
-          finish (Error err) attempt backoffs ~quarantined:true ~overrun:true
-        else if attempt >= policy.max_attempts then
-          finish (Error err) attempt backoffs ~quarantined:true ~overrun:false
-        else go (attempt + 1) (backoff_for policy rng attempt :: backoffs)
+        if attempt >= policy.max_attempts then
+          finish (Error (Printexc.to_string e)) attempt backoffs
+            ~quarantined:true ~overrun:false
+        else
+          go (attempt + 1)
+            (Policy.Backoff.delay policy.backoff rng attempt :: backoffs)
   in
   go 1 []
 
 (* --- post-join bookkeeping (calling domain) --------------------------------- *)
 
-let note_outcomes policy obs outs =
+(* Each quarantine is a breaker failure; a map without one is one success,
+   which is what closes a half-open breaker after a probe map. *)
+let note_outcomes obs metrics breaker outs =
   let emit ev =
     if obs.Mips_obs.Sink.enabled then Mips_obs.Sink.emit obs ev
   in
+  let record ~ok =
+    let was_open = Breaker.is_open breaker and run = Breaker.failures breaker in
+    Breaker.record breaker ~now:(Unix.gettimeofday ()) ~ok;
+    if Breaker.is_open breaker && not was_open then begin
+      Metrics.incr metrics "supervise.circuit_open";
+      emit (Mips_obs.Event.Circuit_open { failures = run + 1 })
+    end
+  in
   List.iter
     (fun o ->
-      Mips_obs.Metrics.incr metrics "supervise.jobs";
-      Mips_obs.Metrics.observe metrics "supervise.job_seconds" o.duration_s;
+      Metrics.incr metrics "supervise.jobs";
+      Metrics.observe metrics "supervise.job_seconds" o.duration_s;
       List.iteri
         (fun i b ->
-          Mips_obs.Metrics.incr metrics "supervise.retries";
+          Metrics.incr metrics "supervise.retries";
           emit
             (Mips_obs.Event.Job_retry
                { label = o.label; attempt = i + 2; backoff_s = b }))
         o.backoffs;
       if o.deadline_overrun then
-        Mips_obs.Metrics.incr metrics "supervise.deadline_overruns";
+        Metrics.incr metrics "supervise.deadline_overruns";
       match o.result with
-      | Ok _ -> Mips_obs.Metrics.incr metrics "supervise.ok"
+      | Ok _ -> Metrics.incr metrics "supervise.ok"
       | Error err ->
-          Mips_obs.Metrics.incr metrics "supervise.failed";
+          Metrics.incr metrics "supervise.failed";
           if o.quarantined then begin
-            Mips_obs.Metrics.incr metrics "supervise.quarantined";
+            Metrics.incr metrics "supervise.quarantined";
             emit
               (Mips_obs.Event.Job_quarantined
                  { label = o.label; attempts = o.attempts; error = err });
-            let n = Atomic.fetch_and_add quarantines 1 + 1 in
-            if n >= policy.quarantine_threshold && not (Atomic.get circuit)
-            then begin
-              Atomic.set circuit true;
-              Mips_obs.Metrics.incr metrics "supervise.circuit_open";
-              emit (Mips_obs.Event.Circuit_open { failures = n })
-            end
+            record ~ok:false
           end)
-    outs
+    outs;
+  if not (List.exists (fun o -> o.quarantined) outs) then record ~ok:true
 
-let supervised_map ?(policy = default_policy) ?jobs
-    ?(obs = Mips_obs.Sink.null) ?(tracer = Mips_obs.Span.no_tracer) ~label f
-    xs =
-  (* breaker open: degrade to serial single-job execution instead of
-     aborting — the remaining work still completes, just without fan-out *)
-  let jobs = if circuit_open () then Some 1 else jobs in
-  if circuit_open () then
-    Mips_obs.Metrics.incr metrics "supervise.degraded_maps";
+let supervised_map ?(policy = default_policy) ?(breaker = default_breaker ())
+    ?(metrics = Metrics.null) ?jobs ?(obs = Mips_obs.Sink.null)
+    ?(tracer = Mips_obs.Span.no_tracer) ~label f xs =
+  (* breaker open: run serially instead of aborting — the work still
+     completes, just without fan-out *)
+  let refused =
+    Breaker.admit breaker ~now:(Unix.gettimeofday ()) = Breaker.Refuse
+  in
+  if refused then Metrics.incr metrics "supervise.degraded_maps";
+  let jobs = if refused then Some 1 else jobs in
   let items = List.mapi (fun i x -> (i, x)) xs in
   let outs =
     Mips_par.map_spans ?jobs ~tracer
@@ -147,7 +124,7 @@ let supervised_map ?(policy = default_policy) ?jobs
       (fun (i, x) -> supervise_one policy ~label:(label x) ~index:i f x)
       items
   in
-  note_outcomes policy obs outs;
+  note_outcomes obs metrics breaker outs;
   outs
 
 let oks outs =
@@ -158,11 +135,11 @@ let oks outs =
 let failures outs =
   List.filter (fun o -> Result.is_error o.result) outs
 
-let stats_json () =
+let stats_json ~breaker ~metrics =
   let open Mips_obs.Json in
   Obj
     [
-      ("circuit_open", Bool (circuit_open ()));
-      ("quarantined_total", Int (Atomic.get quarantines));
-      ("metrics", Mips_obs.Metrics.to_json metrics);
+      ("circuit_open", Bool (Breaker.is_open breaker));
+      ("quarantined_total", Int (Metrics.count metrics "supervise.quarantined"));
+      ("metrics", Metrics.to_json metrics);
     ]

@@ -1,41 +1,34 @@
 (** Supervised parallel jobs over the {!Mips_par} pool.
 
-    Each job runs under a {!policy}: a failing job is retried up to
-    [max_attempts] times with jittered exponential backoff (recorded, not
-    slept — the jobs themselves are deterministic, so the backoff models
-    the re-issue delay a real harness would pay); a job that keeps failing
-    is {e quarantined} — its error is reported in its {!outcome} and the
-    rest of the map completes normally.  Once [quarantine_threshold] jobs
-    have been quarantined, a process-wide circuit breaker opens and every
-    subsequent supervised map degrades to serial single-job execution
-    instead of fanning out — the harness finishes its work and attributes
-    the failures rather than aborting.
+    A failing job is retried up to [max_attempts] times, each retry
+    charged a {!Policy.Backoff} delay (recorded, not slept: the jobs are
+    deterministic, so the backoff models the re-issue delay a real harness
+    would pay); a job that keeps failing is {e quarantined} — its error is
+    reported in its {!outcome} and the rest of the map completes.
+
+    A caller may pass its own {!Policy.Breaker} (default: a fresh
+    {!default_breaker} per map), consulted once when a map starts: each quarantine is recorded as a failure and a map without one
+    as a success, and a map the breaker refuses runs serially.  Breaker
+    and metrics belong to the caller; nothing here is process-global.
 
     On a fault-free run the supervised path is byte-identical to
-    {!Mips_par.map}: each job runs exactly once, in the same pool, and the
-    results come back in submission order.
-
-    The retry loop runs on the worker domains but records everything it
-    does in the returned outcomes; metrics and trace events are folded on
-    the calling domain after the join (the registry and sinks are not
-    thread-safe). *)
+    {!Mips_par.map}.  The retry loop runs on the worker domains; metrics,
+    events and the breaker are folded on the calling domain after the
+    join, from the outcomes. *)
 
 type policy = {
   max_attempts : int;  (** total attempts per job (at least 1) *)
-  base_backoff_s : float;  (** backoff before retry [k] is
-                               [base * 2{^k-1} * (1 + jitter * u)] *)
-  jitter : float;
-  wall_deadline_s : float option;
-      (** per-job wall-clock budget; a job still failing past it is
-          quarantined without further retries (guards wedged jobs — the
-          deterministic cycle budget is the {!Deadline} exception below) *)
-  quarantine_threshold : int;
-  seed : int;  (** jitter stream seed (each job derives its own stream) *)
+  backoff : Policy.Backoff.t;
+      (** delay charged before each retry; each job draws from its own
+          stream, derived from its index *)
 }
 
 val default_policy : policy
-(** 3 attempts, 50 ms base backoff, 50 % jitter, no wall deadline,
-    breaker at 4 quarantines, seed 0. *)
+(** 3 attempts, backoff from 50 ms capped at 2 s. *)
+
+val default_breaker : unit -> Policy.Breaker.t
+(** A fresh breaker that opens after 4 consecutive quarantines and probes
+    again after a 30 s cooldown. *)
 
 exception Deadline of string
 (** Raised by a job that exhausted a {e deterministic} budget (cycle fuel).
@@ -54,6 +47,8 @@ type 'b outcome = {
 
 val supervised_map :
   ?policy:policy ->
+  ?breaker:Policy.Breaker.t ->
+  ?metrics:Mips_obs.Metrics.t ->
   ?jobs:int ->
   ?obs:Mips_obs.Sink.t ->
   ?tracer:Mips_obs.Span.tracer ->
@@ -61,12 +56,13 @@ val supervised_map :
   ('a -> 'b) ->
   'a list ->
   'b outcome list
-(** Run [f] over [xs] on the pool under the policy.  Outcomes come back in
-    submission order; [obs] receives [Job_retry], [Job_quarantined] and
-    [Circuit_open] events (emitted post-join, in submission order).  With
-    [tracer], each job (including its retries) is timed as a span on its
-    worker's lane.  Every job's duration also lands in the
-    ["supervise.job_seconds"] histogram of {!metrics}. *)
+(** Run [f] over [xs] on the pool under the policy; outcomes come back in
+    submission order.  [obs] receives [Job_retry], [Job_quarantined] and
+    [Circuit_open] events; with [tracer] each job is a span on its
+    worker's lane.  [metrics] (default {!Mips_obs.Metrics.null}) receives
+    [supervise.jobs], [.ok], [.failed], [.retries], [.quarantined],
+    [.deadline_overruns], [.circuit_open], [.degraded_maps] and the
+    [supervise.job_seconds] histogram. *)
 
 val oks : 'b outcome list -> 'b list
 (** Successful results, in order. *)
@@ -74,17 +70,7 @@ val oks : 'b outcome list -> 'b list
 val failures : 'b outcome list -> 'b outcome list
 (** Outcomes whose result is an error. *)
 
-val circuit_open : unit -> bool
-
-val reset_circuit : unit -> unit
-(** Close the breaker and zero the quarantine tally (tests, or a fresh
-    top-level command). *)
-
-val metrics : Mips_obs.Metrics.t
-(** Process-wide supervision counters ([supervise.jobs], [.ok], [.failed],
-    [.retries], [.quarantined], [.deadline_overruns], [.circuit_open],
-    [.degraded_maps]).  Written only on the calling domain. *)
-
-val stats_json : unit -> Mips_obs.Json.t
-(** Breaker state, quarantine tally and the counters — what
-    [--stats-json] emits. *)
+val stats_json :
+  breaker:Policy.Breaker.t -> metrics:Mips_obs.Metrics.t -> Mips_obs.Json.t
+(** [{"circuit_open", "quarantined_total", "metrics"}] from the caller's
+    breaker and registry — what [--stats-json] emits. *)

@@ -162,9 +162,10 @@ let bump assoc key =
   in
   go assoc
 
-let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
-    ?(data_frames = 16) ?(code_frames = 16) ?backing_limit
-    ?(steps = 2_000_000) ?engine ~plan ~seed () =
+(* The soak's kernel: [programs] generated processes, seeds derived from
+   [seed], under the fault plan. *)
+let make_kernel ~programs ?segments ~quantum ?watchdog ~data_frames
+    ~code_frames ?backing_limit ?engine ~plan ~seed () =
   let k =
     Mips_os.Kernel.create ~data_frames ~code_frames ~quantum ?watchdog
       ?backing_limit ~fault_plan:(Plan.make plan) ?engine ()
@@ -176,7 +177,9 @@ let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     in
     Mips_os.Kernel.spawn k ~name:(Progen.name ~seed:pseed) program
   done;
-  let r = Mips_os.Kernel.run ~fuel:steps k in
+  k
+
+let summary_of_report ~seed ~programs ~steps k (r : Mips_os.Kernel.report) =
   let exited, killed, live, kill_reasons =
     List.fold_left
       (fun (e, ki, li, reasons) (p : Mips_os.Kernel.proc_report) ->
@@ -206,6 +209,15 @@ let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     fuel_exhausted = r.Mips_os.Kernel.fuel_exhausted;
     total_cycles = r.Mips_os.Kernel.total_cycles;
   }
+
+let run_soak ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
+    ?(data_frames = 16) ?(code_frames = 16) ?backing_limit
+    ?(steps = 2_000_000) ?engine ~plan ~seed () =
+  let k =
+    make_kernel ~programs ?segments ~quantum ?watchdog ~data_frames
+      ~code_frames ?backing_limit ?engine ~plan ~seed ()
+  in
+  summary_of_report ~seed ~programs ~steps k (Mips_os.Kernel.run ~fuel:steps k)
 
 let summary_json s =
   Json.Obj
@@ -378,47 +390,16 @@ let int_payload n =
   Snapshot.Io.W.int b n;
   Snapshot.Io.W.contents b
 
-let summary_of_report ~seed ~programs ~steps k (r : Mips_os.Kernel.report) =
-  let exited, killed, live, kill_reasons =
-    List.fold_left
-      (fun (e, ki, li, reasons) (p : Mips_os.Kernel.proc_report) ->
-        match (p.Mips_os.Kernel.exit_status, p.Mips_os.Kernel.killed) with
-        | Some _, _ -> (e + 1, ki, li, reasons)
-        | None, Some reason ->
-            (e, ki + 1, li, bump reasons (Mips_os.Kernel.kill_reason_name reason))
-        | None, None -> (e, ki, li + 1, reasons))
-      (0, 0, 0, []) r.Mips_os.Kernel.procs
-  in
-  {
-    seed;
-    programs;
-    steps;
-    exited;
-    killed;
-    live;
-    kill_reasons;
-    injected = Plan.counts (Cpu.fault_plan (Mips_os.Kernel.cpu k));
-    transient_faults = r.Mips_os.Kernel.transient_faults;
-    transient_retries = r.Mips_os.Kernel.transient_retries;
-    watchdog_kills = r.Mips_os.Kernel.watchdog_kills;
-    double_faults = r.Mips_os.Kernel.double_faults;
-    oom_kills = r.Mips_os.Kernel.oom_kills;
-    page_faults = r.Mips_os.Kernel.page_faults;
-    switches = r.Mips_os.Kernel.switches;
-    fuel_exhausted = r.Mips_os.Kernel.fuel_exhausted;
-    total_cycles = r.Mips_os.Kernel.total_cycles;
-  }
-
 type resilient_result = Complete of summary * diff list | Interrupted
 
 let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
     ?(data_frames = 16) ?(code_frames = 16) ?backing_limit
     ?(steps = 2_000_000) ?(diff_count = 0) ?diff_jobs ?(diff_chunk = 4)
     ?checkpoint ?(checkpoint_every = 250_000) ?resume
-    ?(obs = Mips_obs.Sink.null) ?max_slices ?(before_write = fun () -> ())
-    ?(engine = Cpu.Ref) ~plan ~seed () =
+    ?(obs = Mips_obs.Sink.null) ?(metrics = Mips_obs.Metrics.null)
+    ?(breaker = Supervise.default_breaker ()) ?max_slices
+    ?(before_write = fun () -> ()) ?(engine = Cpu.Ref) ~plan ~seed () =
   let open Snapshot in
-  let checkpoint_every = max 1 checkpoint_every in
   let params =
     { p_seed = seed; p_programs = programs; p_segments = segments;
       p_quantum = quantum; p_watchdog = watchdog; p_data_frames = data_frames;
@@ -439,25 +420,15 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
         in
         before_write ();
         write_file path data;
-        Mips_obs.Metrics.incr Supervise.metrics "checkpoint.writes";
+        Mips_obs.Metrics.incr metrics "checkpoint.writes";
         if Mips_obs.Sink.enabled obs then
           Mips_obs.Sink.emit obs
             (Mips_obs.Event.Checkpoint_write
                { path; phase; steps = progress; bytes = String.length data })
   in
   let make_kernel () =
-    let k =
-      Mips_os.Kernel.create ~data_frames ~code_frames ~quantum ?watchdog
-        ?backing_limit ~fault_plan:(Plan.make plan) ~engine ()
-    in
-    for i = 0 to programs - 1 do
-      let pseed = (seed * 0x1000) + i in
-      let program =
-        Mips_reorg.Pipeline.compile (Progen.generate ?segments ~seed:pseed ())
-      in
-      Mips_os.Kernel.spawn k ~name:(Progen.name ~seed:pseed) program
-    done;
-    k
+    make_kernel ~programs ?segments ~quantum ?watchdog ~data_frames
+      ~code_frames ?backing_limit ~engine ~plan ~seed ()
   in
   (* entry state: a fresh kernel, or whatever the resumed checkpoint holds *)
   let start_state =
@@ -476,7 +447,7 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
         in
         let* phase = section c "phase" in
         let restored st progress =
-          Mips_obs.Metrics.incr Supervise.metrics "checkpoint.restores";
+          Mips_obs.Metrics.incr metrics "checkpoint.restores";
           if Mips_obs.Sink.enabled obs then
             Mips_obs.Sink.emit obs
               (Mips_obs.Event.Checkpoint_restore
@@ -517,32 +488,23 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
   (* Run the kernel in [checkpoint_every]-step slices.  Slicing is
      semantics-neutral: [Kernel.run_for] keeps the scheduler loop state in
      the kernel itself, so N slices of M steps execute the same instruction
-     sequence as one N*M-step run. *)
+     sequence as one N*M-step run.  [start] is idempotent, so calling it on
+     a restored kernel is safe. *)
   let kernel_phase k steps_done0 =
-    let steps_done = ref steps_done0 in
-    let slices = ref 0 in
-    let quiesced = ref (steps_done0 > 0 && steps_done0 >= steps) in
-    let interrupted = ref false in
-    (* [start] is idempotent, so calling it on a restored kernel is safe *)
-    while (not !interrupted) && (not !quiesced) && !steps_done < steps do
-      match max_slices with
-      | Some m when !slices >= m -> interrupted := true
-      | _ ->
-          let chunk = min checkpoint_every (steps - !steps_done) in
-          (match Mips_os.Kernel.run_for k ~steps:chunk with
-          | `Done -> quiesced := true
-          | `More -> ());
-          steps_done := !steps_done + chunk;
-          incr slices;
-          if (not !quiesced) && !steps_done < steps then
-            write_ckpt ~phase:"kernel" ~progress:!steps_done
-              (kernel_sections k !steps_done)
-    done;
-    if !interrupted then Interrupted
-    else
-      Complete
-        ( summary_of_report ~seed ~programs ~steps k (Mips_os.Kernel.report k),
-          [] )
+    match
+      Mips_machine.Slice.run ?max_slices ~every:checkpoint_every
+        ~total:(steps - steps_done0)
+        ~step:(fun n -> Mips_os.Kernel.run_for k ~steps:n = `Done)
+        ~boundary:(fun d ->
+          let progress = steps_done0 + d in
+          write_ckpt ~phase:"kernel" ~progress (kernel_sections k progress))
+        ()
+    with
+    | Mips_machine.Slice.Stopped -> Interrupted
+    | Finished | Exhausted ->
+        Complete
+          ( summary_of_report ~seed ~programs ~steps k (Mips_os.Kernel.report k),
+            [] )
   in
   (* Differential seeds run in supervised chunks; a quarantined seed is
      attributed in place so one poisoned job cannot sink the sweep. *)
@@ -554,7 +516,7 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
         let n = min diff_chunk (diff_count - i) in
         let seeds = List.init n (fun j -> seed + i + j) in
         let outs =
-          Supervise.supervised_map ?jobs:diff_jobs ~obs
+          Supervise.supervised_map ?jobs:diff_jobs ~breaker ~metrics ~obs
             ~label:(fun s -> Printf.sprintf "diff:%d" s)
             (fun s ->
               (* Ref means "historical default": the kernel interprets, the

@@ -125,7 +125,8 @@ val run_checkpointed :
   ?data_frames:int -> ?code_frames:int -> ?backing_limit:int -> ?steps:int ->
   ?diff_count:int -> ?diff_jobs:int -> ?diff_chunk:int ->
   ?checkpoint:string -> ?checkpoint_every:int -> ?resume:string ->
-  ?obs:Mips_obs.Sink.t -> ?max_slices:int ->
+  ?obs:Mips_obs.Sink.t -> ?metrics:Mips_obs.Metrics.t ->
+  ?breaker:Mips_resilience.Policy.Breaker.t -> ?max_slices:int ->
   ?before_write:(unit -> unit) ->
   ?engine:Mips_machine.Cpu.engine ->
   plan:Mips_fault.Plan.config -> seed:int -> unit ->
@@ -137,7 +138,12 @@ val run_checkpointed :
     process died.  [resume] restores from a checkpoint written by the
     {e same} parameters (byte-compared; mismatch is [Corrupt]).
     [max_slices] interrupts the kernel phase after that many slices —
-    a deterministic in-process kill for tests.  [before_write] runs
+    a deterministic in-process kill for tests.  [metrics] (default
+    {!Mips_obs.Metrics.null}) receives the [checkpoint.writes] and
+    [checkpoint.restores] counters and the differential chunks'
+    [supervise.*] counters; [breaker] (default a fresh
+    {!Mips_resilience.Supervise.default_breaker}) is the one breaker all
+    the chunks share.  [before_write] runs
     immediately before each checkpoint file write — the crash-point hook
     [mipsd]'s recovery harness uses to enumerate every journal write
     boundary (an exception raised there aborts the run {e before} the

@@ -6,6 +6,7 @@
 open Testutil
 module Snapshot = Mips_resilience.Snapshot
 module Supervise = Mips_resilience.Supervise
+module Policy = Mips_resilience.Policy
 module Plan = Mips_fault.Plan
 module Cpu = Mips_machine.Cpu
 module Hosted = Mips_machine.Hosted
@@ -239,7 +240,6 @@ let test_soak_resume_param_mismatch () =
 (* --- supervised jobs ------------------------------------------------------- *)
 
 let test_supervise_fault_free_identity () =
-  Supervise.reset_circuit ();
   let xs = List.init 20 Fun.id in
   let f n = n * n in
   let outs =
@@ -254,7 +254,6 @@ let test_supervise_fault_free_identity () =
     outs
 
 let test_supervise_retry_then_succeed () =
-  Supervise.reset_circuit ();
   let attempts = Hashtbl.create 8 in
   let f n =
     let k = (Hashtbl.find_opt attempts n |> Option.value ~default:0) + 1 in
@@ -274,7 +273,6 @@ let test_supervise_retry_then_succeed () =
     | _ -> false)
 
 let test_supervise_quarantine () =
-  Supervise.reset_circuit ();
   let f n = if n = 1 then failwith "poison" else n in
   let outs = Supervise.supervised_map ~jobs:2 ~label:string_of_int f [ 0; 1; 2 ] in
   let o1 = List.nth outs 1 in
@@ -289,7 +287,6 @@ let test_supervise_quarantine () =
     (Supervise.oks outs = [ 0; 2 ])
 
 let test_supervise_deadline () =
-  Supervise.reset_circuit ();
   let f n = if n = 0 then raise (Supervise.Deadline "cycle budget") else n in
   let outs = Supervise.supervised_map ~jobs:1 ~label:string_of_int f [ 0; 1 ] in
   let o0 = List.hd outs in
@@ -298,23 +295,27 @@ let test_supervise_deadline () =
   check "quarantined" true o0.Supervise.quarantined
 
 let test_supervise_circuit_breaker () =
-  Supervise.reset_circuit ();
-  let policy = { Supervise.default_policy with max_attempts = 1; quarantine_threshold = 2 } in
+  let policy = { Supervise.default_policy with max_attempts = 1 } in
+  let breaker = Policy.Breaker.create ~threshold:2 ~cooldown_s:60. in
+  let metrics = Mips_obs.Metrics.create () in
   let f n = if n < 2 then failwith "poison" else n in
-  let before = Mips_obs.Metrics.count Supervise.metrics "supervise.degraded_maps" in
-  let outs = Supervise.supervised_map ~policy ~jobs:2 ~label:string_of_int f [ 0; 1; 2 ] in
-  check "two quarantines trip the breaker" true (Supervise.circuit_open ());
+  let before = Mips_obs.Metrics.count metrics "supervise.degraded_maps" in
+  let outs = Supervise.supervised_map ~policy ~breaker ~metrics ~jobs:2 ~label:string_of_int f [ 0; 1; 2 ] in
+  check "two quarantines trip the breaker" true (Policy.Breaker.is_open breaker);
   check "map still completed" true (Supervise.oks outs = [ 2 ]);
   (* the next map degrades to serial but still runs *)
-  let outs2 = Supervise.supervised_map ~policy ~jobs:4 ~label:string_of_int Fun.id [ 7; 8 ] in
+  let outs2 = Supervise.supervised_map ~policy ~breaker ~metrics ~jobs:4 ~label:string_of_int Fun.id [ 7; 8 ] in
   check "degraded map completes" true (Supervise.oks outs2 = [ 7; 8 ]);
   check "degradation counted" true
-    (Mips_obs.Metrics.count Supervise.metrics "supervise.degraded_maps" > before);
-  Supervise.reset_circuit ();
-  check "breaker resets" false (Supervise.circuit_open ())
+    (Mips_obs.Metrics.count metrics "supervise.degraded_maps" > before);
+  (* past the cooldown, a clean probe closes the breaker *)
+  let later = Unix.gettimeofday () +. 120. in
+  check "probe after cooldown" true
+    (Policy.Breaker.admit breaker ~now:later = Policy.Breaker.Probe);
+  Policy.Breaker.record breaker ~now:later ~ok:true;
+  check "breaker resets" false (Policy.Breaker.is_open breaker)
 
 let test_supervise_events () =
-  Supervise.reset_circuit ();
   let ring, sink = Mips_obs.Sink.ring ~capacity:64 in
   let policy = { Supervise.default_policy with max_attempts = 2 } in
   let f n = if n = 1 then failwith "poison" else n in
@@ -328,7 +329,6 @@ let test_supervise_events () =
 (* --- report warm-up under the supervisor ----------------------------------- *)
 
 let test_report_poison_attribution () =
-  Supervise.reset_circuit ();
   let outs =
     Mips_analysis.Report.prepare_supervised ~jobs:2
       ~inject_poison:[ "bad:alpha" ] ()
@@ -336,8 +336,7 @@ let test_report_poison_attribution () =
   let failed = Supervise.failures outs in
   check_int "exactly the poison job failed" 1 (List.length failed);
   check_string "failure attributed by label" "bad:alpha"
-    (List.hd failed).Supervise.label;
-  Supervise.reset_circuit ()
+    (List.hd failed).Supervise.label
 
 (* --- artifact cache corruption --------------------------------------------- *)
 
