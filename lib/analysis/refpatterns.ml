@@ -89,19 +89,27 @@ let run ?jobs ?(include_heavy = true) config entries =
   (pattern_of_stats merged, List.rev failures)
 
 (* these dominate wall-clock time (the Puzzle runs), so memoize: the corpus
-   is fixed and the simulator deterministic.  Main-domain only — parallel
-   callers go through the artifact cache underneath. *)
+   is fixed and the simulator deterministic.  Safe across Domains the way
+   the artifact cache is: look up and publish under the lock, compute
+   outside it.  If two callers race on a key, the first value published
+   wins; both are identical by construction. *)
 let cache : (string * bool, pattern * failure list) Hashtbl.t = Hashtbl.create 4
 
-let clear_memo () = Hashtbl.reset cache
+let lock = Mutex.create ()
+
+let clear_memo () = Mutex.protect lock (fun () -> Hashtbl.reset cache)
 
 let memo key thunk =
-  match Hashtbl.find_opt cache key with
+  match Mutex.protect lock (fun () -> Hashtbl.find_opt cache key) with
   | Some p -> p
   | None ->
       let p = thunk () in
-      Hashtbl.replace cache key p;
-      p
+      Mutex.protect lock (fun () ->
+          match Hashtbl.find_opt cache key with
+          | Some winner -> winner
+          | None ->
+              Hashtbl.replace cache key p;
+              p)
 
 let word_allocated ?jobs ?(include_heavy = false) () =
   memo ("word", include_heavy) (fun () ->

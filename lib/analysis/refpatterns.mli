@@ -56,7 +56,8 @@ val run :
 val word_allocated :
   ?jobs:int -> ?include_heavy:bool -> unit -> pattern * failure list
 (** Table 7: the reference corpus on the word-addressed machine
-    ([include_heavy] defaults to false).  Memoized. *)
+    ([include_heavy] defaults to false).  Memoized; the memo is safe to
+    share across Domains. *)
 
 val byte_allocated :
   ?jobs:int -> ?include_heavy:bool -> unit -> pattern * failure list

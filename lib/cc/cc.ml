@@ -2,7 +2,6 @@ type style = { set_on_moves : bool; has_cond_set : bool }
 
 let vax_style = { set_on_moves = true; has_cond_set = false }
 let m68000_style = { set_on_moves = true; has_cond_set = true }
-let ibm360_style = { set_on_moves = false; has_cond_set = false }
 
 type operand = Reg of int | Imm of int | Var of string [@@deriving eq, show]
 type alu_op = Add | Sub | Mul | Div | Rem | And | Or | Xor [@@deriving eq, show]

@@ -21,7 +21,6 @@ type style = {
 
 val vax_style : style
 val m68000_style : style
-val ibm360_style : style
 
 type operand =
   | Reg of int  (** unlimited virtual registers, as befits a cost model *)

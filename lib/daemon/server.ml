@@ -2,11 +2,9 @@
    only I/O and bookkeeping; all compute goes through the Admission
    executor's worker domains.  One server mutex + condition guard the
    session table, the metrics registry and the stop flag; Tenants and
-   Admission carry their own locks.  Report jobs are serialized by
-   [heavy_lock] because the report's reference-pattern tables memoize in
-   [Refpatterns.cache], an unsynchronized global [Hashtbl].  Everything
-   else — runs, compiles and soaks, whose supervision breaker and metrics
-   belong to the call — runs fully parallel. *)
+   Admission carry their own locks.  Every job — runs, compiles, soaks
+   and reports, whose supervision state and memo tables are either owned
+   by the call or safe across Domains — runs fully parallel. *)
 
 module Snapshot = Mips_resilience.Snapshot
 module Supervise = Mips_resilience.Supervise
@@ -80,7 +78,6 @@ type t = {
          by [stop] only) ends the accept loop itself *)
   tenants : Tenants.t;
   exec : Admission.t;
-  heavy_lock : Mutex.t;  (* serializes report jobs (Refpatterns.cache) *)
   listen_fd : Unix.file_descr;
   mutable accept_thread : Thread.t option;
   mutable janitor_thread : Thread.t option;
@@ -336,9 +333,7 @@ let soak_job t ~session ~seed ~steps ~programs ~segments ~differential
   | Error e ->
       Protocol.Err (Protocol.Internal, Snapshot.error_to_string e)
 
-let report_job t () =
-  Mutex.lock t.heavy_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.heavy_lock) @@ fun () ->
+let report_job () =
   let j = Mips_analysis.Report.json_all ~jobs:1 () in
   Protocol.Reported (Format.asprintf "%a@." Json.pp j)
 
@@ -497,7 +492,7 @@ let job_of t req =
       Some
         (soak_job t ~session ~seed ~steps ~programs ~segments ~differential
            ~engine)
-  | Protocol.Report _ -> Some (report_job t)
+  | Protocol.Report _ -> Some report_job
   | _ -> None
 
 let validate req =
@@ -897,7 +892,6 @@ let start config =
       closing = false;
       tenants = Tenants.create ~quota:config.quota ~max_tenants:config.max_tenants ();
       exec = Admission.create ~jobs:config.jobs ~queue:config.queue;
-      heavy_lock = Mutex.create ();
       listen_fd;
       accept_thread = None;
       janitor_thread = None;

@@ -272,7 +272,6 @@ let write_code t a w =
   t.imem.(a) <- w;
   t.xcode.(a) <- stale;
   if t.jit_on then jit_invalidate t a
-let read_note t a = t.notes.(a)
 let write_note t a n =
   t.notes.(a) <- n;
   if t.jit_on then jit_invalidate t a

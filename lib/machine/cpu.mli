@@ -223,7 +223,6 @@ val interrupt_pending : t -> bool
 
 val read_code : t -> int -> int Word.t
 val write_code : t -> int -> int Word.t -> unit
-val read_note : t -> int -> Note.t
 val write_note : t -> int -> Note.t -> unit
 val read_data : t -> int -> Word32.t
 (** Physical word read (word index into data memory). *)

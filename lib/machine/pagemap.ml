@@ -53,4 +53,3 @@ let drop_clean t ~pick =
 let entries t =
   Hashtbl.fold (fun (space, vpage) e acc -> (space, vpage, e) :: acc) t []
 
-let clear_referenced t = Hashtbl.iter (fun _ e -> e.referenced <- false) t

@@ -49,5 +49,3 @@ val drop_clean : t -> pick:int -> (space * int) option
 val entries : t -> (space * int * entry) list
 (** All mappings, for inspection and page-replacement policies. *)
 
-val clear_referenced : t -> unit
-(** Clear every referenced bit (clock-algorithm support). *)

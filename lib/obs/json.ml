@@ -295,10 +295,6 @@ let to_string_exn = function
   | Str s -> s
   | _ -> invalid_arg "Json: expected a string"
 
-let to_bool_exn = function
-  | Bool b -> b
-  | _ -> invalid_arg "Json: expected a boolean"
-
 let to_list_exn = function
   | List xs -> xs
   | _ -> invalid_arg "Json: expected a list"

@@ -40,5 +40,4 @@ val to_float_exn : t -> float
 (** Accepts [Int] too (JSON does not distinguish). *)
 
 val to_string_exn : t -> string
-val to_bool_exn : t -> bool
 val to_list_exn : t -> t list

@@ -84,11 +84,6 @@ let jsonl_buffer buf =
 
 type format = Text | Jsonl
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "jsonl" | "json" -> Some Jsonl
-  | _ -> None
-
 let to_channel format oc =
   match format with
   | Text -> formatter (Format.formatter_of_out_channel oc)

@@ -63,7 +63,4 @@ val jsonl_buffer : Buffer.t -> t
 
 type format = Text | Jsonl
 
-val format_of_string : string -> format option
-(** ["text"] / ["jsonl"] (accepts ["json"] as an alias). *)
-
 val to_channel : format -> out_channel -> t

@@ -136,7 +136,7 @@ let compiled ?(config = Mips_ir.Config.default)
     (fun () -> Mips_reorg.Pipeline.compile ~level (asm ~config src))
 
 let simulated ?(config = Mips_ir.Config.default)
-    ?(level = Mips_reorg.Pipeline.Delay_filled) ?(engine = Cpu.Ref)
+    ?(level = Mips_reorg.Pipeline.Delay_filled) ?(engine = Cpu.Fast)
     ?(fuel = default_fuel) ?(input = "") src =
   cached sims
     ( digest src,

@@ -43,7 +43,10 @@ val simulated :
   sim
 (** A full simulation of the program: compiled as above, then run to
     completion (or the fuel budget) on a fresh machine matching the
-    config's addressing mode. *)
+    config's addressing mode.  [engine] defaults to [Cpu.Fast], which is
+    bit-identical to the reference stepper; pass [~engine:Cpu.Ref] for the
+    oracle.  The engine is part of the key, so runs on different engines
+    never share an entry. *)
 
 val entry_sim :
   ?config:Mips_ir.Config.t -> ?level:Mips_reorg.Pipeline.level ->

@@ -7,7 +7,10 @@
      the JSON rendering fails here), and
    - a schema skeleton of `mipsc report --json` (object keys with value
      types; lists by their first element) so the report can keep evolving
-     numerically while structural drift still fails the build, and
+     numerically while structural drift still fails the build,
+   - the full text and JSON of the default report, recorded while the
+     report still simulated on the reference engine, so ref stays the
+     oracle for every table whatever engine the report runs on, and
    - a digest of every program image the reorganizer produces for the
      corpus, so a change to scheduling, packing or delay filling that moves
      a single word fails here.
@@ -100,6 +103,41 @@ let test_report_schema () =
         "schema_version value" Mips_analysis.Report.report_schema_version v
   | _ -> Alcotest.fail "schema_version must be the first report key")
 
+(* exactly the bytes `mipsc report --json` and `mipsc report` write *)
+let test_report_golden () =
+  let json = Mips_analysis.Report.json_all ~include_heavy:false () in
+  check_golden "report.json" (Format.asprintf "%a@." Json.pp json);
+  check_golden "report.txt"
+    (Format.asprintf "%t" (fun ppf -> Mips_analysis.Report.print_all ppf))
+
+(* Every simulation the report schedules, run on the reference engine and
+   on the default one: the same output, halting, fault and statistics,
+   including the char/byte reference classes Tables 7/8 read. *)
+let test_report_sims_match_ref () =
+  let module A = Mips_artifact in
+  let module H = Mips_machine.Hosted in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (e : Mips_corpus.Corpus.entry) ->
+          if not (Mips_analysis.Refpatterns.heavy e) then begin
+            let name = cname ^ ":" ^ e.Mips_corpus.Corpus.name in
+            let oracle = A.entry_sim ~config ~engine:Mips_machine.Cpu.Ref e in
+            let sim = A.entry_sim ~config e in
+            let stats (s : A.sim) =
+              Json.to_string (Mips_machine.Stats.to_json s.A.stats)
+            in
+            check_string (name ^ " output") oracle.A.result.H.output
+              sim.A.result.H.output;
+            check (name ^ " halted") oracle.A.result.H.halted
+              sim.A.result.H.halted;
+            check (name ^ " fault") true
+              (oracle.A.result.H.fault = sim.A.result.H.fault);
+            check_string (name ^ " stats") (stats oracle) (stats sim)
+          end)
+        Mips_corpus.Corpus.all)
+    Mips_ir.Config.[ ("word", default); ("byte", byte_machine) ]
+
 (* One line per (program, config, level): the MD5 of the image without its
    symbol table, and the delay-slot statistics.  Symbols are left out so
    that renaming synthetic labels does not count as a code change. *)
@@ -160,4 +198,7 @@ let suite =
           (test_stats_engine_agree "fib");
         tc_slow "fast engine matches strops snapshot"
           (test_stats_engine_agree "strops");
-        tc_slow "report --json schema" test_report_schema ] ) ]
+        tc_slow "report --json schema" test_report_schema;
+        tc_slow "report text and json" test_report_golden;
+        tc_slow "report simulations equal the ref engine"
+          test_report_sims_match_ref ] ) ]

@@ -1,7 +1,7 @@
 (* The shared resilience vocabulary: Policy.Backoff bounds, Policy.Breaker
    against a reference state machine, Supervise with caller-owned
-   breakers, the Slice driver, and daemon soak jobs running concurrently
-   now that they share no supervision state. *)
+   breakers, the Slice driver, and daemon soak and report jobs running
+   concurrently now that they share no unsynchronized state. *)
 
 open Testutil
 module Policy = Mips_resilience.Policy
@@ -189,36 +189,70 @@ let local_soak seed =
   | Error e ->
       Alcotest.failf "local soak: %s" (Mips_resilience.Snapshot.error_to_string e)
 
+(* each request from its own thread, all in flight together *)
+let requests_in_parallel socket reqs =
+  let replies = Array.make (List.length reqs) None in
+  let threads =
+    List.mapi
+      (fun i req ->
+        Thread.create
+          (fun () -> replies.(i) <- Some (Test_daemon.request socket req))
+          ())
+      reqs
+  in
+  List.iter Thread.join threads;
+  Array.to_list replies
+
 let test_concurrent_tenant_soaks () =
   let steps, programs, segments, differential = soak_params in
   let tenants = [ ("alpha", 5); ("beta", 6) ] in
   let expected = List.map (fun (_, seed) -> local_soak seed) tenants in
   Test_daemon.with_server ~jobs:2 @@ fun socket _t ->
-  let replies = Array.make (List.length tenants) None in
-  let threads =
-    List.mapi
-      (fun i (tenant, seed) ->
-        Thread.create
-          (fun () ->
-            replies.(i) <-
-              Some
-                (Test_daemon.request socket
-                   (Mips_daemon.Protocol.Soak
-                      { tenant; session = None; seed; steps; programs;
-                        segments; differential; engine = "ref" })))
-          ())
-      tenants
+  let replies =
+    requests_in_parallel socket
+      (List.map
+         (fun (tenant, seed) ->
+           Mips_daemon.Protocol.Soak
+             { tenant; session = None; seed; steps; programs; segments;
+               differential; engine = "ref" })
+         tenants)
   in
-  List.iter Thread.join threads;
-  List.iteri
-    (fun i want ->
-      match replies.(i) with
+  List.iter2
+    (fun ((tenant, _), want) reply ->
+      match reply with
       | Some (Mips_daemon.Protocol.Soaked json) ->
-          check (fst (List.nth tenants i) ^ " soak equals local") true
-            (String.equal want json)
+          check (tenant ^ " soak equals local") true (String.equal want json)
       | Some resp -> Alcotest.failf "soak: %s" (Test_daemon.kind_of resp)
       | None -> Alcotest.fail "no reply")
-    expected
+    (List.combine tenants expected)
+    replies
+
+(* --- daemon: concurrent report jobs --------------------------------------------- *)
+
+(* Both reports start cold, so they race on every artifact-cache key and on
+   the reference-pattern memo. *)
+let test_concurrent_reports () =
+  let expected =
+    Format.asprintf "%a@." Mips_obs.Json.pp
+      (Mips_analysis.Report.json_all ~jobs:1 ())
+  in
+  Mips_artifact.clear ();
+  Mips_analysis.Refpatterns.clear_memo ();
+  let tenants = [ "alpha"; "beta" ] in
+  Test_daemon.with_server ~jobs:2 @@ fun socket _t ->
+  let replies =
+    requests_in_parallel socket
+      (List.map (fun tenant -> Mips_daemon.Protocol.Report { tenant }) tenants)
+  in
+  List.iter2
+    (fun tenant reply ->
+      match reply with
+      | Some (Mips_daemon.Protocol.Reported text) ->
+          check (tenant ^ " report equals local") true
+            (String.equal expected text)
+      | Some resp -> Alcotest.failf "report: %s" (Test_daemon.kind_of resp)
+      | None -> Alcotest.fail "no reply")
+    tenants replies
 
 let suite =
   [ ( "resilience.policy",
@@ -226,4 +260,5 @@ let suite =
         tc "zero-cooldown probe closes" test_zero_cooldown_probe ]
       @ qsuite [ qcheck_backoff_bounds; qcheck_breaker_model; qcheck_slice ] );
     ( "daemon.concurrency",
-      [ tc_slow "two tenants' soaks in parallel" test_concurrent_tenant_soaks ] ) ]
+      [ tc_slow "two tenants' soaks in parallel" test_concurrent_tenant_soaks;
+        tc_slow "two tenants' reports in parallel" test_concurrent_reports ] ) ]
