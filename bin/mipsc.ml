@@ -791,13 +791,6 @@ let soak_cmd =
       data_flip_rate irq_rate page_drop_rate flaky_rate differential engine
       json jobs checkpoint checkpoint_every resume stats_json host_trace =
     apply_jobs jobs;
-    (* --engine=ref keeps the historical split: interpreted kernel phase,
-       fast-engine differential variants (matching Soak.run_checkpointed) *)
-    let diff_engine =
-      match engine with
-      | Mips_machine.Cpu.Ref -> Mips_machine.Cpu.Fast
-      | e -> e
-    in
     let tracer = make_tracer ~lanes:1 host_trace in
     let sp = Mips_obs.Span.lane tracer 0 in
     let plan =
@@ -813,34 +806,24 @@ let soak_cmd =
     in
     let metrics = Mips_obs.Metrics.create () in
     let breaker = Supervise.default_breaker () in
-    (* with no resilience flags the original two-phase path runs untouched;
-       with --checkpoint/--resume the checkpointed runner produces the same
-       summary and diff list (both are pure functions of the parameters),
-       so the JSON below is identical either way *)
+    (* one runner with or without --checkpoint/--resume (it writes nothing
+       when [checkpoint] is None), the same one a mipsd soak session uses *)
     let s, diffs =
-      if checkpoint = None && resume = None then
-        ( Mips_obs.Span.with_ sp "kernel_soak" (fun () ->
-              Mips_soak.Soak.run_soak ~programs ?segments ~quantum ?watchdog
-                ~steps ~engine ~plan ~seed ()),
-          Mips_obs.Span.with_ sp "differential" (fun () ->
-              Mips_soak.Soak.differential_sweep ?segments ~seed
-                ~engine:diff_engine ~count:differential ()) )
-      else
-        match
-          Mips_obs.Span.with_ sp "soak_checkpointed" (fun () ->
-              Mips_soak.Soak.run_checkpointed ~programs ?segments ~quantum
-                ?watchdog ~steps ~diff_count:differential ?checkpoint
-                ~checkpoint_every ?resume ~metrics ~breaker ~engine ~plan
-                ~seed ())
-        with
-        | Ok (Mips_soak.Soak.Complete (s, diffs)) -> (s, diffs)
-        | Ok Mips_soak.Soak.Interrupted ->
-            (* unreachable without the in-process max_slices test hook *)
-            assert false
-        | Error e ->
-            Printf.eprintf "mipsc: checkpoint error: %s\n"
-              (Mips_resilience.Snapshot.error_to_string e);
-            exit Exit_code.checkpoint
+      match
+        Mips_obs.Span.with_ sp "soak" (fun () ->
+            Mips_soak.Soak.run_checkpointed ~programs ?segments ~quantum
+              ?watchdog ~steps ~diff_count:differential ?checkpoint
+              ~checkpoint_every ?resume ~metrics ~breaker ~engine ~plan ~seed
+              ())
+      with
+      | Ok (Mips_soak.Soak.Complete (s, diffs)) -> (s, diffs)
+      | Ok Mips_soak.Soak.Interrupted ->
+          (* unreachable without the in-process max_slices test hook *)
+          assert false
+      | Error e ->
+          Printf.eprintf "mipsc: checkpoint error: %s\n"
+            (Mips_resilience.Snapshot.error_to_string e);
+          exit Exit_code.checkpoint
     in
     let diverged =
       List.filter (fun d -> not d.Mips_soak.Soak.ok) diffs

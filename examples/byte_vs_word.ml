@@ -37,5 +37,5 @@ let () =
     "@.The word machine executes more instructions for byte work (insert/@.\
      extract sequences) but each cycle is cheaper; the byte machine's@.\
      operand fetches all pay the decoder overhead.  Tables 9 and 10 weigh@.\
-     this tradeoff; run `dune exec bench/main.exe -- --tables`.@.";
+     this tradeoff; run `dune exec bin/mipsc.exe -- report`.@.";
   Mips_analysis.Report.table9 Format.std_formatter

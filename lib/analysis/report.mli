@@ -3,8 +3,8 @@
     Each printer takes a formatter and draws its experiment from the
     {!Mips_artifact} cache (compilations and simulations computed once and
     shared between tables), so [print_all] is the one-stop reproduction of
-    the paper's evaluation.  The bench harness and the [mipsc report]
-    command both use these. *)
+    the paper's evaluation.  The [mipsc report] command and the
+    benchmark's report_cold workload both use these. *)
 
 val prepare : ?jobs:int -> ?include_heavy:bool -> unit -> unit
 (** Warm the artifact cache with every compilation and simulation the
@@ -74,5 +74,5 @@ val json_all : ?jobs:int -> ?include_heavy:bool -> unit -> Mips_obs.Json.t
 (** The whole evaluation as one JSON object, keyed ["schema_version"],
     ["table1_constants"] ... ["table11_postpass_levels"], ["figures"],
     ["free_cycles"], ["context_switches"] — the machine-readable twin of
-    {!print_all} that [mipsc report --json] emits so CI and the bench
-    harness can diff reproduction numbers against the paper's tables. *)
+    {!print_all} that [mipsc report --json] emits so CI and the golden
+    tests can diff reproduction numbers against the paper's tables. *)

@@ -2,7 +2,7 @@
 
     "Table 2 shows a typical set of features associated with condition codes
     and various architectures which possess these features."  Reproduced as
-    data so the bench harness can print it and tests can sanity-check the
+    data so [mipsc report] can print it and tests can sanity-check the
     styles used elsewhere. *)
 
 type cc_features =

@@ -3,8 +3,8 @@
     One connection, synchronous request/response: {!request} writes one
     frame and blocks until the reply frame arrives.  All failures are
     values — connect errors are strings, protocol failures are the typed
-    {!Frame.error}s — so callers (the [mipsd] CLI, [mipsc --remote], the
-    bench load generator) can map each one to its own exit code.
+    {!Frame.error}s — so callers (the [mipsd] CLI and its load generator,
+    [mipsc --remote]) can map each one to its own exit code.
 
     {!call} is the production entry point: it wraps mutating requests in
     the {!Protocol.Tagged} idempotency envelope, arms kernel receive

@@ -1,8 +1,8 @@
 (** A registry of named counters and accumulating timers.
 
     The reorganizer charges per-pass wall time here, the kernel its
-    bookkeeping counts; {!to_json} is the machine-readable form the bench
-    harness diffs.  Names are free-form dotted paths
+    bookkeeping counts; {!to_json} is the machine-readable form the
+    [--stats-json] outputs carry.  Names are free-form dotted paths
     (["reorg.schedule"], ["delay.scheme1"]); output is sorted by name so
     serializations are deterministic. *)
 

@@ -109,17 +109,6 @@ let differential ?segments ?fuel ?(flaky_rate = 0.01) ?(irq_rate = 0.005)
   in
   { seed; ok = mismatches = []; mismatches = List.rev mismatches; retries; injected }
 
-(* Each seed's differential run is a pure function of its arguments (the
-   generator and fault plan carry their own seeded streams), so a sweep is
-   embarrassingly parallel; results come back in seed order regardless of
-   the pool size. *)
-let differential_sweep ?jobs ?segments ?fuel ?flaky_rate ?irq_rate ?engine
-    ~seed ~count () =
-  Mips_par.map ?jobs
-    (fun s ->
-      differential ?segments ?fuel ?flaky_rate ?irq_rate ?engine ~seed:s ())
-    (List.init count (fun i -> seed + i))
-
 let diff_json d =
   Json.Obj
     [ ("seed", Json.Int d.seed);
@@ -520,8 +509,7 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
             ~label:(fun s -> Printf.sprintf "diff:%d" s)
             (fun s ->
               (* Ref means "historical default": the kernel interprets, the
-                 differential still exercises the fast engine — keeps the
-                 checkpointed JSON byte-identical to the two-phase path. *)
+                 differential still exercises the fast engine *)
               let engine = match engine with Cpu.Ref -> Cpu.Fast | e -> e in
               differential ?segments ~engine ~seed:s ())
             seeds

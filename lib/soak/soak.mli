@@ -52,15 +52,6 @@ val differential :
     the default keeps the historical "reorganized-fast" names.
     Defaults: [flaky_rate = 0.01], [irq_rate = 0.005]. *)
 
-val differential_sweep :
-  ?jobs:int -> ?segments:int -> ?fuel:int -> ?flaky_rate:float ->
-  ?irq_rate:float -> ?engine:Mips_machine.Cpu.engine -> seed:int ->
-  count:int -> unit -> diff list
-(** [count] differential runs at seeds [seed .. seed+count-1], fanned out
-    over the {!Mips_par} worker pool and returned in seed order — each run
-    is a pure function of its seed, so the list is identical for any pool
-    size. *)
-
 val diff_json : diff -> Mips_obs.Json.t
 
 (** Aggregate result of a multi-process kernel soak run. *)
@@ -105,8 +96,9 @@ val result_json : summary -> diff list -> Mips_obs.Json.t
 
 (** {2 Checkpointed soak}
 
-    The resilient variant of {!run_soak} + {!differential_sweep}: the run
-    writes versioned, checksummed checkpoints as it goes, and a
+    The resilient variant of {!run_soak}, plus [diff_count]
+    {!differential} runs at seeds [seed ..]: the run writes versioned,
+    checksummed checkpoints as it goes (none without [checkpoint]), and a
     killed-and-resumed run is {e bit-identical} to an uninterrupted one —
     the kernel executes in slices whose loop state lives in the kernel
     itself, programs are regenerated from their seeds on resume, and

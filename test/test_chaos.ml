@@ -172,23 +172,32 @@ let test_call_through_chaos_byte_identical () =
   | Protocol.Ran r -> check "clean run halted" true r.Protocol.halted
   | resp -> Alcotest.failf "clean call answered %s" (kind_of resp));
   let dir = Filename.dirname socket in
-  let injected = ref 0 in
-  for seed = 1 to 8 do
-    let listen = Filename.concat dir (Printf.sprintf "chaos-%d.sock" seed) in
+  (* through one seeded proxy: the reply, and how many faults it injected *)
+  let through ~seed ~rate =
+    let listen =
+      Filename.concat dir (Printf.sprintf "chaos-%d-%g.sock" seed rate)
+    in
     let proxy =
       Chaos.start
-        { Chaos.listen; upstream = socket; seed; rate = 0.3; stall_s = 0.02 }
+        { Chaos.listen; upstream = socket; seed; rate; stall_s = 0.02 }
     in
     Fun.protect ~finally:(fun () -> Chaos.stop proxy) @@ fun () ->
     (match Client.call ~policy:chaos_policy listen (run_req fib_source) with
     | Ok resp ->
         check
-          (Printf.sprintf "seed %d: chaos-proxied run is byte-identical" seed)
+          (Printf.sprintf "seed %d, rate %g: chaos-proxied run is byte-identical"
+             seed rate)
           true (same_bytes clean resp)
     | Error e ->
-        Alcotest.failf "seed %d: call through chaos failed: %s" seed
-          (Client.call_error_to_string e));
-    injected := !injected + Chaos.injected (Chaos.counts proxy)
+        Alcotest.failf "seed %d, rate %g: call through chaos failed: %s" seed
+          rate (Client.call_error_to_string e));
+    Chaos.injected (Chaos.counts proxy)
+  in
+  check_int "a rate-0 proxy injects nothing" 0 (through ~seed:1 ~rate:0.0);
+  ignore (through ~seed:1 ~rate:0.01);
+  let injected = ref 0 in
+  for seed = 1 to 8 do
+    injected := !injected + through ~seed ~rate:0.3
   done;
   check "the sweep actually injected faults" true (!injected > 0)
 

@@ -519,8 +519,9 @@ end.
   | resp -> Alcotest.failf "got %s, wanted a memory kill" (kind_of resp)
 
 let test_server_overload_within_deadline () =
-  (* one worker, no queue: while the spinner occupies the worker, the next
-     request is shed with a typed Overloaded answer in bounded time *)
+  (* one worker, no queue: while the spinner occupies the worker, every
+     request from 4 concurrent clients is shed with a typed Overloaded
+     answer, each within 1 s *)
   with_server ~jobs:1 ~queue:0 @@ fun socket _t ->
   let fib = (Mips_corpus.Corpus.find "fib").Mips_corpus.Corpus.source in
   let spinner =
@@ -530,11 +531,33 @@ let test_server_overload_within_deadline () =
       ()
   in
   Thread.delay 0.4;
-  let t0 = Unix.gettimeofday () in
-  (match request socket (run_req ~tenant:"victim" fib) with
-  | Protocol.Err (Protocol.Overloaded, _) -> ()
-  | resp -> Alcotest.failf "got %s, wanted Overloaded" (kind_of resp));
-  check "shed within its deadline" true (Unix.gettimeofday () -. t0 < 5.);
+  let clients, per_client = (4, 3) in
+  let replies = Array.make (clients * per_client) (Ok Protocol.Pong, 0.) in
+  let client c =
+    Thread.create
+      (fun () ->
+        for r = 0 to per_client - 1 do
+          let t0 = Unix.gettimeofday () in
+          let reply =
+            Client.with_connection socket (fun conn ->
+                Result.map_error Frame.error_to_string
+                  (Client.request conn
+                     (run_req ~tenant:(Printf.sprintf "victim%d" c) fib)))
+          in
+          replies.((c * per_client) + r) <- (reply, Unix.gettimeofday () -. t0)
+        done)
+      ()
+  in
+  List.iter Thread.join (List.init clients client);
+  Array.iteri
+    (fun i (reply, elapsed) ->
+      (match reply with
+      | Ok (Protocol.Err (Protocol.Overloaded, _)) -> ()
+      | Ok resp -> Alcotest.failf "request %d got %s, wanted Overloaded" i (kind_of resp)
+      | Error msg -> Alcotest.failf "request %d failed in transport: %s" i msg);
+      if elapsed >= 1. then
+        Alcotest.failf "request %d shed after %.3f s, over the 1 s bound" i elapsed)
+    replies;
   Thread.join spinner
 
 let test_server_bad_frames_do_not_kill () =

@@ -301,6 +301,48 @@ let test_jit_checkpoint_resume () =
                 Alcotest.failf "seed %d: jit resume diverged from reference" seed))
     [ 7; 19; 41 ]
 
+(* Steady-state allocation: on a warm machine, one run's minor-heap words
+   divided by the instruction words it executed.  The fast engine's
+   closures are built and, for the jit, every block past [hot_threshold]
+   is compiled, so what is left is the fixed per-run cost of [Hosted.run]
+   amortized over the program — far below the bound, which still catches
+   a single allocated word per step.  Ref allocates by design and is not
+   bounded. *)
+let max_minor_words_per_word = 0.05
+
+let test_steady_state_allocation () =
+  List.iter
+    (fun name ->
+      let e = Mips_corpus.Corpus.find name in
+      let p = Mips_codegen.Compile.compile e.Mips_corpus.Corpus.source in
+      List.iter
+        (fun engine ->
+          let cpu = Cpu.create () in
+          Cpu.load_program cpu p;
+          let run () =
+            Cpu.set_pc cpu p.Program.entry;
+            List.iter (fun (a, v) -> Cpu.write_data cpu a v) p.Program.data;
+            let res = Hosted.run ~input:e.Mips_corpus.Corpus.input ~engine cpu in
+            if not res.Hosted.halted then Alcotest.failf "%s did not halt" name
+          in
+          let warm =
+            match engine with
+            | Cpu.Jit -> Mips_jit.hot_threshold + 2
+            | Cpu.Ref | Cpu.Fast -> 2
+          in
+          for _ = 1 to warm do run () done;
+          let w0 = (Cpu.stats cpu).Stats.words in
+          let m0 = Gc.minor_words () in
+          run ();
+          let m1 = Gc.minor_words () in
+          let words = (Cpu.stats cpu).Stats.words - w0 in
+          let per_word = (m1 -. m0) /. float_of_int words in
+          if not (words > 0 && per_word < max_minor_words_per_word) then
+            Alcotest.failf "%s on %s: %.4f minor words per simulated word"
+              name (Cpu.engine_name engine) per_word)
+        [ Cpu.Fast; Cpu.Jit ])
+    [ "queens"; "hanoi" ]
+
 let suite =
   [ ( "engine:differential",
       [ tc_slow "56 seeds x 4 variants, all engines" test_differential;
@@ -308,4 +350,6 @@ let suite =
         tc "write_code invalidates compiled slot" test_write_code_invalidation;
         tc "kernel scheduling identical" test_kernel_differential;
         tc "jit: SMC patch of hot compiled block" test_jit_smc_hot_block;
-        tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume ] ) ]
+        tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume;
+        tc "fast/jit steady state allocates < 0.05 words/word"
+          test_steady_state_allocation ] ) ]

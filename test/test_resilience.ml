@@ -207,6 +207,13 @@ let test_soak_kill_resume () =
       ~plan:soak_plan ~seed:23 ()
   in
   check "checkpointed summary equals run_soak" true (fst uninterrupted = plain);
+  (* ... and its supervised diff chunks equal the differential runs one by
+     one (an engine of Ref runs the alternate variants on Fast) *)
+  check "checkpointed diffs equal plain differential runs" true
+    (snd uninterrupted
+    = List.init 3 (fun i ->
+          Mips_soak.Soak.differential ~segments:120 ~engine:Cpu.Fast
+            ~seed:(23 + i) ()));
   (* kill after 2 slices (an in-process stand-in for SIGKILL) ... *)
   (match run_ckpt ~checkpoint:path ~max_slices:2 () with
   | Ok Mips_soak.Soak.Interrupted -> ()
