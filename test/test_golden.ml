@@ -13,7 +13,12 @@
      oracle for every table whatever engine the report runs on, and
    - a digest of every program image the reorganizer produces for the
      corpus, so a change to scheduling, packing or delay filling that moves
-     a single word fails here.
+     a single word fails here,
+   - a digest of every reference-engine run of the reference corpus on the
+     word, byte and interlocked machines (output, exit status and the full
+     statistics record) and of three complete JSONL event traces, so the
+     reference interpreter's accounting and every trace emission site stay
+     pinned whatever its implementation.
 
    Regenerate intentionally with:
      GOLDEN_UPDATE=1 GOLDEN_DIR=$PWD/test/golden \
@@ -188,9 +193,83 @@ let compile_digest_text () =
 let test_compile_digest () =
   check_golden "compile_digest.txt" (compile_digest_text ())
 
+(* One line per reference-engine run: the MD5 of its output, exit status
+   and [Stats.to_json] (stall pairs, exception tallies and the byte
+   machine's float [weighted] sum included).  The corpus runs cover the
+   reference corpus (the Table 11 trio is the report's heavy set) on the
+   word and byte machines at [Delay_filled], and as [compile_raw] code on
+   the interlocked machine; the trace lines hash the whole JSONL event
+   stream of one run each. *)
+let ref_stats_digest_text () =
+  let module Pipeline = Mips_reorg.Pipeline in
+  let module Corpus = Mips_corpus.Corpus in
+  let module Cpu = Mips_machine.Cpu in
+  let module H = Mips_machine.Hosted in
+  let run ?trace ~config (e : Corpus.entry) program =
+    let cpu = Cpu.create ~config () in
+    Option.iter (Cpu.set_trace cpu) trace;
+    let res =
+      H.run_program_on ~fuel:500_000_000 ~input:e.input ~engine:Cpu.Ref cpu
+        program
+    in
+    (res, Cpu.stats cpu)
+  in
+  let word = Mips_ir.Config.default and byte = Mips_ir.Config.byte_machine in
+  let delay_filled cfg (e : Corpus.entry) =
+    ( Mips_codegen.Compile.machine_config cfg,
+      Mips_codegen.Compile.compile ~config:cfg ~level:Pipeline.Delay_filled
+        e.source )
+  in
+  let raw (e : Corpus.entry) =
+    ( Cpu.interlocked_config,
+      Pipeline.compile_raw (Mips_codegen.Compile.to_asm ~config:word e.source) )
+  in
+  let variants =
+    [ ("word", delay_filled word); ("byte", delay_filled byte); ("raw", raw) ]
+  in
+  let stats_lines =
+    List.concat_map
+      (fun (e : Corpus.entry) ->
+        List.map
+          (fun (vname, build) ->
+            let config, program = build e in
+            let res, stats = run ~config e program in
+            let exit_status =
+              match res.H.exit_status with
+              | Some s -> string_of_int s
+              | None -> "-"
+            in
+            Printf.sprintf "%s %s %s" e.name vname
+              (Digest.to_hex
+                 (Digest.string
+                    (String.concat "\n"
+                       [ res.H.output; exit_status;
+                         Json.to_string (Mips_machine.Stats.to_json stats) ]))))
+          variants)
+      Corpus.reference
+  in
+  let trace_lines =
+    List.map
+      (fun (name, vname) ->
+        let e = Corpus.find name in
+        let config, program = (List.assoc vname variants) e in
+        let buf = Buffer.create (1 lsl 20) in
+        let sink = Mips_obs.Sink.jsonl_buffer buf in
+        ignore (run ~trace:sink ~config e program);
+        Mips_obs.Sink.flush sink;
+        Printf.sprintf "trace %s %s %s" name vname
+          (Digest.to_hex (Digest.string (Buffer.contents buf))))
+      [ ("fib", "word"); ("fib", "raw"); ("strops", "byte") ]
+  in
+  String.concat "\n" (stats_lines @ trace_lines) ^ "\n"
+
+let test_ref_stats_digest () =
+  check_golden "ref_stats_digest.txt" (ref_stats_digest_text ())
+
 let suite =
   [ ( "golden:compile",
-      [ tc_slow "reorganizer output digest" test_compile_digest ] );
+      [ tc_slow "reorganizer output digest" test_compile_digest;
+        tc_slow "ref engine stats and trace digest" test_ref_stats_digest ] );
     ( "golden:cli-json",
       [ tc_slow "run --stats-json fib" (test_stats_golden "fib");
         tc_slow "run --stats-json strops" (test_stats_golden "strops");
