@@ -16,14 +16,11 @@ type t =
   | Rfe
 [@@deriving eq, ord, show]
 
-let add_operand set op =
-  match Operand.used_reg op with None -> set | Some r -> Reg.Set.add r set
-
 let reads = function
   | Binop (_, a, b, _) | Setc (_, a, b, _) | Xbyte (a, b, _) ->
-      add_operand (add_operand Reg.Set.empty a) b
-  | Mov (a, _) | Wr_special (_, a) -> add_operand Reg.Set.empty a
-  | Ibyte (a, dst) -> Reg.Set.add dst (add_operand Reg.Set.empty a)
+      Operand.add_read (Operand.add_read Reg.Set.empty a) b
+  | Mov (a, _) | Wr_special (_, a) -> Operand.add_read Reg.Set.empty a
+  | Ibyte (a, dst) -> Reg.Set.add dst (Operand.add_read Reg.Set.empty a)
   | Movi8 _ | Rd_special _ | Rfe -> Reg.Set.empty
 
 let writes = function

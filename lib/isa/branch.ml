@@ -28,11 +28,8 @@ let is_conditional = function
   | Cbr (c, _, _, _) -> not (Cond.equal c Cond.Always)
   | Jump _ | Jal _ | Jind _ | Jalind _ | Trap _ -> false
 
-let add_operand set op =
-  match Operand.used_reg op with None -> set | Some r -> Reg.Set.add r set
-
 let reads = function
-  | Cbr (_, a, b, _) -> add_operand (add_operand Reg.Set.empty a) b
+  | Cbr (_, a, b, _) -> Operand.add_read (Operand.add_read Reg.Set.empty a) b
   | Jind r | Jalind (r, _) -> Reg.Set.singleton r
   | Jump _ | Jal _ | Trap _ -> Reg.Set.empty
 

@@ -7,7 +7,7 @@ let imm4 n =
   if not (fits_imm4 n) then invalid_arg "Operand.imm4: constant out of range";
   I4 n
 
-let used_reg = function R r -> Some r | I4 _ -> None
+let add_read set = function R r -> Reg.Set.add r set | I4 _ -> set
 
 let pp ppf = function
   | R r -> Reg.pp ppf r

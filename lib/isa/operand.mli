@@ -18,7 +18,7 @@ val imm4 : int -> t
 val fits_imm4 : int -> bool
 (** Whether a constant can be carried in a register field. *)
 
-val used_reg : t -> Reg.t option
-(** The register read by this operand, if any. *)
+val add_read : Reg.Set.t -> t -> Reg.Set.t
+(** [add_read s op] adds the register [op] reads, if any, to [s]. *)
 
 val pp : Format.formatter -> t -> unit

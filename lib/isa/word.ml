@@ -50,8 +50,16 @@ let pack p q = match pack_ordered p q with Some w -> Some w | None -> pack_order
 
 let fold_pieces f acc w = List.fold_left f acc (pieces w)
 
-let reads w =
-  fold_pieces (fun acc p -> Reg.Set.union acc (Piece.reads p)) Reg.Set.empty w
+(* [reads], [load_writes] and [references_memory] match the constructors
+   directly rather than folding over [pieces]: the reference engine calls
+   them every cycle and they must not allocate. *)
+let reads = function
+  | Nop -> Reg.Set.empty
+  | A a -> Alu.reads a
+  | M m -> Mem.reads m
+  | B b -> Branch.reads b
+  | AM (a, m) -> Reg.Set.union (Alu.reads a) (Mem.reads m)
+  | AB (a, b) -> Reg.Set.union (Alu.reads a) (Branch.reads b)
 
 let writes w =
   fold_pieces
@@ -59,15 +67,11 @@ let writes w =
       match Piece.writes p with None -> acc | Some r -> Reg.Set.add r acc)
     Reg.Set.empty w
 
-let load_writes w =
-  fold_pieces
-    (fun acc p ->
-      match p with
-      | Piece.Mem (Mem.Load (_, _, d)) -> Reg.Set.add d acc
-      | Piece.Mem (Mem.Limm _ | Mem.Store _) | Piece.Alu _ | Piece.Branch _ | Piece.Nop
-        ->
-          acc)
-    Reg.Set.empty w
+let load_writes = function
+  | M (Mem.Load (_, _, d)) | AM (_, Mem.Load (_, _, d)) -> Reg.Set.singleton d
+  | M (Mem.Limm _ | Mem.Store _) | AM (_, (Mem.Limm _ | Mem.Store _))
+  | Nop | A _ | B _ | AB _ ->
+      Reg.Set.empty
 
 let branch = function
   | B b | AB (_, b) -> Some b
@@ -81,8 +85,9 @@ let mem = function
   | M m | AM (_, m) -> Some m
   | Nop | A _ | B _ | AB _ -> None
 
-let references_memory w =
-  match mem w with Some m -> Mem.references_memory m | None -> false
+let references_memory = function
+  | M m | AM (_, m) -> Mem.references_memory m
+  | Nop | A _ | B _ | AB _ -> false
 
 let pp pp_lbl ppf = function
   | Nop -> Format.pp_print_string ppf "nop"

@@ -38,6 +38,31 @@ type profile = {
   mutable pr_other_cycles : int;
 }
 
+(* Reference-engine latch: the compute phase parks each piece's result here
+   and the commit and next-pc phases read it back, so a reference step
+   allocates nothing.  Every compute phase resets the two kinds and
+   [l_taken]; a payload field means something only under the kind that
+   wrote it. *)
+type mem_kind = No_mem | Load | Store | Imm
+type alu_kind = No_alu | Reg_write | Special_write | Rfe
+
+type latch = {
+  mutable l_mem : mem_kind;
+  mutable l_mem_reg : int;  (* load / immediate destination register *)
+  mutable l_mem_val : int;  (* loaded value, immediate, or value to store *)
+  mutable l_phys : int;  (* load / store physical word *)
+  mutable l_lane : int;  (* byte lane of a byte reference, -1 for a word *)
+  mutable l_alu : alu_kind;
+  mutable l_alu_reg : int;
+  mutable l_alu_val : int;
+  mutable l_special : Alu.special;  (* Special_write destination *)
+  mutable l_taken : bool;
+  mutable l_target : int;
+  mutable l_delay : int;
+  mutable l_link : int;  (* link register of a taken jal, else -1 *)
+  mutable l_ret : int;  (* its return address *)
+}
+
 type t = {
   cfg : config;
   regs : int array;
@@ -80,6 +105,7 @@ type t = {
   mutable sc_v : int;  (* ALU result *)
   mutable sc_taken : bool;  (* conditional-branch decision *)
   mutable sc_target : int;  (* indirect-branch target, read pre-commit *)
+  latch : latch;  (* reference-engine compute-phase results *)
   (* guest profiling: [prof_on] is the single hot-path flag test; [prof]
      points at [no_profile] while disabled; [prof_fetch] is the physical
      fetch address the last step resolved (-1 when it never did) *)
@@ -165,6 +191,10 @@ let create ?(config = default_config) () =
     sc_v = 0;
     sc_taken = false;
     sc_target = 0;
+    latch =
+      { l_mem = No_mem; l_mem_reg = 0; l_mem_val = 0; l_phys = 0; l_lane = -1;
+        l_alu = No_alu; l_alu_reg = 0; l_alu_val = 0; l_special = Alu.Surprise;
+        l_taken = false; l_target = 0; l_delay = 0; l_link = -1; l_ret = 0 };
     prof_on = false;
     prof = no_profile;
     prof_fetch = -1;
@@ -258,12 +288,14 @@ let set_epc t i v = t.epcs.(i) <- v
 let pc t = t.p0
 let pc_chain t = (t.p0, t.p1, t.p2)
 
-let set_pc_chain t (a, b, c) =
+let set_chain t a b c =
   t.p0 <- a;
   t.p1 <- b;
   t.p2 <- c
 
-let set_pc t a = set_pc_chain t (a, a + 1, a + 2)
+let set_pc_chain t (a, b, c) = set_chain t a b c
+
+let set_pc t a = set_chain t a (a + 1) (a + 2)
 let set_interrupt t b = t.interrupt_line <- b
 let interrupt_pending t = t.interrupt_line
 let read_code t a = t.imem.(a)
@@ -385,25 +417,27 @@ let effective_addr t = function
       Word32.add t.regs.(Reg.to_int b)
         (Word32.shift_left t.regs.(Reg.to_int i) n)
 
-(* Resolve a native address to (physical word index, byte lane option). *)
+(* Resolve a native address into the latch: physical word index, and the
+   byte lane of a byte reference (-1 for a whole word). *)
 let resolve t ~write ~width addr =
+  let l = t.latch in
   if t.cfg.byte_addressed then begin
     let word_v = addr asr 2 and lane = addr land 3 in
-    let phys = translate_word t Pagemap.Dspace ~write word_v in
-    data_bounds_check t phys;
+    l.l_phys <- translate_word t Pagemap.Dspace ~write word_v;
+    data_bounds_check t l.l_phys;
     match width with
-    | Mem.W8 -> (phys, Some lane)
+    | Mem.W8 -> l.l_lane <- lane
     | Mem.W32 ->
         if lane <> 0 then raise (Fault (Cause.Illegal, 2));
-        (phys, None)
+        l.l_lane <- -1
   end
   else begin
     (match width with
     | Mem.W8 -> raise (Fault (Cause.Illegal, 3))
     | Mem.W32 -> ());
-    let phys = translate_word t Pagemap.Dspace ~write addr in
-    data_bounds_check t phys;
-    (phys, None)
+    l.l_phys <- translate_word t Pagemap.Dspace ~write addr;
+    data_bounds_check t l.l_phys;
+    l.l_lane <- -1
   end
 
 (* An armed flaky-memory fault fires on the next data reference, before any
@@ -417,50 +451,39 @@ let check_flaky t =
     raise (Fault (Cause.Page_fault, 0))
   end
 
-type mem_effect =
-  | Load_result of int * int * int * bool
-      (* register, value, phys word, byte-sized: lands one word late *)
-  | Store_commit of int * int option * int  (* phys word, lane, value *)
-  | Imm_result of int * int  (* register, value: immediate commit *)
-
-let compute_mem t note m =
+let compute_mem t m =
+  let l = t.latch in
   match m with
-  | Mem.Limm (c, d) -> Imm_result (Reg.to_int d, c)
+  | Mem.Limm (c, d) ->
+      l.l_mem <- Imm;
+      l.l_mem_reg <- Reg.to_int d;
+      l.l_mem_val <- c
   | Mem.Load (width, a, d) ->
       check_flaky t;
-      let addr = effective_addr t a in
-      let phys, lane = resolve t ~write:false ~width addr in
-      let v =
-        match lane with
-        | None -> t.dmem.(phys)
-        | Some i -> Word32.get_byte t.dmem.(phys) i
-      in
-      ignore note;
-      Load_result (Reg.to_int d, v, phys, lane <> None)
+      resolve t ~write:false ~width (effective_addr t a);
+      l.l_mem <- Load;
+      l.l_mem_reg <- Reg.to_int d;
+      l.l_mem_val <-
+        (if l.l_lane < 0 then t.dmem.(l.l_phys)
+         else Word32.get_byte t.dmem.(l.l_phys) l.l_lane)
   | Mem.Store (width, s, a) ->
       check_flaky t;
-      let addr = effective_addr t a in
-      let phys, lane = resolve t ~write:true ~width addr in
-      Store_commit (phys, lane, t.regs.(Reg.to_int s))
+      resolve t ~write:true ~width (effective_addr t a);
+      l.l_mem <- Store;
+      l.l_mem_val <- t.regs.(Reg.to_int s)
 
-type alu_effect =
-  | Reg_write of int * int
-  | Special_write of Alu.special * int
-  | Rfe_effect
+let overflow_trap t = if t.sr.ovf_enable then raise (Fault (Cause.Overflow, 0))
 
 let binop_eval t op a b =
-  let overflow_trap () =
-    if t.sr.ovf_enable then raise (Fault (Cause.Overflow, 0))
-  in
   match op with
   | Alu.Add ->
-      if Word32.add_overflows a b then overflow_trap ();
+      if Word32.add_overflows a b then overflow_trap t;
       Word32.add a b
   | Alu.Sub ->
-      if Word32.sub_overflows a b then overflow_trap ();
+      if Word32.sub_overflows a b then overflow_trap t;
       Word32.sub a b
   | Alu.Rsub ->
-      if Word32.sub_overflows b a then overflow_trap ();
+      if Word32.sub_overflows b a then overflow_trap t;
       Word32.sub b a
   | Alu.And -> Word32.logand a b
   | Alu.Or -> Word32.logor a b
@@ -469,7 +492,7 @@ let binop_eval t op a b =
   | Alu.Srl -> Word32.shift_right_logical a b
   | Alu.Sra -> Word32.shift_right_arith a b
   | Alu.Mul ->
-      if Word32.mul_overflows a b then overflow_trap ();
+      if Word32.mul_overflows a b then overflow_trap t;
       Word32.mul a b
   | Alu.Div -> if b = 0 then raise (Fault (Cause.Overflow, 1)) else Word32.sdiv a b
   | Alu.Rem -> if b = 0 then raise (Fault (Cause.Overflow, 1)) else Word32.srem a b
@@ -480,27 +503,36 @@ let read_special t = function
   | Alu.Byte_select -> t.byte_select
   | Alu.Epc i -> t.epcs.(i)
 
+let latch_reg_write l d v =
+  l.l_alu <- Reg_write;
+  l.l_alu_reg <- Reg.to_int d;
+  l.l_alu_val <- v
+
 let compute_alu t a =
   if Surprise.equal_privilege t.sr.priv Surprise.User && Alu.is_privileged a then
     raise (Fault (Cause.Privilege, 1));
+  let l = t.latch in
   match a with
   | Alu.Binop (op, x, y, d) ->
-      Reg_write (Reg.to_int d, binop_eval t op (operand_value t x) (operand_value t y))
-  | Alu.Mov (x, d) -> Reg_write (Reg.to_int d, operand_value t x)
-  | Alu.Movi8 (c, d) -> Reg_write (Reg.to_int d, c)
+      latch_reg_write l d (binop_eval t op (operand_value t x) (operand_value t y))
+  | Alu.Mov (x, d) -> latch_reg_write l d (operand_value t x)
+  | Alu.Movi8 (c, d) -> latch_reg_write l d c
   | Alu.Setc (c, x, y, d) ->
-      let v = if Cond.eval c (operand_value t x) (operand_value t y) then 1 else 0 in
-      Reg_write (Reg.to_int d, v)
+      latch_reg_write l d
+        (if Cond.eval c (operand_value t x) (operand_value t y) then 1 else 0)
   | Alu.Xbyte (p, w, d) ->
       let lane = operand_value t p land 3 in
-      Reg_write (Reg.to_int d, Word32.get_byte (operand_value t w) lane)
+      latch_reg_write l d (Word32.get_byte (operand_value t w) lane)
   | Alu.Ibyte (s, d) ->
       let lane = t.byte_select land 3 in
       let cur = t.regs.(Reg.to_int d) in
-      Reg_write (Reg.to_int d, Word32.set_byte cur lane (operand_value t s))
-  | Alu.Rd_special (s, d) -> Reg_write (Reg.to_int d, read_special t s)
-  | Alu.Wr_special (s, x) -> Special_write (s, operand_value t x)
-  | Alu.Rfe -> Rfe_effect
+      latch_reg_write l d (Word32.set_byte cur lane (operand_value t s))
+  | Alu.Rd_special (s, d) -> latch_reg_write l d (read_special t s)
+  | Alu.Wr_special (s, x) ->
+      l.l_alu <- Special_write;
+      l.l_special <- s;
+      l.l_alu_val <- operand_value t x
+  | Alu.Rfe -> l.l_alu <- Rfe
 
 let apply_special t s v =
   match s with
@@ -509,22 +541,47 @@ let apply_special t s v =
   | Alu.Byte_select -> t.byte_select <- v land 3
   | Alu.Epc i -> t.epcs.(i) <- v
 
-type branch_effect =
-  | Taken of int * int  (* target, delay *)
-  | Link_and_taken of int * int * int * int  (* link reg, return addr, target, delay *)
-  | Not_taken
+(* [link] is a register index, or -1 for a branch that does not link *)
+let latch_taken l ~link ~ret target delay =
+  l.l_taken <- true;
+  l.l_link <- link;
+  l.l_ret <- ret;
+  l.l_target <- target;
+  l.l_delay <- delay
 
 let compute_branch t b =
+  let l = t.latch in
   match b with
   | Branch.Cbr (c, x, y, target) ->
-      if Cond.eval c (operand_value t x) (operand_value t y) then Taken (target, 1)
-      else Not_taken
-  | Branch.Jump target -> Taken (target, 1)
-  | Branch.Jal (target, link) -> Link_and_taken (Reg.to_int link, t.p2, target, 1)
-  | Branch.Jind r -> Taken (t.regs.(Reg.to_int r), 2)
+      if Cond.eval c (operand_value t x) (operand_value t y) then
+        latch_taken l ~link:(-1) ~ret:0 target 1
+  | Branch.Jump target -> latch_taken l ~link:(-1) ~ret:0 target 1
+  | Branch.Jal (target, link) ->
+      latch_taken l ~link:(Reg.to_int link) ~ret:t.p2 target 1
+  | Branch.Jind r -> latch_taken l ~link:(-1) ~ret:0 t.regs.(Reg.to_int r) 2
   | Branch.Jalind (r, link) ->
-      Link_and_taken (Reg.to_int link, t.p2 + 1, t.regs.(Reg.to_int r), 2)
+      latch_taken l ~link:(Reg.to_int link) ~ret:(t.p2 + 1)
+        t.regs.(Reg.to_int r) 2
   | Branch.Trap code -> raise (Trap_dispatch code)
+
+(* Compute phase: every piece reads pre-instruction state, in the order
+   mem / alu / branch so that faults rank identically on every engine. *)
+let compute t word =
+  let l = t.latch in
+  l.l_mem <- No_mem;
+  l.l_alu <- No_alu;
+  l.l_taken <- false;
+  match word with
+  | Word.Nop -> ()
+  | Word.A a -> compute_alu t a
+  | Word.M m -> compute_mem t m
+  | Word.B b -> compute_branch t b
+  | Word.AM (a, m) ->
+      compute_mem t m;
+      compute_alu t a
+  | Word.AB (a, b) ->
+      compute_alu t a;
+      compute_branch t b
 
 let commit_pending t =
   if t.pend_r >= 0 then begin
@@ -538,7 +595,7 @@ let dispatch t cause detail ~epcs:(e0, e1, e2) =
   t.epcs.(1) <- e1;
   t.epcs.(2) <- e2;
   t.sr <- Surprise.push t.sr cause detail;
-  set_pc_chain t (0, 1, 2);
+  set_chain t 0 1 2;
   t.last_load_writes <- Reg.Set.empty;
   Stats.count_exception t.stats cause;
   (* an exception squashes any outstanding branch shadow *)
@@ -558,22 +615,22 @@ let count_cycle t word =
   let busy = Word.references_memory word in
   if busy then s.mem_busy_cycles <- s.mem_busy_cycles + 1
   else s.free_cycles <- s.free_cycles + 1;
-  let weight =
-    if t.cfg.byte_addressed && busy then 1. +. (t.cfg.fetch_overhead_pct /. 100.)
-    else 1.
-  in
-  s.weighted.(0) <- s.weighted.(0) +. weight;
-  let pieces = Word.pieces word in
-  if pieces = [] then s.nops <- s.nops + 1;
-  if List.length pieces > 1 then s.packed_words <- s.packed_words + 1;
-  List.iter
-    (fun p ->
-      match p with
-      | Piece.Alu _ -> s.alu_pieces <- s.alu_pieces + 1
-      | Piece.Mem _ -> s.mem_pieces <- s.mem_pieces + 1
-      | Piece.Branch _ -> s.branch_pieces <- s.branch_pieces + 1
-      | Piece.Nop -> ())
-    pieces
+  if t.cfg.byte_addressed && busy then
+    s.weighted.(0) <- s.weighted.(0) +. (1. +. (t.cfg.fetch_overhead_pct /. 100.))
+  else s.weighted.(0) <- s.weighted.(0) +. 1.;
+  match word with
+  | Word.Nop -> s.nops <- s.nops + 1
+  | Word.A _ -> s.alu_pieces <- s.alu_pieces + 1
+  | Word.M _ -> s.mem_pieces <- s.mem_pieces + 1
+  | Word.B _ -> s.branch_pieces <- s.branch_pieces + 1
+  | Word.AM _ ->
+      s.packed_words <- s.packed_words + 1;
+      s.alu_pieces <- s.alu_pieces + 1;
+      s.mem_pieces <- s.mem_pieces + 1
+  | Word.AB _ ->
+      s.packed_words <- s.packed_words + 1;
+      s.alu_pieces <- s.alu_pieces + 1;
+      s.branch_pieces <- s.branch_pieces + 1
 
 let stall t n =
   t.stats.cycles <- t.stats.cycles + n;
@@ -650,6 +707,102 @@ let prof_note t ~c0 ~w0 ~st0 ~bt0 =
     if dc > 0 then p.pr_other_cycles <- p.pr_other_cycles + dc
   end
 
+(* Count the latched data reference as committed, tracing it if asked. *)
+let count_mem_ref t (note : Note.t) ~load =
+  Stats.count_ref t.stats ~load note;
+  if t.trace_on then
+    Mips_obs.Sink.emit t.trace
+      (Mips_obs.Event.Mem_ref
+         {
+           pc = t.p0;
+           addr = t.latch.l_phys;
+           load;
+           byte = t.latch.l_lane >= 0;
+           char_data = note.char_data;
+         })
+
+(* Commit phase: the store, then the pending load, then the ALU result,
+   then the load or immediate, each read back from the latch. *)
+let commit t word note =
+  let l = t.latch in
+  (match l.l_mem with
+  | Store ->
+      t.dmem.(l.l_phys) <-
+        (if l.l_lane < 0 then l.l_mem_val
+         else Word32.set_byte t.dmem.(l.l_phys) l.l_lane l.l_mem_val);
+      count_mem_ref t note ~load:false
+  | Load | Imm | No_mem -> ());
+  commit_pending t;
+  (match l.l_alu with
+  | Reg_write -> t.regs.(l.l_alu_reg) <- l.l_alu_val
+  | Special_write -> apply_special t l.l_special l.l_alu_val
+  | Rfe -> t.sr <- Surprise.pop t.sr
+  | No_alu -> ());
+  (match l.l_mem with
+  | Imm -> t.regs.(l.l_mem_reg) <- l.l_mem_val
+  | Load ->
+      count_mem_ref t note ~load:true;
+      if t.cfg.interlock then t.regs.(l.l_mem_reg) <- l.l_mem_val
+      else begin
+        t.pend_r <- l.l_mem_reg;
+        t.pend_v <- l.l_mem_val
+      end
+  | Store | No_mem -> ());
+  t.last_load_writes <-
+    (if t.cfg.interlock then Word.load_writes word else Reg.Set.empty);
+  if t.trace_on || t.cfg.interlock then begin
+    t.prev_pc <- t.p0;
+    t.prev_word <- word
+  end
+
+(* Next-pc phase: return from exception, the sequence, or a taken branch
+   (whose interlock stall and squashed slots are charged here). *)
+let next_pc t word =
+  let l = t.latch in
+  match l.l_alu with
+  | Rfe -> set_chain t t.epcs.(0) t.epcs.(1) t.epcs.(2)
+  | No_alu | Reg_write | Special_write ->
+      if not l.l_taken then set_chain t t.p1 t.p2 (t.p2 + 1)
+      else begin
+        let target = l.l_target and delay = l.l_delay in
+        if l.l_link >= 0 then t.regs.(l.l_link) <- l.l_ret;
+        t.stats.branches_taken <- t.stats.branches_taken + 1;
+        if t.trace_on then
+          Mips_obs.Sink.emit t.trace
+            (Mips_obs.Event.Branch_taken { pc = t.p0; target });
+        if t.cfg.interlock then begin
+          stall t delay;
+          t.stats.branch_stall_cycles <- t.stats.branch_stall_cycles + delay;
+          if t.trace_on then begin
+            Mips_obs.Sink.emit t.trace
+              (Mips_obs.Event.Stall
+                 {
+                   pc = t.p0;
+                   word = render_word word;
+                   cycles = delay;
+                   reason = Mips_obs.Event.Branch_latency { slots = delay };
+                 });
+            (* the would-be delay slots are squashed, not executed *)
+            Mips_obs.Sink.emit t.trace
+              (Mips_obs.Event.Delay_slot { pc = t.p1; kind = `Squashed });
+            if delay > 1 then
+              Mips_obs.Sink.emit t.trace
+                (Mips_obs.Event.Delay_slot { pc = t.p2; kind = `Squashed })
+          end;
+          set_chain t target (target + 1) (target + 2)
+        end
+        else begin
+          if t.trace_on then t.delay_pending <- delay;
+          if delay = 1 then set_chain t t.p1 target (target + 1)
+          else set_chain t t.p1 t.p2 target
+        end
+      end
+
+let trace_issue t w =
+  Mips_obs.Sink.emit t.trace
+    (Mips_obs.Event.Issue
+       { pc = t.p0; word = render_word w; pieces = List.length (Word.pieces w) })
+
 let step_core t =
   if t.inject_on then begin
     match Mips_fault.Plan.decide t.plan with
@@ -661,13 +814,14 @@ let step_core t =
   else begin
     if t.trace_on then
       Mips_obs.Sink.emit t.trace (Mips_obs.Event.Fetch { pc = t.p0 });
-    let seq_epcs = (t.p0, t.p1, t.p2) in
+    (* pre-step PC chain, in locals so the sequential-EPC tuple is only
+       built on the fault-dispatch path *)
+    let e0 = t.p0 and e1 = t.p1 and e2 = t.p2 in
     match
       let fetch_phys = translate_word t Pagemap.Ispace ~write:false t.p0 in
       if fetch_phys < 0 || fetch_phys >= t.cfg.imem_words then
         raise (Fault (Cause.Illegal, 0));
       let word = t.imem.(fetch_phys) in
-      let note = t.notes.(fetch_phys) in
       if t.prof_on then t.prof_fetch <- fetch_phys;
       (* interlock-mode stall detection: dependent word waits a cycle *)
       if
@@ -692,13 +846,10 @@ let step_core t =
                      };
                })
       end;
-      (* compute phase: all operands read from pre-instruction state *)
-      let mem_eff = Option.map (compute_mem t note) (Word.mem word) in
-      let alu_eff = Option.map (compute_alu t) (Word.alu word) in
-      let br_eff = Option.map (compute_branch t) (Word.branch word) in
-      (word, note, mem_eff, alu_eff, br_eff)
+      compute t word;
+      fetch_phys
     with
-    | exception Fault (cause, detail) -> dispatch t cause detail ~epcs:seq_epcs
+    | exception Fault (cause, detail) -> dispatch t cause detail ~epcs:(e0, e1, e2)
     | exception Trap_dispatch code ->
         (* a trap commits nothing else in its word and resumes after itself *)
         let w =
@@ -707,13 +858,7 @@ let step_core t =
         in
         count_cycle t w;
         if t.trace_on then begin
-          Mips_obs.Sink.emit t.trace
-            (Mips_obs.Event.Issue
-               {
-                 pc = t.p0;
-                 word = render_word w;
-                 pieces = List.length (Word.pieces w);
-               });
+          trace_issue t w;
           Mips_obs.Sink.emit t.trace
             (Mips_obs.Event.Monitor_call
                {
@@ -722,16 +867,11 @@ let step_core t =
                })
         end;
         dispatch t Cause.Trap code ~epcs:(t.p1, t.p2, t.p2 + 1)
-    | word, note, mem_eff, alu_eff, br_eff ->
+    | fetch_phys ->
+        let word = t.imem.(fetch_phys) in
         count_cycle t word;
         if t.trace_on then begin
-          Mips_obs.Sink.emit t.trace
-            (Mips_obs.Event.Issue
-               {
-                 pc = t.p0;
-                 word = render_word word;
-                 pieces = List.length (Word.pieces word);
-               });
+          trace_issue t word;
           if t.delay_pending > 0 then begin
             t.delay_pending <- t.delay_pending - 1;
             Mips_obs.Sink.emit t.trace
@@ -742,101 +882,8 @@ let step_core t =
                  })
           end
         end;
-        (* commit phase *)
-        (match mem_eff with
-        | Some (Store_commit (phys, lane, v)) ->
-            (match lane with
-            | None -> t.dmem.(phys) <- v
-            | Some i -> t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) i v);
-            Stats.count_ref t.stats ~load:false note;
-            if t.trace_on then
-              Mips_obs.Sink.emit t.trace
-                (Mips_obs.Event.Mem_ref
-                   {
-                     pc = t.p0;
-                     addr = phys;
-                     load = false;
-                     byte = lane <> None;
-                     char_data = note.Note.char_data;
-                   })
-        | Some (Load_result _ | Imm_result _) | None -> ());
-        commit_pending t;
-        (match alu_eff with
-        | Some (Reg_write (r, v)) -> t.regs.(r) <- v
-        | Some (Special_write (s, v)) -> apply_special t s v
-        | Some Rfe_effect -> t.sr <- Surprise.pop t.sr
-        | None -> ());
-        let rfe = match alu_eff with Some Rfe_effect -> true | _ -> false in
-        (match mem_eff with
-        | Some (Imm_result (r, v)) -> t.regs.(r) <- v
-        | Some (Load_result (r, v, phys, byte)) ->
-            Stats.count_ref t.stats ~load:true note;
-            if t.trace_on then
-              Mips_obs.Sink.emit t.trace
-                (Mips_obs.Event.Mem_ref
-                   {
-                     pc = t.p0;
-                     addr = phys;
-                     load = true;
-                     byte;
-                     char_data = note.Note.char_data;
-                   });
-            if t.cfg.interlock then t.regs.(r) <- v
-            else begin
-              t.pend_r <- r;
-              t.pend_v <- v
-            end
-        | Some (Store_commit _) | None -> ());
-        t.last_load_writes <-
-          (if t.cfg.interlock then Word.load_writes word else Reg.Set.empty);
-        if t.trace_on || t.cfg.interlock then begin
-          t.prev_pc <- t.p0;
-          t.prev_word <- word
-        end;
-        (* next-pc phase *)
-        (if rfe then set_pc_chain t (t.epcs.(0), t.epcs.(1), t.epcs.(2))
-         else
-           let advance_seq () = set_pc_chain t (t.p1, t.p2, t.p2 + 1) in
-           let take target delay =
-             t.stats.branches_taken <- t.stats.branches_taken + 1;
-             if t.trace_on then
-               Mips_obs.Sink.emit t.trace
-                 (Mips_obs.Event.Branch_taken { pc = t.p0; target });
-             if t.cfg.interlock then begin
-               stall t delay;
-               t.stats.branch_stall_cycles <-
-                 t.stats.branch_stall_cycles + delay;
-               if t.trace_on then begin
-                 Mips_obs.Sink.emit t.trace
-                   (Mips_obs.Event.Stall
-                      {
-                        pc = t.p0;
-                        word = render_word word;
-                        cycles = delay;
-                        reason = Mips_obs.Event.Branch_latency { slots = delay };
-                      });
-                 (* the would-be delay slots are squashed, not executed *)
-                 Mips_obs.Sink.emit t.trace
-                   (Mips_obs.Event.Delay_slot { pc = t.p1; kind = `Squashed });
-                 if delay > 1 then
-                   Mips_obs.Sink.emit t.trace
-                     (Mips_obs.Event.Delay_slot { pc = t.p2; kind = `Squashed })
-               end;
-               set_pc_chain t (target, target + 1, target + 2)
-             end
-             else begin
-               if t.trace_on then
-                 t.delay_pending <- delay;
-               if delay = 1 then set_pc_chain t (t.p1, target, target + 1)
-               else set_pc_chain t (t.p1, t.p2, target)
-             end
-           in
-           match br_eff with
-           | None | Some Not_taken -> advance_seq ()
-           | Some (Taken (target, delay)) -> take target delay
-           | Some (Link_and_taken (link, ret, target, delay)) ->
-               t.regs.(link) <- ret;
-               take target delay);
+        commit t word t.notes.(fetch_phys);
+        next_pc t word;
         Stepped
   end
 
@@ -917,9 +964,6 @@ let compile_operand = function
   | Operand.I4 n -> fun _ -> n
 
 let compile_binop op =
-  let overflow_trap t =
-    if t.sr.ovf_enable then raise (Fault (Cause.Overflow, 0))
-  in
   match op with
   | Alu.Add ->
       fun t a b ->
@@ -1000,68 +1044,49 @@ let compile_addr = function
       let b = Reg.to_int b and i = Reg.to_int i in
       fun t -> Word32.add t.regs.(b) (Word32.shift_left t.regs.(i) n)
 
+(* Compiled data-address resolution shared by loads and stores: the
+   closure returns the physical word, or [(phys lsl 2) lor lane] when the
+   flag says it is a byte reference, faulting exactly where [resolve]
+   would. *)
+let compile_resolve (cfg : config) ~write width a =
+  let ga = compile_addr a in
+  if cfg.byte_addressed then
+    let resolve lane_rule t =
+      let addr = ga t in
+      let word_v = addr asr 2 and lane = addr land 3 in
+      let phys = translate_word t Pagemap.Dspace ~write word_v in
+      data_bounds_check t phys;
+      lane_rule phys lane
+    in
+    match width with
+    | Mem.W8 -> (true, resolve (fun phys lane -> (phys lsl 2) lor lane))
+    | Mem.W32 ->
+        ( false,
+          resolve (fun phys lane ->
+              if lane <> 0 then raise (Fault (Cause.Illegal, 2));
+              phys) )
+  else
+    match width with
+    | Mem.W8 -> (false, fun _ -> raise (Fault (Cause.Illegal, 3)))
+    | Mem.W32 ->
+        ( false,
+          fun t ->
+            let phys = translate_word t Pagemap.Dspace ~write (ga t) in
+            data_bounds_check t phys;
+            phys )
+
 let compile_mem (cfg : config) m =
   match m with
   | None -> MXnone
   | Some (Mem.Limm (c, d)) -> MXlimm (Reg.to_int d, c)
-  | Some (Mem.Load (width, a, d)) ->
-      let ga = compile_addr a in
-      let d = Reg.to_int d in
-      if cfg.byte_addressed then
-        let resolve lane_rule t =
-          let addr = ga t in
-          let word_v = addr asr 2 and lane = addr land 3 in
-          let phys = translate_word t Pagemap.Dspace ~write:false word_v in
-          data_bounds_check t phys;
-          lane_rule phys lane
-        in
-        match width with
-        | Mem.W8 -> MXload_b (d, resolve (fun phys lane -> (phys lsl 2) lor lane))
-        | Mem.W32 ->
-            MXload_w
-              ( d,
-                resolve (fun phys lane ->
-                    if lane <> 0 then raise (Fault (Cause.Illegal, 2));
-                    phys) )
-      else (
-        match width with
-        | Mem.W8 -> MXload_w (d, fun _ -> raise (Fault (Cause.Illegal, 3)))
-        | Mem.W32 ->
-            MXload_w
-              ( d,
-                fun t ->
-                  let phys = translate_word t Pagemap.Dspace ~write:false (ga t) in
-                  data_bounds_check t phys;
-                  phys ))
-  | Some (Mem.Store (width, s, a)) ->
-      let ga = compile_addr a in
-      let s = Reg.to_int s in
-      if cfg.byte_addressed then
-        let resolve lane_rule t =
-          let addr = ga t in
-          let word_v = addr asr 2 and lane = addr land 3 in
-          let phys = translate_word t Pagemap.Dspace ~write:true word_v in
-          data_bounds_check t phys;
-          lane_rule phys lane
-        in
-        match width with
-        | Mem.W8 -> MXstore_b (s, resolve (fun phys lane -> (phys lsl 2) lor lane))
-        | Mem.W32 ->
-            MXstore_w
-              ( s,
-                resolve (fun phys lane ->
-                    if lane <> 0 then raise (Fault (Cause.Illegal, 2));
-                    phys) )
-      else (
-        match width with
-        | Mem.W8 -> MXstore_w (s, fun _ -> raise (Fault (Cause.Illegal, 3)))
-        | Mem.W32 ->
-            MXstore_w
-              ( s,
-                fun t ->
-                  let phys = translate_word t Pagemap.Dspace ~write:true (ga t) in
-                  data_bounds_check t phys;
-                  phys ))
+  | Some (Mem.Load (width, a, d)) -> (
+      match compile_resolve cfg ~write:false width a with
+      | true, fp -> MXload_b (Reg.to_int d, fp)
+      | false, fp -> MXload_w (Reg.to_int d, fp))
+  | Some (Mem.Store (width, s, a)) -> (
+      match compile_resolve cfg ~write:true width a with
+      | true, fp -> MXstore_b (Reg.to_int s, fp)
+      | false, fp -> MXstore_w (Reg.to_int s, fp))
 
 let compile_branch = function
   | None -> BXnone
@@ -1111,10 +1136,10 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
     if interlock then begin
       stall t delay;
       t.stats.branch_stall_cycles <- t.stats.branch_stall_cycles + delay;
-      set_pc_chain t (target, target + 1, target + 2)
+      set_chain t target (target + 1) (target + 2)
     end
-    else if delay = 1 then set_pc_chain t (t.p1, target, target + 1)
-    else set_pc_chain t (t.p1, t.p2, target)
+    else if delay = 1 then set_chain t t.p1 target (target + 1)
+    else set_chain t t.p1 t.p2 target
   in
   let generic t =
     (* interlock-mode stall detection, as in [step] *)
@@ -1191,13 +1216,13 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
       t.prev_word <- w
     end;
     (* next-pc phase *)
-    if is_rfe then set_pc_chain t (t.epcs.(0), t.epcs.(1), t.epcs.(2))
+    if is_rfe then set_chain t t.epcs.(0) t.epcs.(1) t.epcs.(2)
     else
       match bx with
-      | BXnone -> set_pc_chain t (t.p1, t.p2, t.p2 + 1)
+      | BXnone -> set_chain t t.p1 t.p2 (t.p2 + 1)
       | BXcbr (_, target) ->
           if t.sc_taken then take t target 1
-          else set_pc_chain t (t.p1, t.p2, t.p2 + 1)
+          else set_chain t t.p1 t.p2 (t.p2 + 1)
       | BXjump target -> take t target 1
       | BXjal (target, link) ->
           t.regs.(link) <- t.p2;
@@ -1626,7 +1651,7 @@ let run_with stepf ?(fuel = 10_000_000) t handler =
           | `Halt -> true
           | `Resume ->
               t.sr <- Surprise.pop t.sr;
-              set_pc_chain t (t.epcs.(0), t.epcs.(1), t.epcs.(2));
+              set_chain t t.epcs.(0) t.epcs.(1) t.epcs.(2);
               loop (fuel - 1))
   in
   loop fuel

@@ -58,6 +58,10 @@ type profile = {
       (** cycles charged without a resolved fetch pc *)
 }
 
+type latch
+(** The reference engine's per-machine compute-phase latch (private to
+    {!step}). *)
+
 (** The machine state, exposed concretely so the compiled execution engines
     (the per-word closures below and the trace compiler in [lib/jit]) can
     read and write it without accessor calls on the hot path.  Everything
@@ -105,6 +109,7 @@ type t = {
   mutable sc_v : int;  (* ALU result *)
   mutable sc_taken : bool;  (* conditional-branch decision *)
   mutable sc_target : int;  (* indirect-branch target, read pre-commit *)
+  latch : latch;  (* reference-engine compute-phase results *)
   (* guest profiling: [prof_on] is the single hot-path flag test; [prof]
      points at [no_profile] while disabled; [prof_fetch] is the physical
      fetch address the last step resolved (-1 when it never did) *)

@@ -136,8 +136,9 @@ let exceptions_sorted t =
 
 let record_stall_pair t ~producer_pc ~consumer_pc =
   let key = (producer_pc, consumer_pc) in
-  let n = match Hashtbl.find_opt t.stall_pairs key with Some n -> n | None -> 0 in
-  Hashtbl.replace t.stall_pairs key (n + 1)
+  match Hashtbl.find t.stall_pairs key with
+  | n -> Hashtbl.replace t.stall_pairs key (n + 1)
+  | exception Not_found -> Hashtbl.add t.stall_pairs key 1
 
 let stall_pairs t =
   Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.stall_pairs []
