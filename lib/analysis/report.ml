@@ -565,17 +565,17 @@ let report_schema_version = 2
 (* Profile one kernel-workload program on the fast engine: the report-level
    view of `mipsc profile run`, and the feedstock for trace-level fusion
    work.  The compile comes from the artifact cache; only the profiled run
-   itself is redone (a profiled machine is private by construction). *)
+   itself is redone, on this Domain's borrowed machine. *)
 let profile_of name =
   let e = Mips_corpus.Corpus.find name in
   let program = Mips_artifact.compiled e.Mips_corpus.Corpus.source in
-  let cpu = Mips_machine.Cpu.create () in
-  Mips_machine.Cpu.set_profiling cpu true;
-  ignore
-    (Mips_machine.Hosted.run_program_on ~fuel:Mips_artifact.default_fuel
-       ~input:e.Mips_corpus.Corpus.input ~engine:Mips_machine.Cpu.Fast cpu
-       program);
-  Mips_profile.capture ~program:name cpu
+  Mips_machine.Cpu.with_machine (fun cpu ->
+      Mips_machine.Cpu.set_profiling cpu true;
+      ignore
+        (Mips_machine.Hosted.run_program_on ~fuel:Mips_artifact.default_fuel
+           ~input:e.Mips_corpus.Corpus.input ~engine:Mips_machine.Cpu.Fast cpu
+           program);
+      Mips_profile.capture ~program:name cpu)
 
 let hotspots ?(top = 8) ppf =
   vbox ppf (fun () ->

@@ -225,9 +225,8 @@ let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
   let config = config_of cg in
   let level = level_of cg.Protocol.level in
   let program = Mips_artifact.compiled ~config ~level source in
-  let cpu =
-    Cpu.create ~config:(Mips_codegen.Compile.machine_config config) ()
-  in
+  Cpu.with_machine ~config:(Mips_codegen.Compile.machine_config config)
+  @@ fun cpu ->
   Cpu.load_program cpu program;
   let budget = min fuel quota.Tenants.max_fuel in
   let req_digest = Digest.string (Protocol.encode_request req) in

@@ -81,10 +81,10 @@ type t = {
   imem : int Word.t array;
   notes : Note.t array;
   dmem : int array;
-  pagemap : Pagemap.t;
+  mutable pagemap : Pagemap.t;
   mutable interrupt_line : bool;
   mutable fault : fault_kind option;
-  stats : Stats.t;
+  mutable stats : Stats.t;
   mutable trace : Mips_obs.Sink.t;
   mutable trace_on : bool;  (* = trace.enabled, flattened for the hot path *)
   mutable plan : Mips_fault.Plan.t;
@@ -105,7 +105,7 @@ type t = {
   mutable sc_v : int;  (* ALU result *)
   mutable sc_taken : bool;  (* conditional-branch decision *)
   mutable sc_target : int;  (* indirect-branch target, read pre-commit *)
-  latch : latch;  (* reference-engine compute-phase results *)
+  mutable latch : latch;  (* reference-engine compute-phase results *)
   (* guest profiling: [prof_on] is the single hot-path flag test; [prof]
      points at [no_profile] while disabled; [prof_fetch] is the physical
      fetch address the last step resolved (-1 when it never did) *)
@@ -156,6 +156,11 @@ let no_profile =
     pr_shadow_pending = 0;
     pr_other_cycles = 0 }
 
+let new_latch () =
+  { l_mem = No_mem; l_mem_reg = 0; l_mem_val = 0; l_phys = 0; l_lane = -1;
+    l_alu = No_alu; l_alu_reg = 0; l_alu_val = 0; l_special = Alu.Surprise;
+    l_taken = false; l_target = 0; l_delay = 0; l_link = -1; l_ret = 0 }
+
 let create ?(config = default_config) () =
   {
     cfg = config;
@@ -191,10 +196,7 @@ let create ?(config = default_config) () =
     sc_v = 0;
     sc_taken = false;
     sc_target = 0;
-    latch =
-      { l_mem = No_mem; l_mem_reg = 0; l_mem_val = 0; l_phys = 0; l_lane = -1;
-        l_alu = No_alu; l_alu_reg = 0; l_alu_val = 0; l_special = Alu.Surprise;
-        l_taken = false; l_target = 0; l_delay = 0; l_link = -1; l_ret = 0 };
+    latch = new_latch ();
     prof_on = false;
     prof = no_profile;
     prof_fetch = -1;
@@ -243,6 +245,80 @@ let jit_reset t =
     Array.fill t.jit_cover 0 (Array.length t.jit_cover) [];
     Bytes.fill t.jit_nospec 0 (Bytes.length t.jit_nospec) '\000'
   end
+
+(* Back to the state [create ~config:t.cfg ()] gives, keeping the big
+   arrays.  [stats] and [pagemap] are replaced, not cleared: a caller may
+   still hold the last run's records (the artifact cache does).  An armed
+   jit keeps its arrays and [jit_on]; only its contents go. *)
+let reset t =
+  Array.fill t.regs 0 (Array.length t.regs) 0;
+  t.p0 <- 0;
+  t.p1 <- 1;
+  t.p2 <- 2;
+  t.sr <- Surprise.reset;
+  t.seg <- Segmap.make ~pid:0 ~mask_bits:0;
+  t.byte_select <- 0;
+  Array.fill t.epcs 0 (Array.length t.epcs) 0;
+  t.pend_r <- -1;
+  t.pend_v <- 0;
+  t.last_load_writes <- Reg.Set.empty;
+  Array.fill t.imem 0 (Array.length t.imem) Word.Nop;
+  Array.fill t.notes 0 (Array.length t.notes) Note.plain;
+  Array.fill t.dmem 0 (Array.length t.dmem) 0;
+  t.pagemap <- Pagemap.create ();
+  t.interrupt_line <- false;
+  t.fault <- None;
+  t.stats <- Stats.create ();
+  t.trace <- Mips_obs.Sink.null;
+  t.trace_on <- false;
+  t.plan <- Mips_fault.Plan.none;
+  t.inject_on <- false;
+  t.flaky_armed <- false;
+  t.prev_pc <- -1;
+  t.prev_word <- Word.Nop;
+  t.delay_pending <- 0;
+  Array.fill t.xcode 0 (Array.length t.xcode) stale;
+  t.sc_a <- 0;
+  t.sc_b <- 0;
+  t.sc_v <- 0;
+  t.sc_taken <- false;
+  t.sc_target <- 0;
+  t.latch <- new_latch ();
+  t.prof_on <- false;
+  t.prof <- no_profile;
+  t.prof_fetch <- -1;
+  jit_reset t;
+  t.jit_k <- 0;
+  t.jit_pv <- 0
+
+(* One machine per config per Domain, lent to run-and-discard callers so a
+   run costs a [reset] instead of a 3.5 MB allocation (and, with it, a
+   share of a major GC cycle that stops every Domain).  The systhreads of
+   a Domain share its DLS, so a slot is taken with a compare-and-set; a
+   nested or concurrent borrow gets a machine of its own. *)
+type slot = { machine : t; busy : bool Atomic.t }
+
+let pool : (config * slot) list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
+
+let rec pool_slot slots config =
+  let known = Atomic.get slots in
+  match List.assoc_opt config known with
+  | Some s -> s
+  | None ->
+      let s = { machine = create ~config (); busy = Atomic.make false } in
+      if Atomic.compare_and_set slots known ((config, s) :: known) then s
+      else pool_slot slots config
+
+let with_machine ?(config = default_config) f =
+  let slot = pool_slot (Domain.DLS.get pool) config in
+  if Atomic.compare_and_set slot.busy false true then begin
+    reset slot.machine;
+    Fun.protect
+      ~finally:(fun () -> Atomic.set slot.busy false)
+      (fun () -> f slot.machine)
+  end
+  else f (create ~config ())
 
 let config t = t.cfg
 let stats t = t.stats

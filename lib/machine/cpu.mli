@@ -85,10 +85,10 @@ type t = {
   imem : int Word.t array;
   notes : Note.t array;
   dmem : int array;
-  pagemap : Pagemap.t;
+  mutable pagemap : Pagemap.t;  (* replaced, never cleared, by [reset] *)
   mutable interrupt_line : bool;
   mutable fault : fault_kind option;
-  stats : Stats.t;
+  mutable stats : Stats.t;  (* likewise *)
   mutable trace : Mips_obs.Sink.t;
   mutable trace_on : bool;  (* = trace.enabled, flattened for the hot path *)
   mutable plan : Mips_fault.Plan.t;
@@ -109,7 +109,7 @@ type t = {
   mutable sc_v : int;  (* ALU result *)
   mutable sc_taken : bool;  (* conditional-branch decision *)
   mutable sc_target : int;  (* indirect-branch target, read pre-commit *)
-  latch : latch;  (* reference-engine compute-phase results *)
+  mutable latch : latch;  (* reference-engine compute-phase results *)
   (* guest profiling: [prof_on] is the single hot-path flag test; [prof]
      points at [no_profile] while disabled; [prof_fetch] is the physical
      fetch address the last step resolved (-1 when it never did) *)
@@ -157,6 +157,22 @@ type event =
                                pushed state and now sits at physical 0 *)
 
 val create : ?config:config -> unit -> t
+
+val reset : t -> unit
+(** Return the machine to exactly the state [create ~config:(config t) ()]
+    gives, reusing its memory arrays.  The statistics record and the page
+    map are replaced by fresh ones, so a {!Stats.t} read before the reset
+    keeps its values. *)
+
+val with_machine : ?config:config -> (t -> 'a) -> 'a
+(** [with_machine f] lends [f] a {!reset} machine that the current Domain
+    keeps for [config] (default {!default_config}), created on first use.
+    For callers that build a machine only to run one program and read its
+    results: the machine must not outlive [f].  A nested or concurrent
+    borrow on the same Domain gets a freshly created machine.  A
+    long-lived process therefore retains one machine (~3.5 MB at the
+    default sizes) per Domain per config it has borrowed. *)
+
 val config : t -> config
 val stats : t -> Stats.t
 

@@ -138,5 +138,5 @@ let run_program_on ?fuel ?input ?engine cpu program =
   run ?fuel ?input ?engine cpu
 
 let run_program ?fuel ?input ?config ?engine program =
-  let cpu = Cpu.create ?config () in
-  run_program_on ?fuel ?input ?engine cpu program
+  Cpu.with_machine ?config (fun cpu ->
+      run_program_on ?fuel ?input ?engine cpu program)

@@ -66,8 +66,8 @@ val run_program :
   ?engine:Cpu.engine ->
   Program.t ->
   result
-(** Create a machine, load the image, and {!run} it in kernel mode with
-    mapping off. *)
+(** Borrow this Domain's machine for [config] ({!Cpu.with_machine}), load
+    the image, and {!run} it in kernel mode with mapping off. *)
 
 val run_program_on :
   ?fuel:int -> ?input:string -> ?engine:Cpu.engine -> Cpu.t -> Program.t -> result

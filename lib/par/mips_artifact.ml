@@ -147,11 +147,10 @@ let simulated ?(config = Mips_ir.Config.default)
       digest input )
     (fun () ->
       let program = compiled ~config ~level src in
-      let cpu =
-        Cpu.create ~config:(Mips_codegen.Compile.machine_config config) ()
-      in
-      let result = Hosted.run_program_on ~fuel ~input ~engine cpu program in
-      { program; result; stats = Cpu.stats cpu })
+      Cpu.with_machine ~config:(Mips_codegen.Compile.machine_config config)
+        (fun cpu ->
+          let result = Hosted.run_program_on ~fuel ~input ~engine cpu program in
+          { program; result; stats = Cpu.stats cpu }))
 
 let entry_sim ?config ?level ?engine ?fuel (e : Mips_corpus.Corpus.entry) =
   simulated ?config ?level ?engine ?fuel ~input:e.Mips_corpus.Corpus.input

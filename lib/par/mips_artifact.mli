@@ -42,8 +42,8 @@ val simulated :
   ?engine:Mips_machine.Cpu.engine -> ?fuel:int -> ?input:string -> string ->
   sim
 (** A full simulation of the program: compiled as above, then run to
-    completion (or the fuel budget) on a fresh machine matching the
-    config's addressing mode.  [engine] defaults to [Cpu.Fast], which is
+    completion (or the fuel budget) on a reset machine matching the
+    config's addressing mode, borrowed with [Cpu.with_machine].  [engine] defaults to [Cpu.Fast], which is
     bit-identical to the reference stepper; pass [~engine:Cpu.Ref] for the
     oracle.  The engine is part of the key, so runs on different engines
     never share an entry. *)

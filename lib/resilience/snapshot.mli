@@ -61,8 +61,9 @@ val machine_to_string : Cpu.t -> string
     statistics and the fault plan's stream position. *)
 
 val restore_machine : Cpu.t -> string -> (unit, error) result
-(** Write a captured machine state into [cpu] — a fresh machine with the
-    same configuration whose {e code} has already been loaded (the
+(** Write a captured machine state into [cpu] — a fresh (or
+    {!Cpu.reset}) machine with the same configuration whose {e code} has
+    already been loaded (the
     pipeline's previous-word text is re-derived from instruction memory). *)
 
 val sched_to_string : Kernel.sched_snapshot -> string

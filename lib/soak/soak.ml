@@ -16,7 +16,7 @@ let mem_window = Progen.data_words
 let run_variant ?(fuel = 500_000) ?(engine = Cpu.Ref) ~interlocked ~plan
     program =
   let config = if interlocked then Cpu.interlocked_config else Cpu.default_config in
-  let cpu = Cpu.create ~config () in
+  Cpu.with_machine ~config @@ fun cpu ->
   (match plan with
   | Some cfg -> Cpu.set_fault_plan cpu (Plan.make cfg)
   | None -> ());

@@ -638,6 +638,77 @@ let test_server_session_crash_recovery () =
        (Protocol.encode_response solo)
        (Protocol.encode_response again))
 
+(* A one-worker daemon runs every job on the machines its single worker
+   Domain keeps, so each job starts on whatever the previous one left:
+   a byte-addressed run and a jit run first, then three sessions crashed
+   after two checkpoints.  The second life recovers them in name order on
+   its one worker, so the last resumes onto a machine a jit session of
+   another program just dirtied.  Each collected result must equal an
+   uninterrupted local run. *)
+let test_server_resume_on_reused_worker () =
+  let state_dir = temp_dir () in
+  let word = Protocol.default_codegen in
+  let byte = { word with Protocol.byte = true } in
+  let run ?session ~cg ~engine source =
+    Protocol.Run
+      { tenant = "t0"; session; source; cg; input = ""; fuel = 500_000_000;
+        engine }
+  in
+  let fib = (Mips_corpus.Corpus.find "fib").Mips_corpus.Corpus.source in
+  let sessions =
+    [ ("a-byte", byte, "ref", fib); ("b-jit", word, "jit", fib);
+      ("c-ref", word, "ref", slow_sum_source) ]
+  in
+  (with_server ~jobs:1 ~state_dir ~checkpoint_every:2_000 ~crash_after:2
+  @@ fun socket _t ->
+  List.iter
+    (fun (cg, engine) ->
+      match request socket (run ~cg ~engine fib) with
+      | Protocol.Ran r -> check "warm-up run halts" true r.Protocol.halted
+      | resp -> Alcotest.failf "warm-up %s run: %s" engine (kind_of resp))
+    [ (byte, "ref"); (word, "jit") ];
+  List.iter
+    (fun (id, cg, engine, source) ->
+      match request socket (run ~session:id ~cg ~engine source) with
+      | Protocol.Err (Protocol.Internal, _) ->
+          check (id ^ " checkpoint survives the crash") true
+            (Sys.file_exists
+               (Filename.concat state_dir ("session-" ^ id ^ ".ckpt")))
+      | resp -> Alcotest.failf "crash hook on %s: %s" id (kind_of resp))
+    sessions);
+  with_server ~jobs:1 ~state_dir ~checkpoint_every:2_000 @@ fun socket _t ->
+  List.iter
+    (fun (id, (cg : Protocol.codegen), engine, source) ->
+      let config =
+        if cg.Protocol.byte then Mips_ir.Config.byte_machine
+        else Mips_ir.Config.default
+      in
+      let cpu =
+        Mips_machine.Cpu.create
+          ~config:(Mips_codegen.Compile.machine_config config) ()
+      in
+      let local =
+        Mips_machine.Hosted.run_program_on
+          ~engine:(Option.get (Mips_machine.Cpu.engine_of_string engine))
+          cpu
+          (Mips_artifact.compiled ~config source)
+      in
+      match request socket (Protocol.Collect { tenant = "t0"; session = id }) with
+      | Protocol.Ran r ->
+          check_string (id ^ " output") local.Mips_machine.Hosted.output
+            r.Protocol.output;
+          check (id ^ " exit status") true
+            (r.Protocol.exit_status = local.Mips_machine.Hosted.exit_status);
+          check (id ^ " halted") true r.Protocol.halted;
+          check (id ^ " no fault") true (r.Protocol.fault = None);
+          check_int (id ^ " cycles")
+            (Mips_machine.Cpu.stats cpu).Mips_machine.Stats.cycles
+            r.Protocol.cycles;
+          check_int (id ^ " retries") local.Mips_machine.Hosted.retries
+            r.Protocol.retries
+      | resp -> Alcotest.failf "collect %s: %s" id (kind_of resp))
+    sessions
+
 let test_server_unknown_session_and_ownership () =
   let state_dir = temp_dir () in
   with_server ~state_dir @@ fun socket _t ->
@@ -785,6 +856,8 @@ let suite =
           test_server_bad_frames_do_not_kill;
         tc_slow "crash recovery is bit-identical"
           test_server_session_crash_recovery;
+        tc_slow "resume on a reused worker is bit-identical"
+          test_server_resume_on_reused_worker;
         tc_slow "unknown session and ownership"
           test_server_unknown_session_and_ownership;
         tc_slow "daemon soak equals local soak" test_server_soak_matches_local;
