@@ -18,12 +18,6 @@ type instr =
   | Ret of operand option
 [@@deriving eq, show]
 
-let sets_cc style = function
-  | Alu _ | Cmp _ -> true
-  | Mov _ -> style.set_on_moves
-  | Bcc _ | Scc _ | Jmp _ | Label _ | Call _ | Ret _ -> false
-
-let is_compare = function Cmp _ -> true | _ -> false
 let is_branch = function Bcc _ | Jmp _ -> true | _ -> false
 
 let cost = function
@@ -32,7 +26,6 @@ let cost = function
   | Label _ -> 0
   | Mov _ | Alu _ | Scc _ -> 1
 
-let static_cost prog = List.fold_left (fun acc i -> acc + cost i) 0 prog
 let count pred prog = List.length (List.filter pred prog)
 
 let alu_name = function

@@ -43,8 +43,6 @@ type instr =
   | Ret of operand option
 [@@deriving eq, show]
 
-val sets_cc : style -> instr -> bool
-val is_compare : instr -> bool
 val is_branch : instr -> bool
 (** [is_branch] covers conditional branches and jumps, not calls/returns. *)
 
@@ -52,7 +50,6 @@ val cost : instr -> int
 (** Paper weights: compare 2, branch (conditional or not) 4, label 0,
     call/return 4 (branch-class), everything else 1. *)
 
-val static_cost : instr list -> int
 val count : (instr -> bool) -> instr list -> int
 val pp_instr : Format.formatter -> instr -> unit
 val pp_program : Format.formatter -> instr list -> unit

@@ -319,8 +319,3 @@ let program ?style strategy (prog : Tast.program) =
     List.rev env.code
   in
   main @ List.concat_map (gen_func ?style strategy prog) prog.Tast.funcs
-
-let expr_value ?style strategy (prog : Tast.program) e =
-  let env = new_env ?style strategy prog "main" in
-  let v = eval env e in
-  (List.rev env.code, v)

@@ -19,12 +19,3 @@ val program :
   ?style:Cc.style -> strategy -> Mips_frontend.Tast.program -> Cc.instr list
 (** All functions concatenated, each behind a label; the program body
     labelled ["main"].  Default style: {!Cc.m68000_style}. *)
-
-val expr_value :
-  ?style:Cc.style ->
-  strategy ->
-  Mips_frontend.Tast.program ->
-  Mips_frontend.Tast.expr ->
-  Cc.instr list * Cc.operand
-(** Compile a single expression to instructions + the operand holding its
-    value — the Figure 1/2 snippets. *)

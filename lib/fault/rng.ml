@@ -25,5 +25,4 @@ let split t = { state = next64 t }
 (* The whole stream position is the one 64-bit state word — what
    checkpoint/restore snapshots. *)
 let state t = t.state
-let set_state t s = t.state <- s
 let of_state s = { state = s }

@@ -38,7 +38,6 @@ val split : t -> t
     it resumes the sequence with no drift. *)
 
 val state : t -> int64
-val set_state : t -> int64 -> unit
 
 val of_state : int64 -> t
 (** A stream continuing from a captured position (unlike {!create}, which

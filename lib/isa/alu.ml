@@ -50,12 +50,6 @@ let is_privileged = function
   | Rd_special _ | Wr_special _ | Rfe -> true
   | Binop _ | Mov _ | Movi8 _ | Setc _ | Xbyte _ | Ibyte _ -> false
 
-let can_overflow = function
-  | Binop ((Add | Sub | Rsub | Mul), _, _, _) -> true
-  | Binop _ | Mov _ | Movi8 _ | Setc _ | Xbyte _ | Ibyte _ | Rd_special _
-  | Wr_special _ | Rfe ->
-      false
-
 let binop_mnemonic = function
   | Add -> "add"
   | Sub -> "sub"

@@ -65,8 +65,4 @@ val is_privileged : t -> bool
 (** Whether executing the piece at user level raises a privilege trap.
     Only surprise/segment/epc accesses and [Rfe] are privileged. *)
 
-val can_overflow : t -> bool
-(** Whether the piece participates in overflow trapping ([Add], [Sub],
-    [Rsub], [Mul] — when the overflow-trap enable bit is set). *)
-
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,3 @@
-let load_delay = 1
-
 let load_use_conflict ~earlier ~later =
   let delayed = Word.load_writes earlier in
   (not (Reg.Set.is_empty delayed))

@@ -14,10 +14,6 @@
     These predicates are used by the scheduler (to know what it may emit) and
     by tests (to check that scheduled code is hazard-free). *)
 
-val load_delay : int
-(** Number of words after a load during which its destination still reads
-    the old value (= 1). *)
-
 val load_use_conflict : earlier:_ Word.t -> later:_ Word.t -> bool
 (** Whether [later], placed immediately after [earlier], would read a
     register that [earlier] loads — i.e. would observe the stale value. *)

@@ -3,13 +3,14 @@
 
    The fast engine (Cpu.step_fast) pays a fixed per-word toll: the run-loop
    match, the quiet-path flag tests, the fetch translation and bounds check,
-   the closure-cache load, nine statistics stores and the three-deep PC
-   chain update.  A trace hoists all of that out of the block body: per-PC
+   the closure-cache load, the execution count and the three-deep PC chain
+   update.  A trace hoists all of that out of the block body: per-PC
    hotness counters detect a hot entry, the straight-line word sequence from
    there (through at most one terminating branch and its delay slots) is
    compiled into one closure, and the dispatch loop runs whole blocks per
-   iteration.  Inside the body only the semantic work remains — statistics
-   are applied once per block from precomputed sums, the PC chain is written
+   iteration.  Inside the body only the semantic work remains — a trace
+   counts its runs, one update per execution (per exit, for a loop), and
+   the statistics fold spreads them onto its words; the PC chain is written
    only at exits, the delayed-load latch travels through compile-time
    tracking instead of per-word option cells, and the two profitable
    adjacent pairs (cmp+branch, load+use) are fused into single fragments.
@@ -25,14 +26,14 @@
 
    - Traces exist only for the default machine (no interlocks, word
      addressed) running in kernel mode with mapping off.  There every word
-     weighs exactly 1.0 cycle, so batched statistics stay bit-exact
-     (integer-valued double sums are associative), and fetch translation is
-     the identity, so straight-line execution is really straight-line.
+     weighs exactly 1.0 cycle, so even the weighted cycles are derived from
+     the run counts, and fetch translation is the identity, so
+     straight-line execution is really straight-line.
      Every other configuration or machine state falls back to step_fast.
    - A fault inside a trace must dispatch exactly as if the words had run
      one by one.  Fragments record their body index in [jit_k] before any
-     faultable compute; the recovery path then applies the statistics of
-     the completed prefix, rebuilds the PC chain at the faulting word and
+     faultable compute; the recovery path then counts the words of the
+     completed prefix, rebuilds the PC chain at the faulting word and
      rematerializes the in-flight delayed load before re-raising into the
      dispatch loop.
 
@@ -51,8 +52,6 @@ let min_trace_words = 3
 
 (* ------------------------------------------------------------------ *)
 (* Trace scanning *)
-
-type tword = { tw_e : Predecode.entry; tw_note : Note.t }
 
 (* A word the trace body may contain: no branch piece, no trap, nothing
    that could change privilege/mapping mid-trace (Wr_special, Rfe), and no
@@ -81,7 +80,7 @@ type ctl = CNone | CJump of int * int | CGuard of int | CGSlot
    are just [pc+1]/[pc+2]; a guard's slot holds the *not-taken* chain and
    the recovery path substitutes the taken one from the live [sc_taken]. *)
 type sword = {
-  sw : tword;
+  sw : Predecode.entry;
   sw_pc : int;
   sw_c1 : int;
   sw_c2 : int;
@@ -108,7 +107,7 @@ exception Guard_exit
    or — [term = None] — the pc execution falls to when the trace ends
    without one (sequential context there by construction). *)
 let scan t entry_pc =
-  let imem = t.imem and notes = t.notes in
+  let imem = t.imem in
   let limit = t.cfg.imem_words in
   let rec go pc i acc =
     if i >= max_trace_words || pc >= limit then (List.rev acc, None, pc)
@@ -161,8 +160,7 @@ let scan t entry_pc =
                      [s] executes (the next [delay - s] sequential pcs,
                      then the target). *)
                   let jw =
-                    { sw = { tw_e = e; tw_note = notes.(pc) };
-                      sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2;
+                    { sw = e; sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2;
                       sw_ctl = CJump (tgt, link) }
                   in
                   let q s k =
@@ -172,8 +170,7 @@ let scan t entry_pc =
                     List.mapi
                       (fun idx spc ->
                         let s = idx + 1 in
-                        { sw = { tw_e = Predecode.lower imem.(spc);
-                                 tw_note = notes.(spc) };
+                        { sw = Predecode.lower imem.(spc);
                           sw_pc = spc; sw_c1 = q s 1; sw_c2 = q s 2;
                           sw_ctl = CNone })
                       sl
@@ -185,32 +182,25 @@ let scan t entry_pc =
                      not-taken chain (recovery substitutes the taken one
                      from the live [sc_taken]) *)
                   let gw =
-                    { sw = { tw_e = e; tw_note = notes.(pc) };
-                      sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2;
+                    { sw = e; sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2;
                       sw_ctl = CGuard tgt }
                   in
                   let spc = List.hd sl in
                   let slw =
-                    { sw = { tw_e = Predecode.lower imem.(spc);
-                             tw_note = notes.(spc) };
+                    { sw = Predecode.lower imem.(spc);
                       sw_pc = spc; sw_c1 = spc + 1; sw_c2 = spc + 2;
                       sw_ctl = CGSlot }
                   in
                   go (pc + 2) (i + 2) (slw :: gw :: acc)
               | _ ->
                   let term_slots =
-                    List.map
-                      (fun spc ->
-                        { tw_e = Predecode.lower imem.(spc);
-                          tw_note = notes.(spc) })
-                      sl
+                    List.map (fun spc -> Predecode.lower imem.(spc)) sl
                   in
-                  (List.rev acc, Some ({ tw_e = e; tw_note = notes.(pc) }, term_slots), pc))
+                  (List.rev acc, Some (e, term_slots), pc))
         end
       else if plain_ok e then
         go (pc + 1) (i + 1)
-          ({ sw = { tw_e = e; tw_note = notes.(pc) };
-             sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2; sw_ctl = CNone }
+          ({ sw = e; sw_pc = pc; sw_c1 = pc + 1; sw_c2 = pc + 2; sw_ctl = CNone }
           :: acc)
       else (List.rev acc, None, pc)
   in
@@ -371,7 +361,7 @@ let flat_addr_w ~dmem_words a =
    bookkeeping and the commit collapse into ONE closure — no inner
    operand calls, no latch stub.  [DDrop] marks words with no runtime
    work at all (nops, bare inlined jumps): they are simply not emitted,
-   their statistics living purely in the batch. *)
+   their statistics living purely in the trace's run count. *)
 type dfrag = DFrag of (Cpu.t -> unit) | DDrop | DNo
 
 let flat_alu_frag ~k a =
@@ -806,173 +796,6 @@ let gen_load_use ~k ~pend_in d fp da f mx ax =
     t.regs.(da) <- v2
 
 (* ------------------------------------------------------------------ *)
-(* Block-level statistics, applied once per trace execution (or per loop
-   iteration).  All sums are over integer-valued doubles far below 2^53,
-   so the batched float add is bit-identical to the word-by-word one. *)
-
-type batch = {
-  b_len : int;
-  b_w : float;  (* = float b_len; every eligible word weighs exactly 1. *)
-  b_taken : int;  (* inlined unconditional jumps taken per execution *)
-  b_busy : int;
-  b_free : int;
-  b_nops : int;
-  b_packed : int;
-  b_alu : int;
-  b_mem : int;
-  b_br : int;
-  b_syn : int;
-  b_wr_l : int;
-  b_wr_s : int;
-  b_wc_l : int;
-  b_wc_s : int;
-  b_by_l : int;
-  b_by_s : int;
-  b_bc_l : int;
-  b_bc_s : int;
-}
-
-let make_batch (words : tword array) ~taken =
-  let len = ref 0
-  and busy = ref 0
-  and free = ref 0
-  and nops = ref 0
-  and packed = ref 0
-  and alu = ref 0
-  and mem = ref 0
-  and br = ref 0
-  and syn = ref 0 in
-  let cls = Array.make 8 0 in
-  Array.iter
-    (fun { tw_e = e; tw_note = note } ->
-      incr len;
-      if e.Predecode.refs_memory then incr busy else incr free;
-      if e.Predecode.is_nop then incr nops;
-      if e.Predecode.packed then incr packed;
-      alu := !alu + e.Predecode.alu_pieces;
-      mem := !mem + e.Predecode.mem_pieces;
-      br := !br + e.Predecode.branch_pieces;
-      let count_ref load =
-        if note.Note.synthetic then incr syn
-        else
-          let c =
-            (match (note.Note.char_data, note.Note.byte_sized) with
-            | false, false -> 0
-            | true, false -> 2
-            | false, true -> 4
-            | true, true -> 6)
-            + (if load then 0 else 1)
-          in
-          cls.(c) <- cls.(c) + 1
-      in
-      match e.Predecode.mem with
-      | Some (Mem.Load _) -> count_ref true
-      | Some (Mem.Store _) -> count_ref false
-      | Some (Mem.Limm _) | None -> ())
-    words;
-  {
-    b_len = !len;
-    b_w = float_of_int !len;
-    b_taken = taken;
-    b_busy = !busy;
-    b_free = !free;
-    b_nops = !nops;
-    b_packed = !packed;
-    b_alu = !alu;
-    b_mem = !mem;
-    b_br = !br;
-    b_syn = !syn;
-    b_wr_l = cls.(0);
-    b_wr_s = cls.(1);
-    b_wc_l = cls.(2);
-    b_wc_s = cls.(3);
-    b_by_l = cls.(4);
-    b_by_s = cls.(5);
-    b_bc_l = cls.(6);
-    b_bc_s = cls.(7);
-  }
-
-(* [apply_batch_n] applies [n] executions of the block in one pass.  The
-   only float cell sums integer-valued doubles far below 2^53, so adding
-   [float (n * b_len)] once is bit-identical to [n] separate additions. *)
-let apply_batch_n t b n =
-  let s = t.stats in
-  s.Stats.cycles <- s.Stats.cycles + (n * b.b_len);
-  s.Stats.words <- s.Stats.words + (n * b.b_len);
-  s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + (n * b.b_busy);
-  s.Stats.free_cycles <- s.Stats.free_cycles + (n * b.b_free);
-  s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. float_of_int (n * b.b_len);
-  if b.b_taken > 0 then
-    s.Stats.branches_taken <- s.Stats.branches_taken + (n * b.b_taken);
-  s.Stats.nops <- s.Stats.nops + (n * b.b_nops);
-  s.Stats.packed_words <- s.Stats.packed_words + (n * b.b_packed);
-  s.Stats.alu_pieces <- s.Stats.alu_pieces + (n * b.b_alu);
-  s.Stats.mem_pieces <- s.Stats.mem_pieces + (n * b.b_mem);
-  s.Stats.branch_pieces <- s.Stats.branch_pieces + (n * b.b_br);
-  if b.b_syn > 0 then
-    s.Stats.synthetic_refs <- s.Stats.synthetic_refs + (n * b.b_syn);
-  let w = s.Stats.word_refs in
-  w.Stats.loads <- w.Stats.loads + (n * b.b_wr_l);
-  w.Stats.stores <- w.Stats.stores + (n * b.b_wr_s);
-  let wc = s.Stats.word_char_refs in
-  wc.Stats.loads <- wc.Stats.loads + (n * b.b_wc_l);
-  wc.Stats.stores <- wc.Stats.stores + (n * b.b_wc_s);
-  let by = s.Stats.byte_refs in
-  by.Stats.loads <- by.Stats.loads + (n * b.b_by_l);
-  by.Stats.stores <- by.Stats.stores + (n * b.b_by_s);
-  let bc = s.Stats.byte_char_refs in
-  bc.Stats.loads <- bc.Stats.loads + (n * b.b_bc_l);
-  bc.Stats.stores <- bc.Stats.stores + (n * b.b_bc_s)
-
-(* Specialized batch applier: most traces have no nops, no packed words,
-   no synthetic refs and no char/byte-classed refs, so the common case
-   touches nine statistics cells instead of twenty-two.  Decided once at
-   compile time per batch. *)
-let batch_applier b =
-  if
-    b.b_nops = 0 && b.b_packed = 0 && b.b_syn = 0 && b.b_taken = 0
-    && b.b_wc_l = 0 && b.b_wc_s = 0 && b.b_by_l = 0 && b.b_by_s = 0
-    && b.b_bc_l = 0 && b.b_bc_s = 0
-  then (
-    fun t n ->
-      let s = t.stats in
-      s.Stats.cycles <- s.Stats.cycles + (n * b.b_len);
-      s.Stats.words <- s.Stats.words + (n * b.b_len);
-      s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + (n * b.b_busy);
-      s.Stats.free_cycles <- s.Stats.free_cycles + (n * b.b_free);
-      s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. float_of_int (n * b.b_len);
-      s.Stats.alu_pieces <- s.Stats.alu_pieces + (n * b.b_alu);
-      s.Stats.mem_pieces <- s.Stats.mem_pieces + (n * b.b_mem);
-      s.Stats.branch_pieces <- s.Stats.branch_pieces + (n * b.b_br);
-      if b.b_wr_l > 0 || b.b_wr_s > 0 then begin
-        let w = s.Stats.word_refs in
-        w.Stats.loads <- w.Stats.loads + (n * b.b_wr_l);
-        w.Stats.stores <- w.Stats.stores + (n * b.b_wr_s)
-      end)
-  else fun t n -> apply_batch_n t b n
-
-(* Per-word statistics of a completed word, for the fault-recovery prefix.
-   Totals only, so the intra-word ordering differences vs the reference
-   (cycle counted before commits, refs at commit) cannot show. *)
-let count_word t { tw_e = e; tw_note = note } =
-  let s = t.stats in
-  s.Stats.cycles <- s.Stats.cycles + 1;
-  s.Stats.words <- s.Stats.words + 1;
-  if e.Predecode.refs_memory then
-    s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1
-  else s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-  s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-  if e.Predecode.is_nop then s.Stats.nops <- s.Stats.nops + 1;
-  if e.Predecode.packed then s.Stats.packed_words <- s.Stats.packed_words + 1;
-  s.Stats.alu_pieces <- s.Stats.alu_pieces + e.Predecode.alu_pieces;
-  s.Stats.mem_pieces <- s.Stats.mem_pieces + e.Predecode.mem_pieces;
-  s.Stats.branch_pieces <- s.Stats.branch_pieces + e.Predecode.branch_pieces;
-  match e.Predecode.mem with
-  | Some (Mem.Load _) -> Stats.count_ref s ~load:true note
-  | Some (Mem.Store _) -> Stats.count_ref s ~load:false note
-  | Some (Mem.Limm _) | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Trace compilation *)
 
 let compile t entry_pc =
@@ -991,7 +814,7 @@ let compile t entry_pc =
       match term with
       | None -> 0
       | Some (tw, _) -> (
-          match Predecode.branch_delay tw.tw_e with Some d -> d | None -> 0)
+          match Predecode.branch_delay tw with Some d -> d | None -> 0)
     in
     let p_term = cont in
     (* Per-word recovery tables: the guest pc of body word [j], the chain
@@ -1035,7 +858,7 @@ let compile t entry_pc =
     let k = ref 0 in
     while !k < len do
       pend_at.(!k) <- pend_code !pend;
-      let e = words.(!k).tw_e in
+      let e = words.(!k) in
       let mx = flat_mx t.cfg e in
       let ax, ax_pure = flat_ax e in
       if !k = n then begin
@@ -1072,7 +895,7 @@ let compile t entry_pc =
           if !k + 1 = n && mx = MXnone && ctl = CNone then
             match (e.Predecode.alu, ax) with
             | Some (Alu.Setc _), AXreg (d, f) -> (
-                let te = words.(n).tw_e in
+                let te = words.(n) in
                 if te.Predecode.mem = None && te.Predecode.alu = None then
                   match cbr_test_of d te with
                   | Some (test, tgt) ->
@@ -1096,7 +919,7 @@ let compile t entry_pc =
           then
             match mx with
             | MXload_w (d, fp) -> (
-                let ne = words.(!k + 1).tw_e in
+                let ne = words.(!k + 1) in
                 let nmx = flat_mx t.cfg ne in
                 let nax, _ = flat_ax ne in
                 match (nmx, nax) with
@@ -1168,15 +991,12 @@ let compile t entry_pc =
           | CGSlot ->
               (* guard's delay slot: after its own work, divert to the
                  side exit when the guard's branch was taken.  The slot
-                 has completed by then, so the exit's prefix statistics
-                 cover words 0..k and the taken branch itself. *)
+                 has completed by then, so the exit counts words 0..k,
+                 the inlined jumps among them and the taken branch
+                 itself. *)
               let gid = !gcount in
-              let gb =
-                make_batch (Array.sub words 0 (!k + 1))
-                  ~taken:(tb.(!k + 1) + 1)
-              in
               guards :=
-                (batch_applier gb, !cur_gtgt, !k + 1, pend_code p',
+                (tb.(!k + 1) + 1, !cur_gtgt, !k + 1, pend_code p',
                  wp.(!k - 1))
                 :: !guards;
               guard_of.(!k) <- gid;
@@ -1209,8 +1029,16 @@ let compile t entry_pc =
     done;
     let frags = Array.of_list (List.rev !frag_list) in
     let nf = Array.length frags in
-    let batch = make_batch words ~taken:tb.(len) in
-    let apply_main = batch_applier batch in
+    let tally =
+      { tl_entry = entry_pc; tl_pcs = wp; tl_jumps = tb.(len);
+        tl_runs = 0; tl_spread = 0; tl_dead = false }
+    in
+    let count_prefix t k =
+      for j = 0 to k - 1 do
+        let x = t.xcode.(wp.(j)) in
+        x.runs <- x.runs + 1
+      done
+    in
     let final_pend = !pend in
     let mat_pend =
       match final_pend with
@@ -1222,19 +1050,19 @@ let compile t entry_pc =
     in
     let garr = Array.of_list (List.rev !guards) in
     let gexits = Array.make (max !gcount 1) 0 in
-    let execs = ref 0 in
+    let sides = ref 0 in
     (* Side exit: a guard's branch was taken.  Both the guard word and its
        delay slot completed, so the chain is sequential at the target;
-       apply the prefix statistics (including the taken branch),
-       rematerialize the latch as of the slot, and charge the consumed
-       words against the fuel.  A guard whose exits dominate this trace's
-       executions was a bad prediction: its branch pc is blacklisted and
-       the trace retired, so the next hot dispatch recompiles with the
-       branch as a terminator. *)
+       count the prefix (and its taken branches), rematerialize the latch
+       as of the slot, and charge the consumed words against the fuel.  A
+       guard whose exits dominate this trace's executions was a bad
+       prediction: its branch pc is blacklisted and the trace retired, so
+       the next hot dispatch recompiles with the branch as a terminator. *)
     let side_exit t fuel =
       let g = t.jit_k in
-      let gb, tgt, consumed, pendc, gpc = garr.(g) in
-      gb t 1;
+      let taken, tgt, consumed, pendc, gpc = garr.(g) in
+      count_prefix t consumed;
+      t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + taken;
       t.p0 <- tgt;
       t.p1 <- tgt + 1;
       t.p2 <- tgt + 2;
@@ -1242,10 +1070,11 @@ let compile t entry_pc =
         t.pend_r <- pendc;
         t.pend_v <- t.jit_pv
       end;
-      execs := !execs + 1;
+      incr sides;
       let ex = gexits.(g) + 1 in
       gexits.(g) <- ex;
-      if ex >= 16 && ex * 2 >= !execs then begin
+      if ex >= 16 && ex * 2 >= tally.tl_runs + !sides then begin
+        tally.tl_dead <- true;
         Bytes.unsafe_set t.jit_nospec gpc '\001';
         t.jit_code.(entry_pc) <- jit_stale;
         t.jit_len.(entry_pc) <- 0;
@@ -1254,15 +1083,12 @@ let compile t entry_pc =
       fuel - consumed
     in
     (* Fault recovery: [t.jit_k] holds the body index of the faulting word.
-       Apply the completed prefix's statistics, rebuild the chain at the
-       faulting word, rematerialize the in-flight load, and leave the total
-       consumed word count in [jit_k] for the dispatch loop's fuel
-       accounting. *)
+       Count the completed prefix, rebuild the chain at the faulting word,
+       rematerialize the in-flight load, and leave the total consumed word
+       count in [jit_k] for the dispatch loop's fuel accounting. *)
     let recover t ~consumed_before =
       let kf = t.jit_k in
-      for j = 0 to kf - 1 do
-        count_word t words.(j)
-      done;
+      count_prefix t kf;
       if tb.(kf) > 0 then
         t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + tb.(kf);
       if n >= 0 && kf > n then begin
@@ -1380,7 +1206,7 @@ let compile t entry_pc =
       n >= 0 && delay = 1
       && (match term with
          | Some (tw, _) -> (
-             match tw.tw_e.Predecode.branch with
+             match tw.Predecode.branch with
              | Some (Branch.Cbr (_, _, _, tgt) | Branch.Jump tgt) ->
                  tgt = entry_pc
              | _ -> false)
@@ -1391,31 +1217,28 @@ let compile t entry_pc =
         (* Loop-back specialization: spin inside the closure while the
            terminator keeps taking back to the entry and fuel allows a
            whole iteration.  The chain is only written on the way out, and
-           the statistics of all completed iterations are applied in one
-           scaled batch at the exit (or before fault recovery) — a tight
-           loop pays for its bookkeeping once, not per iteration. *)
+           the completed iterations are counted once at the exit (or
+           before fault recovery) — a tight loop pays for its bookkeeping
+           once, not per iteration. *)
         let flush t iters taken =
-          execs := !execs + iters;
-          if iters > 0 then begin
-            apply_main t iters;
-            t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + taken
-          end
+          tally.tl_runs <- tally.tl_runs + iters;
+          t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + taken
         in
         let rec spin t fuel iters =
           match run_body t with
           | exception (Fault _ as ex) ->
               flush t iters iters;
-              recover t ~consumed_before:(iters * batch.b_len);
+              recover t ~consumed_before:(iters * len);
               raise ex
           | exception Guard_exit ->
               flush t iters iters;
               side_exit t fuel
           | () ->
-          let fuel = fuel - batch.b_len in
+          let fuel = fuel - len in
           let iters = iters + 1 in
           if t.sc_taken then begin
             mat_pend t;
-            if fuel >= batch.b_len then spin t fuel iters
+            if fuel >= len then spin t fuel iters
             else begin
               flush t iters iters;
               t.p0 <- entry_pc;
@@ -1442,8 +1265,7 @@ let compile t entry_pc =
               raise ex
           | exception Guard_exit -> side_exit t fuel
           | () ->
-          execs := !execs + 1;
-          apply_main t 1;
+          tally.tl_runs <- tally.tl_runs + 1;
           (if n >= 0 && t.sc_taken then begin
              t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + 1;
              let tgt = t.sc_target in
@@ -1457,14 +1279,11 @@ let compile t entry_pc =
              t.p2 <- exit_seq + 2
            end);
           mat_pend t;
-          fuel - batch.b_len
+          fuel - len
     in
     t.jit_code.(entry_pc) <- code;
     t.jit_len.(entry_pc) <- len;
-    for j = 0 to len - 1 do
-      let p = wp.(j) in
-      t.jit_cover.(p) <- entry_pc :: t.jit_cover.(p)
-    done;
+    jit_register t tally;
     true
   end
 

@@ -63,6 +63,20 @@ type latch = {
   mutable l_ret : int;  (* its return address *)
 }
 
+(* A compiled jit trace's execution tally.  [tl_runs] counts the trace's
+   complete runs (cumulative: the jit's blacklist heuristic reads it); the
+   fold adds the runs past [tl_spread] to the execution count of every
+   word in [tl_pcs], and [tl_jumps] (its inlined jumps) to the taken
+   branches per run.  [tl_dead] marks a trace that can no longer run. *)
+type tally = {
+  tl_entry : int;
+  tl_pcs : int array;
+  tl_jumps : int;
+  mutable tl_runs : int;
+  mutable tl_spread : int;
+  mutable tl_dead : bool;
+}
+
 type t = {
   cfg : config;
   regs : int array;
@@ -96,8 +110,11 @@ type t = {
   (* taken-branch shadow countdown; maintained only while tracing *)
   mutable delay_pending : int;
   (* fast engine: per-word compiled closures, kept in sync with [imem]
-     ([stale] marks a slot whose word changed since it was last compiled) *)
-  xcode : (t -> unit) array;
+     ([stale_code] marks a slot whose word changed since it was last
+     compiled), and their execution counts; [xlive] lists every slot's
+     [xword] the fold visits, each once *)
+  xcode : xword array;
+  mutable xlive : xword list;
   (* fast-engine scratch slots: compute-phase results parked here so the
      commit phase can pick them up without allocating effect records *)
   mutable sc_a : int;  (* resolved physical address (byte ops: phys*4+lane) *)
@@ -116,18 +133,31 @@ type t = {
      empty otherwise.  [jit_code] holds one compiled-trace closure per entry
      pc (fuel in, fuel remaining out); [jit_len] its straight-line length in
      words; [jit_counts] the per-PC hotness counters; [jit_cover] maps every
-     imem address back to the trace entries whose compiled body includes it,
-     so a code write can invalidate exactly the traces it affects.  [jit_k]
-     and [jit_pv] are fault-recovery scratch: the body index reached and the
-     in-flight delayed-load value of the trace being executed. *)
+     imem address back to the tallies of the traces whose compiled body
+     includes it, so a code write can invalidate exactly the traces it
+     affects; [jit_live] holds the tallies the fold has still to visit.
+     [jit_k] and [jit_pv] are fault-recovery scratch: the body index reached
+     and the in-flight delayed-load value of the trace being executed. *)
   mutable jit_on : bool;
   mutable jit_code : (t -> int -> int) array;
   mutable jit_len : int array;
   mutable jit_counts : int array;
-  mutable jit_cover : int list array;
+  mutable jit_cover : tally list array;
+  mutable jit_live : tally list;
   mutable jit_nospec : Bytes.t;
   mutable jit_k : int;
   mutable jit_pv : int;
+}
+
+(* One slot's compiled closure and the executions it has not yet had
+   folded into [stats] (see [fold]): bumped by the fast engine once per
+   completed word, and by the jit for trace prefixes and at the fold.  A
+   slot keeps its record from its first compile until [reset]; a code
+   write swaps the closure back to [stale_code]. *)
+and xword = {
+  mutable code : t -> unit;
+  slot : int;
+  mutable runs : int;
 }
 
 and fault_kind =
@@ -139,8 +169,10 @@ type event = Stepped | Dispatched of Cause.t
 
 (* Fast-engine sentinel: marks an [xcode] slot whose word has not been
    compiled since it last changed.  Recognized with [==]; never called with
-   the intent of executing an instruction. *)
-let stale (_ : t) = ()
+   the intent of executing an instruction.  [stale] is the record of every
+   slot never compiled; its count is never bumped. *)
+let stale_code (_ : t) = ()
+let stale = { code = stale_code; slot = -1; runs = 0 }
 
 (* Jit-engine sentinel: marks a [jit_code] slot with no compiled trace.
    Recognized with [==]; returns its fuel untouched if ever called. *)
@@ -191,6 +223,7 @@ let create ?(config = default_config) () =
     prev_word = Word.Nop;
     delay_pending = 0;
     xcode = Array.make config.imem_words stale;
+    xlive = [];
     sc_a = 0;
     sc_b = 0;
     sc_v = 0;
@@ -205,16 +238,16 @@ let create ?(config = default_config) () =
     jit_len = [||];
     jit_counts = [||];
     jit_cover = [||];
+    jit_live = [];
     jit_nospec = Bytes.empty;
     jit_k = 0;
     jit_pv = 0;
   }
 
-(* Arm/reset/invalidate the jit trace cache.  [jit_invalidate] is
-   conservative by construction: every trace whose body covers address [a]
-   is discarded and its entry's hotness counter cleared, so a recompile
-   observes the new word.  Note writes invalidate too — traces bake the
-   per-word [notes] into their batched reference accounting. *)
+(* Arm/reset/invalidate the jit trace cache.  [jit_invalidate] discards
+   every live trace whose body covers address [a] and clears its entry's
+   hotness counter, so a recompile observes the new word.  Traces do not
+   read [notes], so note writes leave them alone. *)
 let jit_arm t =
   if not t.jit_on then begin
     t.jit_code <- Array.make t.cfg.imem_words jit_stale;
@@ -226,16 +259,16 @@ let jit_arm t =
   end
 
 let jit_invalidate t a =
-  match t.jit_cover.(a) with
-  | [] -> ()
-  | entries ->
-      List.iter
-        (fun e ->
-          t.jit_code.(e) <- jit_stale;
-          t.jit_len.(e) <- 0;
-          t.jit_counts.(e) <- 0)
-        entries;
-      t.jit_cover.(a) <- []
+  List.iter
+    (fun tl ->
+      if not tl.tl_dead then begin
+        tl.tl_dead <- true;
+        t.jit_code.(tl.tl_entry) <- jit_stale;
+        t.jit_len.(tl.tl_entry) <- 0;
+        t.jit_counts.(tl.tl_entry) <- 0
+      end)
+    t.jit_cover.(a);
+  t.jit_cover.(a) <- []
 
 let jit_reset t =
   if t.jit_on then begin
@@ -243,13 +276,66 @@ let jit_reset t =
     Array.fill t.jit_len 0 (Array.length t.jit_len) 0;
     Array.fill t.jit_counts 0 (Array.length t.jit_counts) 0;
     Array.fill t.jit_cover 0 (Array.length t.jit_cover) [];
-    Bytes.fill t.jit_nospec 0 (Bytes.length t.jit_nospec) '\000'
+    Bytes.fill t.jit_nospec 0 (Bytes.length t.jit_nospec) '\000';
+    t.jit_live <- []
   end
+
+(* ---------------------------------------------------------------------- *)
+(* Derived statistics.  The fast engine and the jit do not write the static
+   [Stats] fields: they count executions per slot (in its [xword], and per
+   trace in a [tally]), and [fold] charges each count with its word's
+   [Predecode.charge].  Integer sums commute, so the folded record equals
+   the reference step's per-cycle one at any fold point.  The weighted
+   cell is folded only off the byte machine, where every word weighs
+   exactly 1.0; the byte machine's fractional weights are added per step.
+   A count is always charged with the word it counted: a write to a slot
+   ([write_code], [write_note], [load_program]) first flushes the slot and
+   the traces covering it. *)
+
+(* A trace's words all have compiled slots (see [jit_register]). *)
+let spread t tl =
+  let n = tl.tl_runs - tl.tl_spread in
+  if n > 0 then begin
+    tl.tl_spread <- tl.tl_runs;
+    Array.iter (fun p -> let x = t.xcode.(p) in x.runs <- x.runs + n) tl.tl_pcs;
+    t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + (n * tl.tl_jumps)
+  end
+
+let charge t x =
+  let n = x.runs in
+  if n > 0 then begin
+    x.runs <- 0;
+    Stats.charge t.stats
+      (Predecode.charge t.imem.(x.slot) t.notes.(x.slot))
+      n ~weighted:(not t.cfg.byte_addressed)
+  end
+
+(* Before slot [p]'s word or note changes. *)
+let flush_slot t p =
+  if t.jit_on then List.iter (spread t) t.jit_cover.(p);
+  charge t t.xcode.(p)
+
+(* After slot [p]'s word changed: recompile on its next execution. *)
+let restale t p =
+  let x = t.xcode.(p) in
+  if x != stale then x.code <- stale_code
+
+(* O(compiled slots + live traces): nothing on a machine only the
+   reference step has run. *)
+let fold t =
+  (match t.jit_live with
+  | [] -> ()
+  | live ->
+      List.iter (spread t) live;
+      if List.exists (fun tl -> tl.tl_dead) live then
+        t.jit_live <- List.filter (fun tl -> not tl.tl_dead) live);
+  List.iter (charge t) t.xlive
 
 (* Back to the state [create ~config:t.cfg ()] gives, keeping the big
    arrays.  [stats] and [pagemap] are replaced, not cleared: a caller may
-   still hold the last run's records (the artifact cache does).  An armed
-   jit keeps its arrays and [jit_on]; only its contents go. *)
+   still hold the last run's records (the artifact cache does), so pending
+   execution counts are dropped, not folded.  An armed jit keeps its
+   arrays and [jit_on]; only its contents go. *)
 let reset t =
   Array.fill t.regs 0 (Array.length t.regs) 0;
   t.p0 <- 0;
@@ -278,6 +364,7 @@ let reset t =
   t.prev_word <- Word.Nop;
   t.delay_pending <- 0;
   Array.fill t.xcode 0 (Array.length t.xcode) stale;
+  t.xlive <- [];
   t.sc_a <- 0;
   t.sc_b <- 0;
   t.sc_v <- 0;
@@ -321,7 +408,9 @@ let with_machine ?(config = default_config) f =
   else f (create ~config ())
 
 let config t = t.cfg
-let stats t = t.stats
+let stats t =
+  fold t;
+  t.stats
 let trace t = t.trace
 let set_trace t sink =
   t.trace <- sink;
@@ -364,7 +453,7 @@ let set_epc t i v = t.epcs.(i) <- v
 let pc t = t.p0
 let pc_chain t = (t.p0, t.p1, t.p2)
 
-let set_chain t a b c =
+let[@inline] set_chain t a b c =
   t.p0 <- a;
   t.p1 <- b;
   t.p2 <- c
@@ -377,12 +466,14 @@ let interrupt_pending t = t.interrupt_line
 let read_code t a = t.imem.(a)
 
 let write_code t a w =
+  flush_slot t a;
   t.imem.(a) <- w;
-  t.xcode.(a) <- stale;
+  restale t a;
   if t.jit_on then jit_invalidate t a
+
 let write_note t a n =
-  t.notes.(a) <- n;
-  if t.jit_on then jit_invalidate t a
+  flush_slot t a;
+  t.notes.(a) <- n
 let read_data t a = t.dmem.(a)
 let write_data t a v = t.dmem.(a) <- Word32.norm v
 let faulted t = t.fault
@@ -443,8 +534,13 @@ let faulted_addr t =
   | Some (Segment_violation _ | Transient_ref) | None -> None
 
 let load_program ?(at = 0) ?(data_at = 0) t (p : Program.t) =
+  (* every trace goes, so all their runs are spread first *)
+  List.iter (spread t) t.jit_live;
+  for a = at to at + Array.length p.code - 1 do
+    charge t t.xcode.(a);
+    restale t a
+  done;
   Array.blit p.code 0 t.imem at (Array.length p.code);
-  Array.fill t.xcode at (Array.length p.code) stale;
   jit_reset t;
   Array.blit p.notes 0 t.notes at (Array.length p.notes);
   List.iter (fun (a, v) -> t.dmem.(data_at + a) <- Word32.norm v) p.data;
@@ -659,7 +755,7 @@ let compute t word =
       compute_alu t a;
       compute_branch t b
 
-let commit_pending t =
+let[@inline] commit_pending t =
   if t.pend_r >= 0 then begin
     t.regs.(t.pend_r) <- t.pend_v;
     t.pend_r <- -1
@@ -733,7 +829,7 @@ let apply_injection t inj =
     Mips_obs.Sink.emit t.trace
       (Mips_obs.Event.Fault_injected
          {
-           cycle = t.stats.Stats.cycles;
+           cycle = (stats t).Stats.cycles;
            kind = Mips_fault.Plan.injection_kind inj;
            target = Mips_fault.Plan.injection_target inj;
          })
@@ -982,20 +1078,21 @@ let step t =
 (* ---------------------------------------------------------------------- *)
 (* Fast engine: per-word compiled closures over predecoded entries.
 
-   [compile_word] specializes one instruction word — for one imem slot of
-   one machine configuration — into a [t -> unit] closure that replays
-   exactly the quiet-path effects of [step]: same compute order (mem, alu,
-   branch, all reading pre-instruction state), same commit order (store,
-   pending load, alu, load/limm), same statistics increments in the same
-   order (so even [weighted_cycles], a float accumulation, stays
-   bit-identical).  Everything [step] recomputes per cycle — piece
-   projections, read/write sets, piece counts, memory-busy weights — is
-   resolved here once, via {!Predecode.lower}.
+   [compile_word] specializes one instruction word, for one machine
+   configuration, into a [t -> unit] closure that replays exactly the
+   quiet-path effects of [step]: same compute order (mem, alu, branch, all
+   reading pre-instruction state), same commit order (store, pending load,
+   alu, load/limm).  Everything [step] recomputes per cycle — piece
+   projections, read/write sets, hazard flags — is resolved here once, via
+   {!Predecode.lower}.  The closures write only the dynamic statistics
+   (taken branches, stalls, and the byte machine's weighted cycles);
+   [step_fast_quiet] counts the completed word and [fold] charges it.
 
    The closures are only ever run from [step_fast], which falls back to
    [step] for any cycle where tracing, fault injection, an armed flaky
-   reference, or the interrupt line could observe or perturb the step.
-   Faults still escape as exceptions and reach the shared [dispatch]. *)
+   reference, the interrupt line or profiling could observe or perturb the
+   step.  Faults still escape as exceptions and reach the shared
+   [dispatch]. *)
 
 let user_priv_check t =
   if Surprise.equal_privilege t.sr.priv Surprise.User then
@@ -1175,18 +1272,17 @@ let compile_branch = function
   | Some (Branch.Jalind (r, link)) -> BXjalind (Reg.to_int r, Reg.to_int link)
   | Some (Branch.Trap code) -> BXtrap code
 
-let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
+let compile_word (cfg : config) (w : int Word.t) : t -> unit =
   let e = Predecode.lower w in
-  let busy = e.Predecode.refs_memory in
+  let interlock = cfg.interlock in
+  (* the byte machine's weighted cycles are not integral, so their sum
+     depends on the order of the adds: they stay a per-step add, in the
+     reference order, instead of being folded *)
+  let weigh = cfg.byte_addressed in
   let weight =
-    if cfg.byte_addressed && busy then 1. +. (cfg.fetch_overhead_pct /. 100.)
+    if Word.references_memory w then 1. +. (cfg.fetch_overhead_pct /. 100.)
     else 1.
   in
-  let is_nop = e.Predecode.is_nop and packed = e.Predecode.packed in
-  let na = e.Predecode.alu_pieces
-  and nm = e.Predecode.mem_pieces
-  and nb = e.Predecode.branch_pieces in
-  let interlock = cfg.interlock in
   let stall_check = interlock && e.Predecode.may_stall in
   let reads = e.Predecode.reads in
   let lw = if interlock then e.Predecode.load_writes else Reg.Set.empty in
@@ -1194,19 +1290,6 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
   let ax = match e.Predecode.alu with None -> AXnone | Some a -> compile_alu a in
   let bx = compile_branch e.Predecode.branch in
   let is_rfe = match ax with AXrfe -> true | _ -> false in
-  let count t =
-    let s = t.stats in
-    s.cycles <- s.cycles + 1;
-    s.words <- s.words + 1;
-    if busy then s.mem_busy_cycles <- s.mem_busy_cycles + 1
-    else s.free_cycles <- s.free_cycles + 1;
-    s.weighted.(0) <- s.weighted.(0) +. weight;
-    if is_nop then s.nops <- s.nops + 1;
-    if packed then s.packed_words <- s.packed_words + 1;
-    s.alu_pieces <- s.alu_pieces + na;
-    s.mem_pieces <- s.mem_pieces + nm;
-    s.branch_pieces <- s.branch_pieces + nb
-  in
   let take t target delay =
     t.stats.branches_taken <- t.stats.branches_taken + 1;
     if interlock then begin
@@ -1239,25 +1322,21 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
     | AXnone -> ()
     | AXreg (_, f) | AXspecial (_, f) -> t.sc_v <- f t
     | AXrfe -> user_priv_check t);
+    (* nothing faults past this point: the word completes (a trap too) *)
+    if weigh then t.stats.weighted.(0) <- t.stats.weighted.(0) +. weight;
     (match bx with
     | BXnone | BXjump _ | BXjal _ -> ()
     | BXcbr (f, _) -> t.sc_taken <- f t
     | BXjind r | BXjalind (r, _) -> t.sc_target <- t.regs.(r)
     | BXtrap code ->
-        (* a trap commits nothing else in its word; its cycle is still
-           counted before the dispatch, exactly as [step] does *)
-        count t;
+        (* a trap commits nothing else in its word; it still completes *)
         raise (Trap_dispatch code));
-    count t;
     (* commit phase: store, then the pending load, then alu, then load *)
     (match mx with
-    | MXstore_w _ ->
-        t.dmem.(t.sc_a) <- t.sc_b;
-        Stats.count_ref t.stats ~load:false t.notes.(at)
+    | MXstore_w _ -> t.dmem.(t.sc_a) <- t.sc_b
     | MXstore_b _ ->
         let phys = t.sc_a lsr 2 and lane = t.sc_a land 3 in
-        t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) lane t.sc_b;
-        Stats.count_ref t.stats ~load:false t.notes.(at)
+        t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) lane t.sc_b
     | MXnone | MXlimm _ | MXload_w _ | MXload_b _ -> ());
     commit_pending t;
     (match ax with
@@ -1268,7 +1347,6 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
     (match mx with
     | MXlimm (d, c) -> t.regs.(d) <- c
     | MXload_w (d, _) ->
-        Stats.count_ref t.stats ~load:true t.notes.(at);
         let v = t.dmem.(t.sc_a) in
         if interlock then t.regs.(d) <- v
         else begin
@@ -1276,7 +1354,6 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
           t.pend_v <- v
         end
     | MXload_b (d, _) ->
-        Stats.count_ref t.stats ~load:true t.notes.(at);
         let v = Word32.get_byte t.dmem.(t.sc_a lsr 2) (t.sc_a land 3) in
         if interlock then t.regs.(d) <- v
         else begin
@@ -1313,343 +1390,150 @@ let compile_word (cfg : config) (at : int) (w : int Word.t) : t -> unit =
      delayed-load word machine.  The [mx]/[ax]/[bx] matches in [generic]
      are constant per closure but share branch-predictor sites across every
      compiled word, so the hot shapes get dedicated closures with the
-     statistics update, the pending-load commit and the PC advance inlined
-     (no tuples, no out-of-line calls).  Interlock mode, the byte machine
-     and the rare shapes (traps, rfe, specials, unusual packings) stay on
-     [generic]; the commit ordering in each body mirrors it exactly. *)
+     pending-load commit and the PC advance inlined ([@inline]: no tuples,
+     no out-of-line calls).  Interlock mode, the byte machine and the rare
+     shapes (traps, rfe, specials, unusual packings) stay on [generic]; the
+     commit ordering in each body mirrors it exactly. *)
   if interlock || cfg.byte_addressed then generic
   else
     match (mx, ax, bx) with
     | MXnone, AXnone, BXnone ->
         fun t ->
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.nops <- s.Stats.nops + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          commit_pending t;
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXreg (d, f), BXnone ->
         fun t ->
           let v = f t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(d) <- v;
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXlimm (d, c0), AXnone, BXnone ->
         fun t ->
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(d) <- c0;
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXload_w (d, fp), AXnone, BXnone ->
         fun t ->
           let a = fp t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
-          Stats.count_ref s ~load:true t.notes.(at);
+          commit_pending t;
           t.pend_r <- d;
           t.pend_v <- t.dmem.(a);
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXstore_w (src, fp), AXnone, BXnone ->
         fun t ->
           let a = fp t in
           let v = t.regs.(src) in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
           t.dmem.(a) <- v;
-          Stats.count_ref s ~load:false t.notes.(at);
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          commit_pending t;
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXnone, BXcbr (f, target) ->
         fun t ->
           let taken = f t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           if taken then begin
-            s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-            let b = t.p1 in
-            t.p0 <- b;
-            t.p1 <- target;
-            t.p2 <- target + 1
+            t.stats.branches_taken <- t.stats.branches_taken + 1;
+            set_chain t t.p1 target (target + 1)
           end
-          else begin
-            let b = t.p1 and c = t.p2 in
-            t.p0 <- b;
-            t.p1 <- c;
-            t.p2 <- c + 1
-          end
+          else set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXnone, BXjump target ->
         fun t ->
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
-          s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-          let b = t.p1 in
-          t.p0 <- b;
-          t.p1 <- target;
-          t.p2 <- target + 1
+          commit_pending t;
+          t.stats.branches_taken <- t.stats.branches_taken + 1;
+          set_chain t t.p1 target (target + 1)
     | MXnone, AXnone, BXjal (target, link) ->
         fun t ->
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(link) <- t.p2;
-          s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-          let b = t.p1 in
-          t.p0 <- b;
-          t.p1 <- target;
-          t.p2 <- target + 1
+          t.stats.branches_taken <- t.stats.branches_taken + 1;
+          set_chain t t.p1 target (target + 1)
     | MXnone, AXnone, BXjind r ->
         fun t ->
           let target = t.regs.(r) in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
-          s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- target
+          commit_pending t;
+          t.stats.branches_taken <- t.stats.branches_taken + 1;
+          set_chain t t.p1 t.p2 target
     | MXnone, AXnone, BXjalind (r, link) ->
         fun t ->
           let target = t.regs.(r) in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(link) <- t.p2 + 1;
-          s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- target
+          t.stats.branches_taken <- t.stats.branches_taken + 1;
+          set_chain t t.p1 t.p2 target
     | MXnone, AXreg (d, fa), BXcbr (fb, target) ->
         fun t ->
           let v = fa t in
           let taken = fb t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.packed_words <- s.Stats.packed_words + 1;
-          s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(d) <- v;
           if taken then begin
-            s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-            let b = t.p1 in
-            t.p0 <- b;
-            t.p1 <- target;
-            t.p2 <- target + 1
+            t.stats.branches_taken <- t.stats.branches_taken + 1;
+            set_chain t t.p1 target (target + 1)
           end
-          else begin
-            let b = t.p1 and c = t.p2 in
-            t.p0 <- b;
-            t.p1 <- c;
-            t.p2 <- c + 1
-          end
+          else set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXreg (d, fa), BXjump target ->
         fun t ->
           let v = fa t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.packed_words <- s.Stats.packed_words + 1;
-          s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
-          s.Stats.branch_pieces <- s.Stats.branch_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(d) <- v;
-          s.Stats.branches_taken <- s.Stats.branches_taken + 1;
-          let b = t.p1 in
-          t.p0 <- b;
-          t.p1 <- target;
-          t.p2 <- target + 1
+          t.stats.branches_taken <- t.stats.branches_taken + 1;
+          set_chain t t.p1 target (target + 1)
     | MXlimm (dm, c0), AXreg (da, fa), BXnone ->
         fun t ->
           let v = fa t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.free_cycles <- s.Stats.free_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.packed_words <- s.Stats.packed_words + 1;
-          s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
-          s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(da) <- v;
           t.regs.(dm) <- c0;
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXload_w (dm, fp), AXreg (da, fa), BXnone ->
         fun t ->
           let a = fp t in
           let v = fa t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.packed_words <- s.Stats.packed_words + 1;
-          s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
-          s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(da) <- v;
-          Stats.count_ref s ~load:true t.notes.(at);
           t.pend_r <- dm;
           t.pend_v <- t.dmem.(a);
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXstore_w (src, fp), AXreg (da, fa), BXnone ->
         fun t ->
           let a = fp t in
           let sv = t.regs.(src) in
           let v = fa t in
-          let s = t.stats in
-          s.Stats.cycles <- s.Stats.cycles + 1;
-          s.Stats.words <- s.Stats.words + 1;
-          s.Stats.mem_busy_cycles <- s.Stats.mem_busy_cycles + 1;
-          s.Stats.weighted.(0) <- s.Stats.weighted.(0) +. 1.;
-          s.Stats.packed_words <- s.Stats.packed_words + 1;
-          s.Stats.alu_pieces <- s.Stats.alu_pieces + 1;
-          s.Stats.mem_pieces <- s.Stats.mem_pieces + 1;
           t.dmem.(a) <- sv;
-          Stats.count_ref s ~load:false t.notes.(at);
-          (let pr = t.pend_r in
-           if pr >= 0 then begin
-             t.regs.(pr) <- t.pend_v;
-             t.pend_r <- -1
-           end);
+          commit_pending t;
           t.regs.(da) <- v;
-          let b = t.p1 and c = t.p2 in
-          t.p0 <- b;
-          t.p1 <- c;
-          t.p2 <- c + 1
+          set_chain t t.p1 t.p2 (t.p2 + 1)
     | _ -> generic
 
+(* Compile slot [p]'s word into its [xword], giving the slot one on its
+   first compile. *)
+let compile_slot t p =
+  let code = compile_word t.cfg t.imem.(p) in
+  let x = t.xcode.(p) in
+  if x != stale then begin
+    x.code <- code;
+    x
+  end
+  else begin
+    let x = { code; slot = p; runs = 0 } in
+    t.xcode.(p) <- x;
+    t.xlive <- x :: t.xlive;
+    x
+  end
+
+let jit_register t tl =
+  t.jit_live <- tl :: t.jit_live;
+  Array.iter
+    (fun p ->
+      t.jit_cover.(p) <- tl :: t.jit_cover.(p);
+      if t.xcode.(p).code == stale_code then ignore (compile_slot t p))
+    tl.tl_pcs
+
 (* One fast-engine cycle.  Quiet-path preconditions: no tracing, no fault
-   injection, no armed flaky reference, interrupt line low.  Any of them
-   arming routes this cycle through the reference [step] — cycle-for-cycle,
-   so the two engines can interleave freely mid-run. *)
+   injection, no armed flaky reference, interrupt line low, no profiling.
+   Any of them arming routes this cycle through the reference [step] —
+   cycle-for-cycle, so the two engines can interleave freely mid-run.  A
+   completed word (a trap included) bumps its slot's execution count, the
+   one statistics write the closures leave to this loop. *)
 let step_fast_quiet t =
   (* pre-step PC chain, kept in locals so the sequential-EPC tuple is
      only materialised on the (rare) fault-dispatch path *)
@@ -1663,38 +1547,25 @@ let step_fast_quiet t =
     in
     if fetch_phys < 0 || fetch_phys >= t.cfg.imem_words then
       raise (Fault (Cause.Illegal, 0));
-    if t.prof_on then t.prof_fetch <- fetch_phys;
-    let f = t.xcode.(fetch_phys) in
-    let f =
-      if f == stale then begin
-        let g = compile_word t.cfg fetch_phys t.imem.(fetch_phys) in
-        t.xcode.(fetch_phys) <- g;
-        g
-      end
-      else f
-    in
-    f t
+    let x = t.xcode.(fetch_phys) in
+    let x = if x.code == stale_code then compile_slot t fetch_phys else x in
+    x.code t;
+    x
   with
-  | () -> Stepped
+  | x ->
+      x.runs <- x.runs + 1;
+      Stepped
   | exception Fault (cause, detail) ->
       dispatch t cause detail ~epcs:(e0, e1, e2)
   | exception Trap_dispatch code ->
+      let x = t.xcode.(translate_word t Pagemap.Ispace ~write:false t.p0) in
+      x.runs <- x.runs + 1;
       dispatch t Cause.Trap code ~epcs:(t.p1, t.p2, t.p2 + 1)
 
 let step_fast t =
-  if t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line then step t
-  else if not t.prof_on then step_fast_quiet t
-  else begin
-    (* same bracketing as the profiled reference step: snapshot, run the
-       quiet fast path (which stashes the fetch pc), attribute the delta *)
-    let s = t.stats in
-    let c0 = s.Stats.cycles and w0 = s.Stats.words in
-    let st0 = s.Stats.stall_cycles and bt0 = s.Stats.branches_taken in
-    t.prof_fetch <- -1;
-    let ev = step_fast_quiet t in
-    prof_note t ~c0 ~w0 ~st0 ~bt0;
-    ev
-  end
+  if t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line || t.prof_on
+  then step t
+  else step_fast_quiet t
 
 (* ---------------------------------------------------------------------- *)
 
@@ -1733,7 +1604,6 @@ let run_with stepf ?(fuel = 10_000_000) t handler =
   loop fuel
 
 let run ?fuel t handler = run_with step ?fuel t handler
-let run_fast ?fuel t handler = run_with step_fast ?fuel t handler
 
 (* The jit run loop lives in [Mips_jit] (lib/jit), which depends on this
    module; it registers itself here at [install] time.  Requesting the jit

@@ -62,6 +62,20 @@ type latch
 (** The reference engine's per-machine compute-phase latch (private to
     {!step}). *)
 
+(** A compiled jit trace's execution tally, read by the statistics fold:
+    the runs past [tl_spread] are added to the execution count of every
+    word in [tl_pcs], and [tl_jumps] taken branches (the trace's inlined
+    jumps) per run.  [tl_runs] is cumulative, so the jit's own heuristics
+    may read it; [tl_dead] marks a trace that can no longer run. *)
+type tally = {
+  tl_entry : int;
+  tl_pcs : int array;
+  tl_jumps : int;
+  mutable tl_runs : int;
+  mutable tl_spread : int;
+  mutable tl_dead : bool;
+}
+
 (** The machine state, exposed concretely so the compiled execution engines
     (the per-word closures below and the trace compiler in [lib/jit]) can
     read and write it without accessor calls on the hot path.  Everything
@@ -99,9 +113,11 @@ type t = {
   mutable prev_word : int Word.t;
   (* taken-branch shadow countdown; maintained only while tracing *)
   mutable delay_pending : int;
-  (* fast engine: per-word compiled closures, kept in sync with [imem]
-     ([stale] marks a slot whose word changed since it was last compiled) *)
-  xcode : (t -> unit) array;
+  (* fast engine: per-word compiled closures, kept in sync with [imem],
+     and their execution counts; [xlive] lists every slot's [xword] the
+     statistics fold visits, each once *)
+  xcode : xword array;
+  mutable xlive : xword list;
   (* fast-engine scratch slots: compute-phase results parked here so the
      commit phase can pick them up without allocating effect records *)
   mutable sc_a : int;  (* resolved physical address (byte ops: phys*4+lane) *)
@@ -120,8 +136,9 @@ type t = {
      empty otherwise.  [jit_code] holds one compiled-trace closure per entry
      pc (fuel in, fuel remaining out); [jit_len] its straight-line length in
      words; [jit_counts] the per-PC hotness counters; [jit_cover] maps every
-     imem address back to the trace entries whose compiled body includes it,
-     so a code write can invalidate exactly the traces it affects.
+     imem address back to the tallies of the traces whose compiled body
+     includes it, so a code write can invalidate exactly the traces it
+     affects; [jit_live] holds the tallies the fold has still to visit.
      [jit_nospec] marks branch pcs whose speculation kept failing (one byte
      per imem word; traces recompiled after a blacklisting treat the branch
      as a trace terminator).  [jit_k] and [jit_pv] are fault-recovery
@@ -131,10 +148,23 @@ type t = {
   mutable jit_code : (t -> int -> int) array;
   mutable jit_len : int array;
   mutable jit_counts : int array;
-  mutable jit_cover : int list array;
+  mutable jit_cover : tally list array;
+  mutable jit_live : tally list;
   mutable jit_nospec : Bytes.t;
   mutable jit_k : int;
   mutable jit_pv : int;
+}
+
+(** One instruction slot's compiled closure ([code], or a stale sentinel
+    when the word changed since it was last compiled) and its executions
+    not yet folded into the statistics: bumped by the fast engine once per
+    completed word, and by the jit for the completed prefix of a trace it
+    leaves early and when the fold spreads its run counts.  A slot never
+    compiled shares one sentinel record, whose count is never bumped. *)
+and xword = {
+  mutable code : t -> unit;
+  slot : int;
+  mutable runs : int;
 }
 
 (** What the external mapping unit latched at the most recent [Page_fault]
@@ -162,7 +192,8 @@ val reset : t -> unit
 (** Return the machine to exactly the state [create ~config:(config t) ()]
     gives, reusing its memory arrays.  The statistics record and the page
     map are replaced by fresh ones, so a {!Stats.t} read before the reset
-    keeps its values. *)
+    keeps its values; execution counts not yet folded into it are
+    dropped. *)
 
 val with_machine : ?config:config -> (t -> 'a) -> 'a
 (** [with_machine f] lends [f] a {!reset} machine that the current Domain
@@ -174,7 +205,30 @@ val with_machine : ?config:config -> (t -> 'a) -> 'a
     default sizes) per Domain per config it has borrowed. *)
 
 val config : t -> config
+
 val stats : t -> Stats.t
+(** The machine's live statistics record, up to date as of this call.
+
+    {b Derived statistics.}  The reference {!step} charges every counter
+    as it goes.  The fast engine and the jit write only the dynamic fields
+    directly: [branches_taken], the stall counters and stall pairs,
+    [exceptions] and [fuel_exhausted].  For everything else they count
+    executions — one per completed word, or one per trace run — and this
+    call folds the pending counts into the record, each charged with its
+    word's {!Predecode.charge} through {!Stats.charge}.  Integer sums
+    commute, so the result is bit-identical to the reference engine's at
+    any fold point, and a count is always charged with the word it
+    counted: {!write_code}, {!write_note} and {!load_program} flush the
+    slots they change first.  The byte machine's [weighted] cell is the
+    exception: its per-word weights are not integral, so the float sum
+    depends on the order of the adds, and on [byte_addressed] configs the
+    engines keep the reference step's per-step add.  Everywhere else
+    [weighted] is integer-valued and derived.
+
+    The fold costs O(slots with code + live traces) and nothing on a
+    machine only the reference step has run.  The returned record is the
+    same one later runs keep updating: call [stats] again to read it
+    after more execution. *)
 
 val trace : t -> Mips_obs.Sink.t
 val set_trace : t -> Mips_obs.Sink.t -> unit
@@ -198,11 +252,12 @@ val set_fault_plan : t -> Mips_fault.Plan.t -> unit
 
 (** {2:profiling Guest profiling}
 
-    Per-PC execution profiling for both engines behind a single flag test
-    (the same pattern as the trace and fault hooks).  The buffers are
-    updated from {!Stats} deltas after each step — profiling never writes
-    the statistics, so a profiled run's {!Stats} are byte-identical to an
-    unprofiled one's, and the buffer totals reconcile exactly:
+    Per-PC execution profiling behind a single flag test (the same pattern
+    as the trace and fault hooks); every engine runs a profiled step on the
+    reference {!step}.  The buffers are updated from {!Stats} deltas after
+    each step — profiling never writes the statistics, so a profiled run's
+    {!Stats} are byte-identical to an unprofiled one's, and the buffer
+    totals reconcile exactly:
     sum(pr_counts) = words, sum(pr_stalls) = stall cycles, and
     sum(pr_counts) + sum(pr_stalls) + pr_other_cycles = cycles.  The
     buffers are not part of the architectural state: checkpoints do not
@@ -279,9 +334,9 @@ val run : ?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool
     word is lowered once ({!Predecode.lower}) and specialized into a closure
     the first time it executes; subsequent executions skip all per-cycle
     decode work (piece projection, read/write set construction, statistics
-    classification).  Self-modifying code is handled by invalidation:
-    {!write_code} and {!load_program} mark the touched slots for
-    recompilation.
+    classification: see {!stats}).  Self-modifying code is handled by
+    invalidation: {!write_code} and {!load_program} mark the touched slots
+    for recompilation.
 
     {b Equivalence contract}: for any program and any machine configuration,
     running under the fast engine must leave registers, data memory, the PC
@@ -289,16 +344,14 @@ val run : ?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool
     including float [weighted_cycles], per-pair stall attribution and
     exception tallies — bit-identical to the reference {!step} loop.  The
     fast path only runs when tracing, fault injection, an armed flaky
-    reference and the interrupt line are all quiet; any of them arming makes
-    {!step_fast} delegate that cycle to {!step}, so the engines interleave
-    cycle-for-cycle and observability never changes results. *)
+    reference, the interrupt line and profiling are all quiet; any of them
+    arming makes {!step_fast} delegate that cycle to {!step}, so the
+    engines interleave cycle-for-cycle and observability never changes
+    results. *)
 
 val step_fast : t -> event
 (** Execute one word via the predecoded closure cache, or — when any
     observer/injector is armed — via the reference {!step}. *)
-
-val run_fast : ?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool
-(** As {!run}, but stepping with {!step_fast}. *)
 
 type engine = Ref | Fast | Jit
 
@@ -366,7 +419,7 @@ exception Fault of Cause.t * int
 
 exception Trap_dispatch of int
 (** A [Trap] reached during the compute phase.  Unlike {!Fault}, the trap
-    word's cycle has already been counted when this is raised. *)
+    word completes: the engine that catches this counts its cycle. *)
 
 val translate_word : t -> Pagemap.space -> write:bool -> int -> int
 (** Virtual-to-physical word translation under the current privilege and
@@ -424,17 +477,16 @@ val compile_branch : int Branch.t option -> br_exec
 
 val jit_arm : t -> unit
 (** Allocate the per-machine trace-cache arrays ([jit_code] and friends)
-    and set [jit_on], making {!write_code}/{!write_note} invalidate covered
-    traces from then on.  Idempotent. *)
+    and set [jit_on], making {!write_code} invalidate covered traces from
+    then on.  Idempotent. *)
 
 val jit_stale : t -> int -> int
 (** The empty-slot sentinel for [jit_code]; recognized with [==]. *)
 
-val jit_invalidate : t -> int -> unit
-(** Discard every compiled trace whose body covers the given address. *)
-
-val jit_reset : t -> unit
-(** Discard all traces and hotness counters (program (re)load). *)
+val jit_register : t -> tally -> unit
+(** Enter a newly compiled trace's tally: the fold visits it, and a write
+    to any word in [tl_pcs] flushes and invalidates it.  Every word in
+    [tl_pcs] gets a compiled [xcode] slot, which holds its count. *)
 
 val set_jit_runner :
   (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool) -> unit

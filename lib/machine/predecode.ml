@@ -8,12 +8,6 @@ type entry = {
   reads : Reg.Set.t;
   writes : Reg.Set.t;
   load_writes : Reg.Set.t;
-  refs_memory : bool;
-  is_nop : bool;
-  packed : bool;
-  alu_pieces : int;
-  mem_pieces : int;
-  branch_pieces : int;
   may_stall : bool;
   is_trap : bool;
   privileged : bool;
@@ -45,7 +39,6 @@ let lower (w : int Word.t) =
   let may_arith_fault =
     match alu with Some a -> arith_can_fault a | None -> false
   in
-  let refs_memory = Word.references_memory w in
   {
     word = w;
     alu;
@@ -54,12 +47,6 @@ let lower (w : int Word.t) =
     reads;
     writes = Word.writes w;
     load_writes = Word.load_writes w;
-    refs_memory;
-    is_nop = (match w with Word.Nop -> true | _ -> false);
-    packed = (match w with Word.AM _ | Word.AB _ -> true | _ -> false);
-    alu_pieces = (match alu with Some _ -> 1 | None -> 0);
-    mem_pieces = (match mem with Some _ -> 1 | None -> 0);
-    branch_pieces = (match branch with Some _ -> 1 | None -> 0);
     may_stall = not (Reg.Set.is_empty reads);
     is_trap;
     privileged;
@@ -77,6 +64,42 @@ let of_program (p : Program.t) =
   Array.map
     (fun w -> match w with Word.Nop -> nop | _ -> lower w)
     p.Program.code
+
+type reference = No_ref | Load of Note.t | Store of Note.t
+
+type charge = {
+  nop : bool;
+  packed : bool;
+  alu_pieces : int;
+  mem_pieces : int;
+  branch_pieces : int;
+  reference : reference;
+}
+
+let charge (w : int Word.t) note =
+  let alu_pieces, mem_pieces, branch_pieces =
+    match w with
+    | Word.Nop -> (0, 0, 0)
+    | Word.A _ -> (1, 0, 0)
+    | Word.M _ -> (0, 1, 0)
+    | Word.B _ -> (0, 0, 1)
+    | Word.AM _ -> (1, 1, 0)
+    | Word.AB _ -> (1, 0, 1)
+  in
+  {
+    nop = (match w with Word.Nop -> true | _ -> false);
+    packed = (match w with Word.AM _ | Word.AB _ -> true | _ -> false);
+    alu_pieces;
+    mem_pieces;
+    branch_pieces;
+    reference =
+      (match w with
+      | Word.M (Mem.Load _) | Word.AM (_, Mem.Load _) -> Load note
+      | Word.M (Mem.Store _) | Word.AM (_, Mem.Store _) -> Store note
+      | Word.M (Mem.Limm _) | Word.AM (_, Mem.Limm _) | Word.Nop | Word.A _
+      | Word.B _ | Word.AB _ ->
+          No_ref);
+  }
 
 (* Block-structure helpers for the profiler: a branch piece terminates a
    basic block; direct branches expose a static target, and the delay count

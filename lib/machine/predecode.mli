@@ -4,13 +4,13 @@
     into a one-time software pass is nearly free; the simulator makes the
     same bet about itself.  {!lower} flattens everything {!Cpu.step}
     recomputes on every cycle — the piece projections ([Word.alu] /
-    [Word.mem] / [Word.branch]), the register read/write sets, the
-    per-piece statistics increments, the static hazard classification —
-    into one immutable record built once per instruction word.  The fast
-    engine ({!Cpu.run_fast}) then executes from these records (further
-    specialized into per-word closures) and the reference interpreter
-    remains the oracle: both must produce bit-identical architectural
-    state and {!Stats}.
+    [Word.mem] / [Word.branch]), the register read/write sets, the static
+    hazard classification — into one immutable record built once per
+    instruction word.  The fast engine ({!Cpu.step_fast}) then executes
+    from these records (further specialized into per-word closures) and the
+    reference interpreter remains the oracle: both must produce
+    bit-identical architectural state and {!Stats}.  What a word adds to
+    {!Stats} each time it executes is its {!charge}.
 
     Entries are pure data and machine-independent: the same entry is valid
     for the word- and byte-addressed machines, interlocked or not (the
@@ -26,12 +26,6 @@ type entry = {
   reads : Reg.Set.t;  (** = [Word.reads word] *)
   writes : Reg.Set.t;  (** = [Word.writes word] *)
   load_writes : Reg.Set.t;  (** = [Word.load_writes word] *)
-  refs_memory : bool;  (** the word makes a data-memory reference *)
-  is_nop : bool;
-  packed : bool;  (** two pieces in one word *)
-  alu_pieces : int;
-  mem_pieces : int;
-  branch_pieces : int;
   (* static hazard flags *)
   may_stall : bool;  (** reads at least one register, so an interlocked
                          machine may have to stall it after a load *)
@@ -50,6 +44,39 @@ val lower : int Word.t -> entry
 val of_program : Program.t -> entry array
 (** The one-time pass: lower every word of a program image.  Element [i]
     describes [code.(i)]. *)
+
+(** {2 Per-word charge}
+
+    What one execution of a word adds to the static {!Stats} fields: one
+    word and one issue cycle (one weighted cycle off the byte machine), a
+    busy or a free cycle, the nop and packed-word counts, the piece counts,
+    and its data reference.  The fast engine and the jit count executions
+    per word, and {!Cpu.stats} folds [count × charge] into the record
+    through {!Stats.charge}: this is the one summary the fold uses.  The
+    dynamic fields (taken branches, stalls, exceptions, fuel exhaustion)
+    are not in it. *)
+
+type reference =
+  | No_ref  (** no data-memory reference: a free cycle *)
+  | Load of Note.t
+      (** a load; its annotation gives the class (word or byte, character
+          or not) or marks it synthetic *)
+  | Store of Note.t
+
+type charge = {
+  nop : bool;
+  packed : bool;  (** two pieces in one word *)
+  alu_pieces : int;
+  mem_pieces : int;
+  branch_pieces : int;
+  reference : reference;
+      (** a word with a reference keeps the data port busy for its cycle;
+          [Limm] and a trap word reference nothing *)
+}
+
+val charge : int Word.t -> Note.t -> charge
+(** The charge of a word under its annotation — exactly what the reference
+    step's per-cycle accounting adds when the word completes. *)
 
 (** {2 Block structure}
 

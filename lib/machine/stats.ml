@@ -154,12 +154,32 @@ let class_for t (note : Mips_isa.Note.t) =
   | false, true -> t.byte_refs
   | true, true -> t.byte_char_refs
 
-let count_ref t ~load note =
+let add_ref t ~load note n =
   if note.Mips_isa.Note.synthetic then
-    t.synthetic_refs <- t.synthetic_refs + 1
+    t.synthetic_refs <- t.synthetic_refs + n
   else
     let c = class_for t note in
-    if load then c.loads <- c.loads + 1 else c.stores <- c.stores + 1
+    if load then c.loads <- c.loads + n else c.stores <- c.stores + n
+
+let count_ref t ~load note = add_ref t ~load note 1
+
+let charge t (c : Predecode.charge) n ~weighted =
+  t.cycles <- t.cycles + n;
+  t.words <- t.words + n;
+  if weighted then t.weighted.(0) <- t.weighted.(0) +. float_of_int n;
+  if c.Predecode.nop then t.nops <- t.nops + n;
+  if c.Predecode.packed then t.packed_words <- t.packed_words + n;
+  t.alu_pieces <- t.alu_pieces + (n * c.Predecode.alu_pieces);
+  t.mem_pieces <- t.mem_pieces + (n * c.Predecode.mem_pieces);
+  t.branch_pieces <- t.branch_pieces + (n * c.Predecode.branch_pieces);
+  match c.Predecode.reference with
+  | Predecode.No_ref -> t.free_cycles <- t.free_cycles + n
+  | Predecode.Load note ->
+      t.mem_busy_cycles <- t.mem_busy_cycles + n;
+      add_ref t ~load:true note n
+  | Predecode.Store note ->
+      t.mem_busy_cycles <- t.mem_busy_cycles + n;
+      add_ref t ~load:false note n
 
 let classes t = [ t.word_refs; t.word_char_refs; t.byte_refs; t.byte_char_refs ]
 let total_loads t = List.fold_left (fun acc c -> acc + c.loads) 0 (classes t)

@@ -16,11 +16,6 @@ let label s = Label s
 let make ?(data = []) ?(data_words = 0) ~entry lines =
   { lines; data; data_words; entry }
 
-let item_count p =
-  List.fold_left
-    (fun acc -> function Label _ -> acc | Ins _ -> acc + 1)
-    0 p.lines
-
 let pp_line ppf = function
   | Label s -> Format.fprintf ppf "%s:" s
   | Ins i -> Format.fprintf ppf "        %a" Piece.pp_sym i.piece

@@ -33,8 +33,5 @@ val label : string -> line
 val make :
   ?data:(int * Word32.t) list -> ?data_words:int -> entry:string -> line list -> program
 
-val item_count : program -> int
-(** Number of instruction pieces (labels excluded). *)
-
 val pp_line : Format.formatter -> line -> unit
 val pp : Format.formatter -> program -> unit

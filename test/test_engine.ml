@@ -155,7 +155,42 @@ let test_interleaved_steps () =
         Alcotest.failf "seed %d: interleaved stepping diverged" seed)
     [ 3; 11; 29 ]
 
-(* Self-modifying code: write_code must invalidate the compiled slot. *)
+(* Drive every engine through the same run/patch sequence on its own
+   machine and compare the statistics after each phase.  A phase runs the
+   program and then applies its patch, so the patch lands on execution
+   counts not yet folded into [Stats]: reading the statistics afterwards
+   shows whether each count was charged to the word it counted. *)
+let stats_json cpu = Json.to_string (Stats.to_json (Cpu.stats cpu))
+
+let phases_agree what program phases =
+  let drive engine =
+    let cpu = Cpu.create () in
+    Cpu.load_program cpu program;
+    List.map
+      (fun (name, patch) ->
+        Cpu.set_pc cpu program.Program.entry;
+        let res = Hosted.run ~engine cpu in
+        if not res.Hosted.halted then
+          Alcotest.failf "%s, %s: %s did not halt" what name (Cpu.engine_name engine);
+        patch cpu;
+        (name, Cpu.get_reg cpu (Mips_isa.Reg.r 2), stats_json cpu))
+      phases
+  in
+  let reference = drive Cpu.Ref in
+  List.iter
+    (fun engine ->
+      List.iter2
+        (fun (name, racc, rstats) (_, acc, stats) ->
+          let label = Printf.sprintf "%s, %s, %s" what name (Cpu.engine_name engine) in
+          check_int (label ^ ": r2") racc acc;
+          check_string (label ^ ": stats") rstats stats)
+        reference (drive engine))
+    [ Cpu.Fast; Cpu.Jit ];
+  reference
+
+(* Self-modifying code: write_code must invalidate the compiled slot, and
+   code and note writes must charge the counts already taken to the words
+   they replace. *)
 let test_write_code_invalidation () =
   let open Mips_isa in
   let cpu = Cpu.create () in
@@ -173,7 +208,56 @@ let test_write_code_invalidation () =
   Cpu.set_pc cpu 0;
   ignore (Cpu.step_fast cpu);
   ignore (Cpu.step_fast cpu);
-  check_int "r2 after patch" 9 (Cpu.get_reg cpu (Reg.r 2))
+  check_int "r2 after patch" 9 (Cpu.get_reg cpu (Reg.r 2));
+  (* a loop hot enough for the jit, 60 iterations per run, whose forward
+     branch the jit speculates not taken: it leaves by a side exit while
+     i < 40, and then runs words no step of the fast engine has run *)
+  let rr i = Operand.reg (Reg.r i) and i4 = Operand.imm4 in
+  let add a b d = Word.A (Alu.Binop (Alu.Add, a, b, Reg.r d)) in
+  let ld a d = Word.M (Mem.Load (Mem.W32, Mem.Abs a, Reg.r d)) in
+  let code =
+    [| movi 0 1; (* 0: i := 0 *)
+       movi 0 2; (* 1: acc := 0 *)
+       movi 60 3; (* 2: bound *)
+       add (rr 2) (i4 1) 2; (* 3: acc += 1, patched into a load *)
+       ld 0 4; (* 4: a load, re-annotated, then patched to fault *)
+       add (rr 1) (i4 1) 1; (* 5: i += 1 *)
+       movi 40 5; (* 6 *)
+       Word.B (Branch.Cbr (Cond.Lt, rr 1, rr 5, 10)); (* 7: while i < 40 *)
+       Word.Nop; (* 8: delay slot *)
+       add (rr 2) (i4 2) 2; (* 9: acc += 2 *)
+       Word.B (Branch.Cbr (Cond.Lt, rr 1, rr 3, 3)); (* 10 *)
+       Word.Nop; (* 11: delay slot *)
+       movi 0 10; (* 12: exit status *)
+       Word.B (Branch.Trap Monitor.exit_) (* 13 *) |]
+  in
+  let program = Program.make ~data:[ (0, 5); (1, 7) ] code in
+  let note ~char_data ?synthetic () =
+    Note.make ?synthetic ~char_data ~byte_sized:false ()
+  in
+  let reference =
+    phases_agree "write_code" program
+      [ ("heat", ignore);
+        ("steady, then an ALU word becomes a load",
+         fun cpu -> Cpu.write_code cpu 3 (ld 1 2));
+        ("patched, then the load is character data",
+         fun cpu -> Cpu.write_note cpu 4 (note ~char_data:true ()));
+        ("char, then the load is synthetic",
+         fun cpu -> Cpu.write_note cpu 4 (note ~char_data:false ~synthetic:true ()));
+        (* out of range from i = 40, once the loop runs as a trace again *)
+        ("synthetic, then a load faults mid-trace",
+         fun cpu ->
+           let far = (Cpu.config cpu).Cpu.dmem_words - 40 in
+           Cpu.write_code cpu 4
+             (Word.M (Mem.Load (Mem.W32, Mem.Disp (Reg.r 1, far), Reg.r 4))));
+        ("faulted, then the program is loaded again",
+         fun cpu -> Cpu.load_program cpu program);
+        ("reloaded", ignore) ]
+  in
+  let accs = List.map (fun (_, acc, _) -> acc) reference in
+  if accs <> [ 102; 102; 9; 9; 9; 7; 102 ] then
+    Alcotest.failf "write_code: unexpected r2 sequence %s"
+      (String.concat "," (List.map string_of_int accs))
 
 (* The kernel under the fast engine: quantum interrupts, demand paging and
    monitor traps all force reference-path cycles mid-run; scheduling and
@@ -202,11 +286,12 @@ let test_kernel_differential () =
 (* --- trace-JIT specific tests ---------------------------------------------- *)
 
 (* A hot loop compiled into a trace, then patched — once in the middle of
-   the compiled body, once at its entry.  The write must invalidate the
-   trace ([Cpu.write_code] consults the coverage map), so the machine
-   behaves as if the trace never existed.  The oracle is a reference
-   machine driven through the identical heat/patch/rerun sequence; the
-   expected accumulator values are also asserted directly. *)
+   the compiled body, once at its entry — and finally loaded again.  The
+   write must invalidate the trace ([Cpu.write_code] consults the coverage
+   map), so the machine behaves as if the trace never existed.  The oracle
+   is a reference machine driven through the identical heat/patch/rerun
+   sequence, beside the fast engine; the expected accumulator values are
+   also asserted directly. *)
 let test_jit_smc_hot_block () =
   let open Mips_isa in
   let movi8 c d = Word.A (Alu.Movi8 (c, Reg.r d)) in
@@ -225,81 +310,99 @@ let test_jit_smc_hot_block () =
        movi8 0 10; (* 8: exit status *)
        Word.B (Branch.Trap Monitor.exit_) (* 9 *) |]
   in
-  let drive engine =
-    let cpu = Cpu.create () in
-    Cpu.load_program cpu (Program.make code);
-    let go () =
-      Cpu.set_pc cpu 0;
-      let res = Hosted.run ~engine cpu in
-      check "smc run halted" true res.Hosted.halted;
-      ( Cpu.get_reg cpu (Mips_isa.Reg.r 2),
-        Json.to_string (Stats.to_json (Cpu.stats cpu)) )
-    in
-    let heat = go () in
-    let steady = go () in
-    (* patch inside the compiled body, not at its entry *)
-    Cpu.write_code cpu 4 (add (rr 2) (i4 5) 2);
-    let mid = go () in
-    (* patch the trace entry itself *)
-    Cpu.write_code cpu 3 (movi8 9 2);
-    let entry = go () in
-    [ heat; steady; mid; entry ]
+  let program = Program.make code in
+  let reference =
+    phases_agree "smc" program
+      [ ("heat", ignore);
+        (* patch inside the compiled body, not at its entry *)
+        ("steady, then a mid-trace patch",
+         fun cpu -> Cpu.write_code cpu 4 (add (rr 2) (i4 5) 2));
+        (* patch the trace entry itself *)
+        ("mid-trace patched, then an entry patch",
+         fun cpu -> Cpu.write_code cpu 3 (movi8 9 2));
+        ("entry patched, then the program is loaded again",
+         fun cpu -> Cpu.load_program cpu program);
+        ("reloaded", ignore) ]
   in
-  let ref_runs = drive Cpu.Ref and jit_runs = drive Cpu.Jit in
-  (match jit_runs with
-  | [ (a, _); (b, _); (c, _); (d, _) ] ->
+  match List.map (fun (_, acc, _) -> acc) reference with
+  | [ a; b; c; d; e ] ->
       check_int "acc after heat" 600 a;
       check_int "acc steady-state" 600 b;
       check_int "acc after mid-trace patch" 1200 c;
-      check_int "acc after entry patch" 14 d
-  | _ -> assert false);
-  List.iteri
-    (fun i ((racc, rstats), (jacc, jstats)) ->
-      check_int (Printf.sprintf "smc run %d acc" i) racc jacc;
-      check_string (Printf.sprintf "smc run %d stats" i) rstats jstats)
-    (List.combine ref_runs jit_runs)
+      check_int "acc after entry patch" 14 d;
+      check_int "acc after reload" 600 e
+  | _ -> assert false
 
-(* Checkpoint/resume under the jit engine: interrupt a run mid-flight,
-   restore the snapshot on a fresh machine (empty trace cache), resume
-   under jit, and the completed run must be bit-identical to an
-   uninterrupted reference run. *)
+(* Checkpoint/resume under the fast and jit engines: slice a run at every
+   [every] steps, reading the statistics at each boundary (each read folds
+   the pending counts), and the boundary readings and the completed run
+   must equal a sliced reference run's and an uninterrupted one's.  Then
+   restore the first boundary's snapshot on a fresh machine (empty code
+   caches), resume, and the completed run must be bit-identical to the
+   uninterrupted reference run.  The programs loop hot enough for the jit
+   and run tens of thousands of words, so both slice widths cross many
+   boundaries. *)
 let test_jit_checkpoint_resume () =
   let module Snapshot = Mips_resilience.Snapshot in
   List.iter
-    (fun seed ->
-      let program = Mips_reorg.Pipeline.compile (Progen.generate ~seed ()) in
+    (fun name ->
+      let e = Mips_corpus.Corpus.find name in
+      let input = e.Mips_corpus.Corpus.input in
+      let program = Mips_codegen.Compile.compile e.Mips_corpus.Corpus.source in
       let uninterrupted =
         let cpu = Cpu.create () in
-        let res = Hosted.run_program_on ~fuel:200_000 ~engine:Cpu.Ref cpu program in
+        let res =
+          Hosted.run_program_on ~fuel:200_000 ~input ~engine:Cpu.Ref cpu program
+        in
         (snapshot cpu res, Snapshot.machine_to_string cpu)
       in
-      let saved = ref None in
-      let cpu = Cpu.create () in
-      Cpu.load_program cpu program;
-      let _first =
-        Hosted.run ~fuel:200_000 ~engine:Cpu.Jit
-          ~checkpoint:
-            ( 5_000,
-              fun h ->
-                if !saved = None then
-                  saved := Some (h, Snapshot.machine_to_string cpu) )
-          cpu
+      let sliced ~every engine =
+        let saved = ref None and readings = ref [] in
+        let cpu = Cpu.create () in
+        Cpu.load_program cpu program;
+        let res =
+          Hosted.run ~fuel:200_000 ~input ~engine
+            ~checkpoint:
+              ( every,
+                fun h ->
+                  readings := stats_json cpu :: !readings;
+                  if !saved = None then
+                    saved := Some (h, Snapshot.machine_to_string cpu) )
+            cpu
+        in
+        ((snapshot cpu res, Snapshot.machine_to_string cpu), List.rev !readings, !saved)
       in
-      match !saved with
-      | None -> ()  (* program finished before the first boundary *)
-      | Some (h, machine) -> (
-          let cpu' = Cpu.create () in
-          match Snapshot.restore_machine cpu' machine with
-          | Error e -> Alcotest.fail (Snapshot.error_to_string e)
-          | Ok () ->
-              let res =
-                Hosted.run ~fuel:h.Hosted.h_fuel_left ~resume:h ~engine:Cpu.Jit
-                  cpu'
+      List.iter
+        (fun every ->
+          let _, ref_readings, _ = sliced ~every Cpu.Ref in
+          List.iter
+            (fun engine ->
+              let what =
+                Printf.sprintf "%s, %s every %d" name (Cpu.engine_name engine) every
               in
-              let got = (snapshot cpu' res, Snapshot.machine_to_string cpu') in
-              if got <> uninterrupted then
-                Alcotest.failf "seed %d: jit resume diverged from reference" seed))
-    [ 7; 19; 41 ]
+              let final, readings, saved = sliced ~every engine in
+              if readings <> ref_readings then
+                Alcotest.failf "%s: boundary statistics differ from ref" what;
+              if final <> uninterrupted then
+                Alcotest.failf "%s: sliced run diverged from reference" what;
+              match saved with
+              | None -> Alcotest.failf "%s: no boundary crossed" what
+              | Some (h, machine) -> (
+                  let cpu' = Cpu.create () in
+                  Cpu.load_program cpu' program;
+                  match Snapshot.restore_machine cpu' machine with
+                  | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+                  | Ok () ->
+                      let res =
+                        Hosted.run ~fuel:h.Hosted.h_fuel_left ~input ~resume:h
+                          ~engine cpu'
+                      in
+                      let got = (snapshot cpu' res, Snapshot.machine_to_string cpu') in
+                      if got <> uninterrupted then
+                        Alcotest.failf "%s: resume diverged from reference" what))
+            [ Cpu.Fast; Cpu.Jit ])
+        [ 5_000; 97 ])
+    [ "sieve"; "strops" ]
 
 (* Steady-state allocation: on a warm machine, one run's minor-heap words
    divided by the instruction words it executed.  The fast engine's

@@ -226,16 +226,16 @@ let prop_predecode_piece_counts =
   QCheck2.Test.make ~name:"predecode: piece counts and classification"
     ~count:1000 Gen.piece (fun p ->
       let w = word_of_piece p in
-      let e = Predecode.lower w in
+      let c = Predecode.charge w Note.plain in
       let count f = List.length (List.filter f (Word.pieces w)) in
-      e.Predecode.alu_pieces
+      c.Predecode.alu_pieces
         = count (function Piece.Alu _ -> true | _ -> false)
-      && e.Predecode.mem_pieces
+      && c.Predecode.mem_pieces
          = count (function Piece.Mem _ -> true | _ -> false)
-      && e.Predecode.branch_pieces
+      && c.Predecode.branch_pieces
          = count (function Piece.Branch _ -> true | _ -> false)
-      && e.Predecode.is_nop = (match Word.pieces w with [] -> true | _ -> false)
-      && e.Predecode.refs_memory = Word.references_memory w)
+      && c.Predecode.nop = (match Word.pieces w with [] -> true | _ -> false)
+      && (c.Predecode.reference <> Predecode.No_ref) = Word.references_memory w)
 
 let prop_predecode_hazard_flags =
   QCheck2.Test.make ~name:"predecode: hazard flags" ~count:2000 Gen.word
@@ -244,7 +244,7 @@ let prop_predecode_hazard_flags =
       e.Predecode.may_stall = not (Reg.Set.is_empty (Word.reads w))
       && e.Predecode.is_trap
          = (match Word.branch w with Some (Branch.Trap _) -> true | _ -> false)
-      && e.Predecode.packed
+      && (Predecode.charge w Note.plain).Predecode.packed
          = (match w with Word.AM _ | Word.AB _ -> true | _ -> false)
       (* every memory reference, trap, privileged or overflow-capable op
          must be in the guarded (may_fault) class *)

@@ -99,6 +99,8 @@ let dirty ~config ~engine ~seed (_, program, input) =
 
 let assert_pristine what (got : Cpu.t) (fresh : Cpu.t) =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  if got.Cpu.xlive <> [] || got.Cpu.jit_live <> [] then
+    fail "execution counts survived";
   if Snapshot.machine_to_string got <> Snapshot.machine_to_string fresh then
     fail "machine state differs from a fresh machine";
   if got.Cpu.imem <> fresh.Cpu.imem then fail "instruction memory not cleared";
