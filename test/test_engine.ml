@@ -162,6 +162,22 @@ let test_interleaved_steps () =
    shows whether each count was charged to the word it counted. *)
 let stats_json cpu = Json.to_string (Stats.to_json (Cpu.stats cpu))
 
+(* The architectural state a phase leaves behind: registers, PC chain,
+   EPCs, the surprise register, a hash of data memory and the fault the
+   run stopped on. *)
+let machine_state cpu (res : Hosted.result) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let p0, p1, p2 = Cpu.pc_chain cpu in
+  Printf.sprintf "regs %s; pc %d,%d,%d; epcs %s; sr %d; dmem %d; fault %s"
+    (ints (List.init 16 (fun i -> Cpu.get_reg cpu (Mips_isa.Reg.of_int i))))
+    p0 p1 p2
+    (ints (List.init 3 (Cpu.epc cpu)))
+    (Surprise.to_word (Cpu.surprise cpu))
+    (hash_dmem cpu (Cpu.config cpu).Cpu.dmem_words)
+    (match res.Hosted.fault with
+    | Some (c, d) -> Printf.sprintf "%s/%d" (Cause.name c) d
+    | None -> "none")
+
 let phases_agree what program phases =
   let drive engine =
     let cpu = Cpu.create () in
@@ -172,17 +188,19 @@ let phases_agree what program phases =
         let res = Hosted.run ~engine cpu in
         if not res.Hosted.halted then
           Alcotest.failf "%s, %s: %s did not halt" what name (Cpu.engine_name engine);
+        let state = machine_state cpu res in
         patch cpu;
-        (name, Cpu.get_reg cpu (Mips_isa.Reg.r 2), stats_json cpu))
+        (name, Cpu.get_reg cpu (Mips_isa.Reg.r 2), state, stats_json cpu))
       phases
   in
   let reference = drive Cpu.Ref in
   List.iter
     (fun engine ->
       List.iter2
-        (fun (name, racc, rstats) (_, acc, stats) ->
+        (fun (name, racc, rstate, rstats) (_, acc, state, stats) ->
           let label = Printf.sprintf "%s, %s, %s" what name (Cpu.engine_name engine) in
           check_int (label ^ ": r2") racc acc;
+          check_string (label ^ ": state") rstate state;
           check_string (label ^ ": stats") rstats stats)
         reference (drive engine))
     [ Cpu.Fast; Cpu.Jit ];
@@ -254,10 +272,145 @@ let test_write_code_invalidation () =
          fun cpu -> Cpu.load_program cpu program);
         ("reloaded", ignore) ]
   in
-  let accs = List.map (fun (_, acc, _) -> acc) reference in
+  let accs = List.map (fun (_, acc, _, _) -> acc) reference in
   if accs <> [ 102; 102; 9; 9; 9; 7; 102 ] then
     Alcotest.failf "write_code: unexpected r2 sequence %s"
       (String.concat "," (List.map string_of_int accs))
+
+(* A hot loop that reaches what the generated programs cannot: every ALU
+   operation with register and immediate operands (Progen emits no
+   division), every word addressing mode on a load and a store (Progen
+   emits only absolute and displacement addresses), the compare+branch
+   and load+use pairs the jit fuses, a packed ALU+load word, and faults
+   raised in the middle of a compiled trace (Progen never overflows).  The
+   loop runs [n] times per phase, past the jit's hot threshold, so from
+   the second phase on the whole run after the prologue is trace
+   execution; the fault phases stop inside it. *)
+let test_hot_trace_shapes () =
+  let open Mips_isa in
+  let rr i = Operand.reg (Reg.r i) and i4 = Operand.imm4 in
+  let alu a = Word.A a in
+  let binop op x y d = alu (Alu.Binop (op, x, y, Reg.r d)) in
+  let fold r = binop Alu.Xor (rr 2) (rr r) 2 in (* acc ^= r *)
+  let movi c d = alu (Alu.Movi8 (c, Reg.r d)) in
+  let load a d = Mem.Load (Mem.W32, a, Reg.r d) in
+  let ld a d = Word.M (load a d) in
+  let st s a = Word.M (Mem.Store (Mem.W32, Reg.r s, a)) in
+  let ops = Alu.[ Add; Sub; Rsub; And; Or; Xor; Sll; Srl; Sra; Mul; Div; Rem ] in
+  let n = 80 and loop = 9 in
+  let dmem_words = (Cpu.config (Cpu.create ())).Cpu.dmem_words in
+  (* r0 = i - 64 (negative until the last iterations), r1 = i, r2 = acc,
+     r3 = n - i, r4 = 64 (read-only array), r5 = the indexed load's base
+     (data word 1), r6 = an operation's result, r8 = (i land 15) + 1
+     (never zero), r11 = a loaded divisor, r12 = 256 (acc after each
+     iteration, so no difference cancels out of the xor folds), r13 =
+     1024 (store area), r15 = 0x7fff_fff0 (r15 + i overflows from i = 16);
+     the byte insert's lane is 2.  No operation but that one addition
+     overflows. *)
+  let prologue =
+    [ movi 0 1; movi 0 2; movi n 3; movi 64 4;
+      ld (Mem.Abs 1) 5;
+      Word.M (Mem.Limm (256, Reg.r 12));
+      Word.M (Mem.Limm (1024, Reg.r 13));
+      Word.M (Mem.Limm (0x7fff_fff0, Reg.r 15));
+      alu (Alu.Wr_special (Alu.Byte_select, i4 2)) ]
+  in
+  let body =
+    List.concat
+      [ [ binop Alu.And (rr 1) (i4 15) 9; binop Alu.Add (rr 9) (i4 1) 8;
+          binop Alu.Sub (rr 1) (rr 4) 0 ];
+        List.concat_map (fun op -> [ binop op (rr 0) (rr 8) 6; fold 6 ]) ops;
+        (* register-immediate, each behind a load it does not read: the
+           load+use pairs *)
+        List.concat
+          (List.mapi
+             (fun j op ->
+               [ ld (Mem.Abs (64 + j)) 7; binop op (rr 0) (i4 3) 6; fold 6 ])
+             ops);
+        List.concat_map
+          (fun op -> [ binop op (i4 5) (rr 8) 6; fold 6 ])
+          Alu.[ Sub; Rsub; Sll; Div ];
+        (* each value below is folded exactly once, a loaded one only
+           after the load's delay slot *)
+        [ fold 7;
+          alu (Alu.Mov (rr 0, Reg.r 6)); alu (Alu.Ibyte (rr 1, Reg.r 6)); fold 6;
+          alu (Alu.Setc (Cond.Lt, rr 1, i4 7, Reg.r 6)); fold 6;
+          movi 200 6; fold 6;
+          (* the same shapes behind a load; the byte insert overwrites the
+             load's own destination, so the load's write is dead *)
+          ld (Mem.Abs 80) 7; alu (Alu.Mov (i4 9, Reg.r 6)); fold 6;
+          ld (Mem.Abs 81) 7; alu (Alu.Xbyte (rr 9, rr 7, Reg.r 6)); fold 6;
+          ld (Mem.Abs 82) 7; alu (Alu.Ibyte (rr 0, Reg.r 7)); fold 7;
+          (* one load per addressing mode; the indexed one, behind an ALU
+             word and before a load, compiles to a single fragment *)
+          ld (Mem.Idx (Reg.r 5, Reg.r 1)) 10;
+          ld (Mem.Disp (Reg.r 4, 5)) 7;
+          ld (Mem.Shifted (Reg.r 4, Reg.r 1, 1)) 11;
+          fold 10; fold 7;
+          ld (Mem.Scaled (Reg.r 4, Reg.r 9, 2)) 10;
+          binop Alu.Div (rr 1) (rr 11) 6; fold 6; fold 10;
+          (* one store per addressing mode *)
+          st 2 (Mem.Abs 2000);
+          st 6 (Mem.Disp (Reg.r 13, 3));
+          st 7 (Mem.Shifted (Reg.r 13, Reg.r 1, 2));
+          st 10 (Mem.Scaled (Reg.r 13, Reg.r 9, 2));
+          Word.AM
+            ( Alu.Binop (Alu.Add, rr 1, i4 2, Reg.r 6),
+              load (Mem.Disp (Reg.r 4, 9)) 7 );
+          fold 6; fold 7;
+          binop Alu.Add (rr 15) (rr 1) 10; fold 10;
+          st 2 (Mem.Idx (Reg.r 12, Reg.r 1));
+          binop Alu.Add (rr 1) (i4 1) 1;
+          binop Alu.Sub (rr 3) (i4 1) 3;
+          (* r14 = 1 > n - i, feeding the loop branch: the cmp+branch pair *)
+          alu (Alu.Setc (Cond.Gt, i4 1, rr 3, Reg.r 14));
+          Word.B (Branch.Cbr (Cond.Eq, rr 14, i4 0, loop));
+          Word.Nop ] ]
+  in
+  let code =
+    Array.of_list
+      (prologue @ body @ [ movi 0 10; Word.B (Branch.Trap Monitor.exit_) ])
+  in
+  let program =
+    Program.make
+      ~data:((1, 64) :: List.init 136 (fun k -> (64 + k, (k mod 13) + 1)))
+      code
+  in
+  let reference =
+    phases_agree "hot trace shapes" program
+      [ ("heat", ignore);
+        ("steady, then overflow traps are enabled",
+         fun cpu ->
+           Cpu.set_surprise cpu
+             { (Cpu.surprise cpu) with Surprise.ovf_enable = true });
+        ("overflow mid-trace, then a zero divisor at i = 40",
+         fun cpu ->
+           Cpu.set_surprise cpu Surprise.reset;
+           Cpu.write_data cpu (64 + 20) 0);
+        ("division by zero mid-trace, then the indexed load runs out of \
+          range at i = 30",
+         fun cpu ->
+           Cpu.write_data cpu (64 + 20) ((20 mod 13) + 1);
+           Cpu.write_data cpu 1 (dmem_words - 30));
+        ("out-of-range load mid-trace, then restored",
+         fun cpu -> Cpu.write_data cpu 1 64);
+        ("restored", ignore) ]
+  in
+  let faults =
+    List.map
+      (fun (_, _, state, _) ->
+        let i = String.rindex state ' ' in
+        String.sub state (i + 1) (String.length state - i - 1))
+      reference
+  in
+  check_string "faults"
+    "none,none,Overflow/0,Overflow/1,Illegal/1,none"
+    (String.concat "," faults);
+  match List.map (fun (_, acc, _, _) -> acc) reference with
+  | [ a; b; _; _; _; f ] ->
+      check_int "acc steady = heat" a b;
+      check_int "acc restored = heat" a f
+  | _ -> assert false
 
 (* The kernel under the fast engine: quantum interrupts, demand paging and
    monitor traps all force reference-path cycles mid-run; scheduling and
@@ -324,7 +477,7 @@ let test_jit_smc_hot_block () =
          fun cpu -> Cpu.load_program cpu program);
         ("reloaded", ignore) ]
   in
-  match List.map (fun (_, acc, _) -> acc) reference with
+  match List.map (fun (_, acc, _, _) -> acc) reference with
   | [ a; b; c; d; e ] ->
       check_int "acc after heat" 600 a;
       check_int "acc steady-state" 600 b;
@@ -452,6 +605,8 @@ let suite =
       [ tc_slow "56 seeds x 4 variants, all engines" test_differential;
         tc "interleaved step/step_fast" test_interleaved_steps;
         tc "write_code invalidates compiled slot" test_write_code_invalidation;
+        tc "hot trace: every ALU op, address mode and mid-trace fault"
+          test_hot_trace_shapes;
         tc "kernel scheduling identical" test_kernel_differential;
         tc "jit: SMC patch of hot compiled block" test_jit_smc_hot_block;
         tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume;
