@@ -45,44 +45,9 @@
 open Cmdliner
 module Supervise = Mips_resilience.Supervise
 
-let read_source path =
-  if Sys.file_exists path then In_channel.with_open_text path In_channel.input_all
-  else
-    match Mips_corpus.Corpus.find path with
-    | e -> e.Mips_corpus.Corpus.source
-    | exception Not_found ->
-        Printf.eprintf "mipsc: no such file or corpus program: %s\n" path;
-        exit Exit_code.usage
+open Compile_args
 
-let config_of ~byte ~early_out =
-  let base =
-    if byte then Mips_ir.Config.byte_machine else Mips_ir.Config.default
-  in
-  if early_out then
-    { base with Mips_ir.Config.bool_strategy = Mips_ir.Config.Early_out }
-  else base
-
-let level_of = function
-  | 0 -> Mips_reorg.Pipeline.Naive
-  | 1 -> Mips_reorg.Pipeline.Reorganized
-  | 2 -> Mips_reorg.Pipeline.Packed
-  | _ -> Mips_reorg.Pipeline.Delay_filled
-
-(* common flags *)
-let file_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Source file or corpus program name.")
-
-let byte_flag =
-  Arg.(value & flag & info [ "byte-addressed" ] ~doc:"Target the byte-addressed comparison machine.")
-
-let early_flag =
-  Arg.(value & flag & info [ "early-out" ] ~doc:"Early-out boolean evaluation instead of set-conditionally.")
-
-let level_flag =
-  Arg.(value & opt int 3 & info [ "O" ] ~docv:"N" ~doc:"Postpass level 0-3 (none/reorganize/pack/branch-delay).")
-
-let input_flag =
-  Arg.(value & opt string "" & info [ "input" ] ~docv:"TEXT" ~doc:"Input stream for the getchar monitor call.")
+let read_source = read_source ~prog:"mipsc"
 
 let stats_flag = Arg.(value & flag & info [ "stats" ] ~doc:"Print execution statistics.")
 
@@ -290,7 +255,7 @@ let run_cmd =
       fault_seed fault_rate engine fuel jobs checkpoint checkpoint_every
       resume host_trace remote tenant =
     apply_jobs jobs;
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.of_flags ~byte ~early_out in
     let src = read_source file in
     (match remote with
     | Some socket ->
@@ -334,7 +299,7 @@ let run_cmd =
     let sp = Mips_obs.Span.lane tracer 0 in
     let res, cpu =
       if checkpoint = None && resume = None && host_trace = None then
-        Mips_codegen.Compile.run_with_machine ~config ~level:(level_of level)
+        Mips_codegen.Compile.run_with_machine ~config ~level:(Mips_reorg.Pipeline.of_rank level)
           ~fuel ~input ~trace:trace_sink ?fault_plan ~engine src
       else if checkpoint = None && resume = None then begin
         (* host-traced twin of [Compile.run_with_machine]: identical phases,
@@ -342,7 +307,7 @@ let run_cmd =
            simulate *)
         let program =
           Mips_obs.Span.with_ sp "compile" (fun () ->
-              Mips_codegen.Compile.compile ~config ~level:(level_of level) src)
+              Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level) src)
         in
         let cpu =
           Mips_machine.Cpu.create
@@ -382,7 +347,7 @@ let run_cmd =
         in
         let program =
           Mips_obs.Span.with_ sp "compile" (fun () ->
-              Mips_codegen.Compile.compile ~config ~level:(level_of level) src)
+              Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level) src)
         in
         let cpu =
           Mips_machine.Cpu.create
@@ -483,9 +448,9 @@ let run_cmd =
 
 let compile_cmd =
   let compile file byte early_out level =
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.of_flags ~byte ~early_out in
     let p =
-      Mips_codegen.Compile.compile ~config ~level:(level_of level)
+      Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level)
         (read_source file)
     in
     Format.printf "%a@." Mips_machine.Program.pp_listing p;
@@ -496,7 +461,7 @@ let compile_cmd =
 
 let asm_cmd =
   let asm file byte early_out =
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.of_flags ~byte ~early_out in
     let a = Mips_codegen.Compile.to_asm ~config (read_source file) in
     Format.printf "%a@." Mips_reorg.Asm.pp a
   in
@@ -505,7 +470,7 @@ let asm_cmd =
 
 let levels_cmd =
   let levels file byte =
-    let config = config_of ~byte ~early_out:false in
+    let config = Mips_ir.Config.of_flags ~byte ~early_out:false in
     let asm = Mips_codegen.Compile.to_asm ~config (read_source file) in
     List.iter
       (fun level ->
@@ -521,7 +486,7 @@ let levels_cmd =
 
 let profile_cmd =
   let profile file byte early_out level input top json =
-    let config = config_of ~byte ~early_out in
+    let config = Mips_ir.Config.of_flags ~byte ~early_out in
     let src = read_source file in
     let input =
       if input = "" then
@@ -532,7 +497,7 @@ let profile_cmd =
     in
     let obs = Mips_obs.Metrics.create () in
     let _program =
-      Mips_codegen.Compile.compile_profiled ~config ~level:(level_of level) ~obs
+      Mips_codegen.Compile.compile_profiled ~config ~level:(Mips_reorg.Pipeline.of_rank level) ~obs
         src
     in
     (* execute raw program-order code on the hardware-interlock comparison
@@ -626,7 +591,7 @@ let profile_cmd =
   let profile_run_cmd =
     let prun file byte early_out level interlock input engine fuel hot flame
         speedscope json host_trace =
-      let config = config_of ~byte ~early_out in
+      let config = Mips_ir.Config.of_flags ~byte ~early_out in
       let src = read_source file in
       let input =
         if input = "" then
@@ -646,7 +611,7 @@ let profile_cmd =
             if interlock then
               Mips_reorg.Pipeline.compile_raw
                 (Mips_codegen.Compile.to_asm ~config src)
-            else Mips_codegen.Compile.compile ~config ~level:(level_of level) src)
+            else Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level) src)
       in
       let machine_config =
         let c = Mips_codegen.Compile.machine_config config in

@@ -30,15 +30,9 @@ module Tenants = Mips_daemon.Tenants
 module Protocol = Mips_daemon.Protocol
 module Frame = Mips_daemon.Frame
 
-let read_source path =
-  if Sys.file_exists path then
-    In_channel.with_open_text path In_channel.input_all
-  else
-    match Mips_corpus.Corpus.find path with
-    | e -> e.Mips_corpus.Corpus.source
-    | exception Not_found ->
-        Printf.eprintf "mipsd: no such file or corpus program: %s\n" path;
-        exit Exit_code.usage
+open Compile_args
+
+let read_source = read_source ~prog:"mipsd"
 
 (* --- common flags ------------------------------------------------------------ *)
 
@@ -64,35 +58,6 @@ let session_flag =
           "Name a resumable session: the daemon checkpoints the work under \
            its state directory and a killed-and-restarted daemon finishes \
            it bit-identically ($(b,mipsd collect) fetches the result).")
-
-let file_arg =
-  Arg.(
-    required & pos 0 (some string) None
-    & info [] ~docv:"FILE" ~doc:"Source file or corpus program name.")
-
-let byte_flag =
-  Arg.(
-    value & flag
-    & info [ "byte-addressed" ]
-        ~doc:"Target the byte-addressed comparison machine.")
-
-let early_flag =
-  Arg.(
-    value & flag
-    & info [ "early-out" ]
-        ~doc:"Early-out boolean evaluation instead of set-conditionally.")
-
-let level_flag =
-  Arg.(
-    value & opt int 3
-    & info [ "O" ] ~docv:"N"
-        ~doc:"Postpass level 0-3 (none/reorganize/pack/branch-delay).")
-
-let input_flag =
-  Arg.(
-    value & opt string ""
-    & info [ "input" ] ~docv:"TEXT"
-        ~doc:"Input stream for the getchar monitor call.")
 
 let engine_flag =
   Arg.(

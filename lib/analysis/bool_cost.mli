@@ -15,7 +15,6 @@ type support =
   | Cc_branch_early  (** same hardware, early-out evaluation *)
 
 val support_name : support -> string
-val all_supports : support list
 
 type per_operator = {
   static_classes : Snippets.classes;  (** per added operator, static *)

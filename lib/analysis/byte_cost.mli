@@ -19,15 +19,12 @@ type op =
   | Store_word
 
 val op_name : op -> string
-val all_ops : op list
 
 type op_cost = {
   byte_machine : float;  (** native byte addressing, no overhead *)
   byte_machine_overhead : float;  (** with the 15 % fetch overhead *)
   word_machine : float;  (** MIPS insert/extract sequences *)
 }
-
-val overhead_pct : float
 
 val table9 : unit -> (op * op_cost) list
 

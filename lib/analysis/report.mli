@@ -33,14 +33,10 @@ val prepare_supervised :
     identical to {!prepare}'s. *)
 
 val table1 : Format.formatter -> unit
-val table2 : Format.formatter -> unit
 val table3 : Format.formatter -> unit
 val table4 : Format.formatter -> unit
 val table5 : Format.formatter -> unit
 val table6 : Format.formatter -> unit
-
-val table7 : ?include_heavy:bool -> Format.formatter -> unit
-val table8 : ?include_heavy:bool -> Format.formatter -> unit
 
 val table9 : Format.formatter -> unit
 val table10 : ?include_heavy:bool -> Format.formatter -> unit
@@ -51,10 +47,6 @@ val figure4 : Format.formatter -> unit
 
 val free_cycles : ?include_heavy:bool -> Format.formatter -> unit
 (** Section 3.1's free-memory-cycle measurement. *)
-
-val context_switches : Format.formatter -> unit
-(** Section 3.2: context-switch traffic and the map-untouched property,
-    measured on a small multi-programmed OS run. *)
 
 val hotspots : ?top:int -> Format.formatter -> unit
 (** Ranked hot-block tables for the kernel-workload programs, profiled on

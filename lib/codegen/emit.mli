@@ -15,8 +15,6 @@
 
 open Mips_ir
 
-val emit_func : Config.t -> Ir.func -> Regalloc.t -> Mips_reorg.Asm.line list
-
 val emit_program : Config.t -> Irgen.result -> Mips_reorg.Asm.program
 (** All functions (the program body first, entry ["$main"]), plus the
     layout's initialized data. *)

@@ -26,12 +26,6 @@ val request : t -> Protocol.request -> (Protocol.response, Frame.error) result
 val close : t -> unit
 (** Idempotent. *)
 
-val set_deadline : t -> float -> unit
-(** Arm [SO_RCVTIMEO]/[SO_SNDTIMEO] on the connection: a read or write
-    stalled past the budget fails with the typed {!Frame.Timed_out}
-    instead of blocking forever.  Clamped to a minimal positive value so
-    "no time left" fails fast rather than disarming the timer. *)
-
 val with_connection :
   string -> (t -> ('a, string) result) -> ('a, string) result
 (** Connect, run, close (also on exception). *)

@@ -193,22 +193,12 @@ let remove_session_files t id exts =
 (* --- job bodies ------------------------------------------------------------- *)
 
 let config_of { Protocol.byte; early_out; level = _ } =
-  let base =
-    if byte then Mips_ir.Config.byte_machine else Mips_ir.Config.default
-  in
-  if early_out then
-    { base with Mips_ir.Config.bool_strategy = Mips_ir.Config.Early_out }
-  else base
-
-let level_of = function
-  | 0 -> Mips_reorg.Pipeline.Naive
-  | 1 -> Mips_reorg.Pipeline.Reorganized
-  | 2 -> Mips_reorg.Pipeline.Packed
-  | _ -> Mips_reorg.Pipeline.Delay_filled
+  Mips_ir.Config.of_flags ~byte ~early_out
 
 let compile_job ~source ~cg () =
   let config = config_of cg in
-  let p = Mips_artifact.compiled ~config ~level:(level_of cg.Protocol.level) source in
+  let level = Mips_reorg.Pipeline.of_rank cg.Protocol.level in
+  let p = Mips_artifact.compiled ~config ~level source in
   Protocol.Listing
     (Format.asprintf "%a@.; %d instruction words@." Mips_machine.Program.pp_listing
        p
@@ -223,7 +213,7 @@ let compile_job ~source ~cg () =
 let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
   let quota = Tenants.quota t.tenants in
   let config = config_of cg in
-  let level = level_of cg.Protocol.level in
+  let level = Mips_reorg.Pipeline.of_rank cg.Protocol.level in
   let program = Mips_artifact.compiled ~config ~level source in
   Cpu.with_machine ~config:(Mips_codegen.Compile.machine_config config)
   @@ fun cpu ->

@@ -93,15 +93,9 @@ val request_stop : t -> unit
 (** Begin shutdown: new billable requests are refused with
     [Shutting_down].  Idempotent; also triggered by a [Shutdown] frame. *)
 
-val stop_requested : t -> bool
-
 val wait_stopped : t -> unit
 (** Block until {!request_stop} (or a [Shutdown] frame, or {!stop}). *)
 
 val stop : ?drain:bool -> t -> unit
 (** Drain in-flight work (up to [config.drain_s]; [~drain:false] skips the
     grace period), stop the workers, close and unlink the socket. *)
-
-val status_json : t -> Mips_obs.Json.t
-(** What a [Status] request returns: admission counters, tenant/breaker
-    states, session table, request counters and latency histograms. *)

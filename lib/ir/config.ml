@@ -26,5 +26,11 @@ let byte_machine =
   (* same physical data size: 2^18 words = 2^20 bytes *)
   { default with target = Byte_addressed; stack_top = 0xFFFC0 }
 
+(* The configuration the command-line flags select: the byte machine or
+   the default one, with early-out booleans on request. *)
+let of_flags ~byte ~early_out =
+  let base = if byte then byte_machine else default in
+  if early_out then { base with bool_strategy = Early_out } else base
+
 (* Address unit of a word: 1 on the word machine, 4 on the byte machine. *)
 let word_units t = match t.target with Word_addressed -> 1 | Byte_addressed -> 4

@@ -20,10 +20,6 @@ type result = {
 
 val lower : Config.t -> Tast.program -> result
 
-val entry_label : string -> string
-(** The code label of a function ("f$" ^ name; the program body is
-    ["$main"]). *)
-
 val trap_codes : (string * int) list
 (** The monitor-call codes this generator emits, by name — kept equal to
     [Mips_machine.Monitor]'s (checked by a test; this library does not

@@ -48,7 +48,4 @@ val to_code : t -> int
 val of_code : int -> t
 (** @raise Invalid_argument outside [0, 15]. *)
 
-val mnemonic : t -> string
-(** Short assembler suffix, e.g. ["eq"], ["ltu"]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -37,6 +37,12 @@
      rematerializes the in-flight delayed load before re-raising into the
      dispatch loop.
 
+   A trace runs the fast engine's value closures: its ALU and branch pieces
+   come from [Cpu.compile_alu] and [Cpu.compile_branch].  Only the
+   pinned-state word address and the one-closure direct fragments are
+   compiled here, because prototypes without them measured slower (see
+   "Compute closures" below).
+
    The dispatch loop and the compiled closures allocate nothing per
    executed instruction: recursion replaces ref cells, scalar scratch
    fields replace tuples, and the only allocations happen at compile time
@@ -207,28 +213,29 @@ let scan t entry_pc =
   go entry_pc 0 []
 
 (* ------------------------------------------------------------------ *)
-(* Flat compute closures.
+(* Compute closures.
 
-   [Cpu.compile_alu] and [Cpu.compile_mem] assemble their closures out of
-   nested operand closures — with the fragment's own call that is three or
-   four indirect calls per word.  Inside a trace the machine state is
-   pinned (kernel mode, mapping off, word addressing), so the common
-   shapes flatten into a single closure over direct register-file reads:
-   operands become a compile-time (is-register, payload) pair tested with
-   one predictable conditional, address translation is the identity, and
-   the bounds check inlines to one comparison.  The flattened closures are
-   drop-in replacements for the [Cpu.ax]/[Cpu.mx]/[Cpu.bx] shapes, so the
-   fragment generators below are oblivious to which compiler produced
-   them.
+   A trace's value closures are the fast engine's: ALU pieces come from
+   [Cpu.compile_alu] and branch pieces from [Cpu.compile_branch], each one
+   flat closure over direct register-file reads, so the fragment
+   generators below run exactly the piece semantics [Cpu.step_fast] runs.
+   Two shapes stay local, because inside a trace the machine state is
+   pinned (kernel mode, mapping off, word addressing) and measured
+   prototypes that dropped them were slower on guest_jit:
 
-   [fpure] additionally marks ALU computes that cannot raise under the
-   pinned state; a word whose every piece is pure skips the [jit_k]
+   - [flat_addr_w]/[flat_mx], the pinned-state word address: translation
+     is the identity and the bounds check one comparison.  Routing trace
+     loads and stores through [Cpu.compile_mem] instead made the p50
+     latency 118.5 -> 131.9 ms (medians of 4 rotations, slower in 4 of 4).
+   - The one-closure direct fragments [flat_alu_frag], [flat_load_frag]
+     and [flat_store_frag], which fold compute, fault bookkeeping and
+     commit into a single call.  Building the load and store fragments
+     from [flat_addr_w] (two calls per word) read 110.2 -> 122.7 ms over 6
+     rotations; dropping every direct fragment read 110.2 -> 121.0 ms.
+
+   The purity bit marks ALU computes that cannot raise under the pinned
+   state; a word whose every piece is pure skips the [jit_k]
    recovery-bookkeeping store. *)
-
-let ovf t = if t.sr.Surprise.ovf_enable then raise (Fault (Cause.Overflow, 0))
-let op_rd = function
-  | Operand.R r -> (true, Reg.to_int r)
-  | Operand.I4 n -> (false, n)
 
 (* Wrapping arithmetic can only trap through the overflow enable; division
    traps on a zero divisor regardless.  Everything else is total. *)
@@ -236,91 +243,17 @@ let binop_pure = function
   | Alu.Add | Alu.Sub | Alu.Rsub | Alu.Mul | Alu.Div | Alu.Rem -> false
   | Alu.And | Alu.Or | Alu.Xor | Alu.Sll | Alu.Srl | Alu.Sra -> true
 
-let flat_binop op x y =
-  let xk, xv = op_rd x and yk, yv = op_rd y in
-  let[@inline] rda t = if xk then Array.unsafe_get t.regs xv else xv in
-  let[@inline] rdb t = if yk then Array.unsafe_get t.regs yv else yv in
-  match op with
-  | Alu.Add ->
-      fun t ->
-        let a = rda t and b = rdb t in
-        if Word32.add_overflows a b then ovf t;
-        Word32.add a b
-  | Alu.Sub ->
-      fun t ->
-        let a = rda t and b = rdb t in
-        if Word32.sub_overflows a b then ovf t;
-        Word32.sub a b
-  | Alu.Rsub ->
-      fun t ->
-        let a = rda t and b = rdb t in
-        if Word32.sub_overflows b a then ovf t;
-        Word32.sub b a
-  | Alu.And -> fun t -> Word32.logand (rda t) (rdb t)
-  | Alu.Or -> fun t -> Word32.logor (rda t) (rdb t)
-  | Alu.Xor -> fun t -> Word32.logxor (rda t) (rdb t)
-  | Alu.Sll -> fun t -> Word32.shift_left (rda t) (rdb t)
-  | Alu.Srl -> fun t -> Word32.shift_right_logical (rda t) (rdb t)
-  | Alu.Sra -> fun t -> Word32.shift_right_arith (rda t) (rdb t)
-  | Alu.Mul ->
-      fun t ->
-        let a = rda t and b = rdb t in
-        if Word32.mul_overflows a b then ovf t;
-        Word32.mul a b
-  | Alu.Div ->
-      fun t ->
-        let a = rda t and b = rdb t in
-        if b = 0 then raise (Fault (Cause.Overflow, 1)) else Word32.sdiv a b
-  | Alu.Rem ->
-      fun t ->
-        let a = rda t and b = rdb t in
-        if b = 0 then raise (Fault (Cause.Overflow, 1)) else Word32.srem a b
-
-(* flat ALU piece: the [Cpu.ax] shape plus the purity bit *)
-let flat_alu a =
-  match a with
-  | Alu.Binop (op, x, y, d) ->
-      (AXreg (Reg.to_int d, flat_binop op x y), binop_pure op)
-  | Alu.Setc (c, x, y, d) ->
-      let xk, xv = op_rd x and yk, yv = op_rd y in
-      ( AXreg
-          ( Reg.to_int d,
-            fun t ->
-              let a = if xk then Array.unsafe_get t.regs xv else xv
-              and b = if yk then Array.unsafe_get t.regs yv else yv in
-              if Cond.eval c a b then 1 else 0 ),
-        true )
-  | Alu.Mov (Operand.R x, d) ->
-      let x = Reg.to_int x in
-      (AXreg (Reg.to_int d, fun t -> Array.unsafe_get t.regs x), true)
-  | Alu.Mov (Operand.I4 n, d) -> (AXreg (Reg.to_int d, fun _ -> n), true)
-  | Alu.Movi8 (c, d) -> (AXreg (Reg.to_int d, fun _ -> c), true)
-  | Alu.Xbyte (p, w, d) ->
-      let pk, pv = op_rd p and wk, wv = op_rd w in
-      ( AXreg
-          ( Reg.to_int d,
-            fun t ->
-              let p = if pk then Array.unsafe_get t.regs pv else pv
-              and w = if wk then Array.unsafe_get t.regs wv else wv in
-              Word32.get_byte w (p land 3) ),
-        true )
-  | Alu.Ibyte (s, d) ->
-      let sk, sv = op_rd s and d = Reg.to_int d in
-      ( AXreg
-          ( d,
-            fun t ->
-              let s = if sk then Array.unsafe_get t.regs sv else sv in
-              Word32.set_byte (Array.unsafe_get t.regs d) (t.byte_select land 3) s ),
-        true )
-  | Alu.Rd_special _ | Alu.Wr_special _ | Alu.Rfe ->
-      (* Rd_special reads live machine state the flat layer does not model;
-         Wr_special/Rfe never reach here ([pieces_ok]). *)
-      (compile_alu a, false)
-
+(* the word's ALU piece and its purity bit; [Rd_special] reads live machine
+   state, and [Wr_special]/[Rfe] never reach a trace ([pieces_ok]) *)
 let flat_ax e =
   match e.Predecode.alu with
   | None -> (AXnone, true)
-  | Some a -> flat_alu a
+  | Some a ->
+      ( compile_alu a,
+        match a with
+        | Alu.Binop (op, _, _, _) -> binop_pure op
+        | Alu.Mov _ | Alu.Movi8 _ | Alu.Setc _ | Alu.Xbyte _ | Alu.Ibyte _ -> true
+        | Alu.Rd_special _ | Alu.Wr_special _ | Alu.Rfe -> false )
 
 (* flat effective address for the pinned state: translation is the
    identity, the bounds check is one comparison raising the reference
@@ -377,19 +310,19 @@ let flat_alu_frag ~k a =
             fun t ->
               t.jit_k <- k;
               let a = rda t and b = rdb t in
-              if Word32.add_overflows a b then ovf t;
+              if Word32.add_overflows a b then overflow_trap t;
               Array.unsafe_set t.regs d (Word32.add a b)
         | Alu.Sub ->
             fun t ->
               t.jit_k <- k;
               let a = rda t and b = rdb t in
-              if Word32.sub_overflows a b then ovf t;
+              if Word32.sub_overflows a b then overflow_trap t;
               Array.unsafe_set t.regs d (Word32.sub a b)
         | Alu.Rsub ->
             fun t ->
               t.jit_k <- k;
               let a = rda t and b = rdb t in
-              if Word32.sub_overflows b a then ovf t;
+              if Word32.sub_overflows b a then overflow_trap t;
               Array.unsafe_set t.regs d (Word32.sub b a)
         | Alu.And ->
             fun t -> Array.unsafe_set t.regs d (Word32.logand (rda t) (rdb t))
@@ -412,7 +345,7 @@ let flat_alu_frag ~k a =
             fun t ->
               t.jit_k <- k;
               let a = rda t and b = rdb t in
-              if Word32.mul_overflows a b then ovf t;
+              if Word32.mul_overflows a b then overflow_trap t;
               Array.unsafe_set t.regs d (Word32.mul a b)
         | Alu.Div ->
             fun t ->
@@ -552,18 +485,6 @@ let flat_mx cfg e =
   | Some (Mem.Store (Mem.W32, s, a)) when not cfg.byte_addressed ->
       MXstore_w (Reg.to_int s, flat_addr_w ~dmem_words:cfg.dmem_words a)
   | m -> compile_mem cfg m
-
-let flat_bx e =
-  match e.Predecode.branch with
-  | Some (Branch.Cbr (c, x, y, tgt)) ->
-      let xk, xv = op_rd x and yk, yv = op_rd y in
-      BXcbr
-        ( (fun t ->
-            let a = if xk then Array.unsafe_get t.regs xv else xv
-            and b = if yk then Array.unsafe_get t.regs yv else yv in
-            Cond.eval c a b),
-          tgt )
-  | b -> compile_branch b
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time tracking of the delayed-load latch.
@@ -862,7 +783,7 @@ let compile t entry_pc =
       let mx = flat_mx t.cfg e in
       let ax, ax_pure = flat_ax e in
       if !k = n then begin
-        let bx = flat_bx e in
+        let bx = compile_branch e.Predecode.branch in
         let frag, p' = gen_term ~pc:p_term ~k:!k ~pend_in:!pend mx ax bx in
         frag_list := frag :: !frag_list;
         pend := p';
@@ -876,7 +797,7 @@ let compile t entry_pc =
             (* speculated conditional: evaluate the condition and park it
                for the slot's check; predicted not-taken, so the in-line
                path does nothing else *)
-            (match flat_bx e with
+            (match compile_branch e.Predecode.branch with
             | BXcbr (f, _) ->
                 let pf = pend_frag !pend mx ax in
                 frag_list :=
@@ -1304,8 +1225,7 @@ let run ?(fuel = 10_000_000) t handler =
     end
     else if
       eligible
-      && not (t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line
-             || t.prof_on)
+      && quiet t
       && (match (t.sr.Surprise.priv, t.sr.Surprise.map_enable) with
          | Surprise.Kernel, false -> true
          | _ -> false)

@@ -26,9 +26,6 @@
 val hot_threshold : int
 (** Executions of an entry pc before its block is compiled (32). *)
 
-val max_trace_words : int
-(** Upper bound on a trace's straight-line length in words (64). *)
-
 val run :
   ?fuel:int ->
   Mips_machine.Cpu.t ->

@@ -1089,10 +1089,9 @@ let step t =
    [step_fast_quiet] counts the completed word and [fold] charges it.
 
    The closures are only ever run from [step_fast], which falls back to
-   [step] for any cycle where tracing, fault injection, an armed flaky
-   reference, the interrupt line or profiling could observe or perturb the
-   step.  Faults still escape as exceptions and reach the shared
-   [dispatch]. *)
+   [step] for any cycle that is not [quiet] (something could observe or
+   perturb the step).  Faults still escape as exceptions and reach the
+   shared [dispatch]. *)
 
 let user_priv_check t =
   if Surprise.equal_privilege t.sr.priv Surprise.User then
@@ -1130,41 +1129,54 @@ type br_exec =
   | BXjalind of int * int  (* target register, link register *)
   | BXtrap of int
 
-let compile_operand = function
-  | Operand.R r ->
-      let r = Reg.to_int r in
-      fun t -> t.regs.(r)
-  | Operand.I4 n -> fun _ -> n
+(* An operand resolved at compile time into an (is-register, payload)
+   pair, so a piece reads it inside its one closure with one predictable
+   test.  [Reg.t] is 0-15 by construction, so the register read needs no
+   bounds check. *)
+let op_rd = function
+  | Operand.R r -> (true, Reg.to_int r)
+  | Operand.I4 n -> (false, n)
 
-let compile_binop op =
+let[@inline] read_op t k v = if k then Array.unsafe_get t.regs v else v
+
+let compile_binop op x y =
+  let xk, xv = op_rd x and yk, yv = op_rd y in
   match op with
   | Alu.Add ->
-      fun t a b ->
+      fun t ->
+        let a = read_op t xk xv and b = read_op t yk yv in
         if Word32.add_overflows a b then overflow_trap t;
         Word32.add a b
   | Alu.Sub ->
-      fun t a b ->
+      fun t ->
+        let a = read_op t xk xv and b = read_op t yk yv in
         if Word32.sub_overflows a b then overflow_trap t;
         Word32.sub a b
   | Alu.Rsub ->
-      fun t a b ->
+      fun t ->
+        let a = read_op t xk xv and b = read_op t yk yv in
         if Word32.sub_overflows b a then overflow_trap t;
         Word32.sub b a
-  | Alu.And -> fun _ a b -> Word32.logand a b
-  | Alu.Or -> fun _ a b -> Word32.logor a b
-  | Alu.Xor -> fun _ a b -> Word32.logxor a b
-  | Alu.Sll -> fun _ a b -> Word32.shift_left a b
-  | Alu.Srl -> fun _ a b -> Word32.shift_right_logical a b
-  | Alu.Sra -> fun _ a b -> Word32.shift_right_arith a b
+  | Alu.And -> fun t -> Word32.logand (read_op t xk xv) (read_op t yk yv)
+  | Alu.Or -> fun t -> Word32.logor (read_op t xk xv) (read_op t yk yv)
+  | Alu.Xor -> fun t -> Word32.logxor (read_op t xk xv) (read_op t yk yv)
+  | Alu.Sll -> fun t -> Word32.shift_left (read_op t xk xv) (read_op t yk yv)
+  | Alu.Srl ->
+      fun t -> Word32.shift_right_logical (read_op t xk xv) (read_op t yk yv)
+  | Alu.Sra ->
+      fun t -> Word32.shift_right_arith (read_op t xk xv) (read_op t yk yv)
   | Alu.Mul ->
-      fun t a b ->
+      fun t ->
+        let a = read_op t xk xv and b = read_op t yk yv in
         if Word32.mul_overflows a b then overflow_trap t;
         Word32.mul a b
   | Alu.Div ->
-      fun _ a b ->
+      fun t ->
+        let a = read_op t xk xv and b = read_op t yk yv in
         if b = 0 then raise (Fault (Cause.Overflow, 1)) else Word32.sdiv a b
   | Alu.Rem ->
-      fun _ a b ->
+      fun t ->
+        let a = read_op t xk xv and b = read_op t yk yv in
         if b = 0 then raise (Fault (Cause.Overflow, 1)) else Word32.srem a b
 
 let compile_alu a =
@@ -1176,30 +1188,35 @@ let compile_alu a =
     else f
   in
   match a with
-  | Alu.Binop (op, x, y, d) ->
-      let f = compile_binop op
-      and gx = compile_operand x
-      and gy = compile_operand y in
-      AXreg (Reg.to_int d, wrap (fun t -> f t (gx t) (gy t)))
-  | Alu.Mov (x, d) -> AXreg (Reg.to_int d, wrap (compile_operand x))
+  | Alu.Binop (op, x, y, d) -> AXreg (Reg.to_int d, wrap (compile_binop op x y))
+  | Alu.Mov (x, d) ->
+      let xk, xv = op_rd x in
+      AXreg (Reg.to_int d, wrap (fun t -> read_op t xk xv))
   | Alu.Movi8 (c, d) -> AXreg (Reg.to_int d, wrap (fun _ -> c))
   | Alu.Setc (c, x, y, d) ->
-      let gx = compile_operand x and gy = compile_operand y in
+      let xk, xv = op_rd x and yk, yv = op_rd y in
       AXreg
-        (Reg.to_int d, wrap (fun t -> if Cond.eval c (gx t) (gy t) then 1 else 0))
+        ( Reg.to_int d,
+          wrap (fun t ->
+              if Cond.eval c (read_op t xk xv) (read_op t yk yv) then 1 else 0) )
   | Alu.Xbyte (p, w, d) ->
-      let gp = compile_operand p and gw = compile_operand w in
-      AXreg (Reg.to_int d, wrap (fun t -> Word32.get_byte (gw t) (gp t land 3)))
+      let pk, pv = op_rd p and wk, wv = op_rd w in
+      AXreg
+        ( Reg.to_int d,
+          wrap (fun t ->
+              Word32.get_byte (read_op t wk wv) (read_op t pk pv land 3)) )
   | Alu.Ibyte (s, d) ->
-      let gs = compile_operand s in
-      let d = Reg.to_int d in
+      let sk, sv = op_rd s and d = Reg.to_int d in
       AXreg
         ( d,
           wrap (fun t ->
-              Word32.set_byte t.regs.(d) (t.byte_select land 3) (gs t)) )
+              Word32.set_byte (Array.unsafe_get t.regs d)
+                (t.byte_select land 3) (read_op t sk sv)) )
   | Alu.Rd_special (s, d) ->
       AXreg (Reg.to_int d, wrap (fun t -> read_special t s))
-  | Alu.Wr_special (s, x) -> AXspecial (s, wrap (compile_operand x))
+  | Alu.Wr_special (s, x) ->
+      let xk, xv = op_rd x in
+      AXspecial (s, wrap (fun t -> read_op t xk xv))
   | Alu.Rfe -> AXrfe (* privilege checked by the engine at compute time *)
 
 let compile_addr = function
@@ -1264,8 +1281,8 @@ let compile_mem (cfg : config) m =
 let compile_branch = function
   | None -> BXnone
   | Some (Branch.Cbr (c, x, y, target)) ->
-      let gx = compile_operand x and gy = compile_operand y in
-      BXcbr ((fun t -> Cond.eval c (gx t) (gy t)), target)
+      let xk, xv = op_rd x and yk, yv = op_rd y in
+      BXcbr ((fun t -> Cond.eval c (read_op t xk xv) (read_op t yk yv)), target)
   | Some (Branch.Jump target) -> BXjump target
   | Some (Branch.Jal (target, link)) -> BXjal (target, Reg.to_int link)
   | Some (Branch.Jind r) -> BXjind (Reg.to_int r)
@@ -1528,12 +1545,17 @@ let jit_register t tl =
       if t.xcode.(p).code == stale_code then ignore (compile_slot t p))
     tl.tl_pcs
 
-(* One fast-engine cycle.  Quiet-path preconditions: no tracing, no fault
-   injection, no armed flaky reference, interrupt line low, no profiling.
-   Any of them arming routes this cycle through the reference [step] —
-   cycle-for-cycle, so the two engines can interleave freely mid-run.  A
-   completed word (a trap included) bumps its slot's execution count, the
-   one statistics write the closures leave to this loop. *)
+(* The quiet path's precondition: no tracing, no fault injection, no armed
+   flaky reference, interrupt line low, no profiling.  Any of them arming
+   routes a cycle through the reference [step] — cycle-for-cycle, so the
+   engines can interleave freely mid-run.  The jit's dispatch loop tests
+   the same predicate. *)
+let[@inline] quiet t =
+  not (t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line || t.prof_on)
+
+(* One fast-engine cycle on the quiet path.  A completed word (a trap
+   included) bumps its slot's execution count, the one statistics write
+   the closures leave to this loop. *)
 let step_fast_quiet t =
   (* pre-step PC chain, kept in locals so the sequential-EPC tuple is
      only materialised on the (rare) fault-dispatch path *)
@@ -1562,10 +1584,7 @@ let step_fast_quiet t =
       x.runs <- x.runs + 1;
       dispatch t Cause.Trap code ~epcs:(t.p1, t.p2, t.p2 + 1)
 
-let step_fast t =
-  if t.trace_on || t.inject_on || t.flaky_armed || t.interrupt_line || t.prof_on
-  then step t
-  else step_fast_quiet t
+let step_fast t = if quiet t then step_fast_quiet t else step t
 
 (* ---------------------------------------------------------------------- *)
 

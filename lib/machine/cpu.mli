@@ -421,15 +421,15 @@ exception Trap_dispatch of int
 (** A [Trap] reached during the compute phase.  Unlike {!Fault}, the trap
     word completes: the engine that catches this counts its cycle. *)
 
-val translate_word : t -> Pagemap.space -> write:bool -> int -> int
-(** Virtual-to-physical word translation under the current privilege and
-    mapping state; raises {!Fault} (latching {!fault_kind}) on misses. *)
+val quiet : t -> bool
+(** No tracing, fault injection, armed flaky reference, raised interrupt
+    line or profiling: the precondition of every compiled path.  A cycle
+    where it is false runs on the reference {!step}, so the observers see
+    it exactly as they would under [Ref]. *)
 
-val data_bounds_check : t -> int -> unit
-(** Raises [Fault (Illegal, 1)] when the physical word is out of range. *)
-
-val commit_pending : t -> unit
-(** Land the delayed-load latch ([pend_r]/[pend_v]) into the register file. *)
+val overflow_trap : t -> unit
+(** Raises [Fault (Overflow, 0)] when the surprise register enables
+    overflow traps; called by a piece whose arithmetic overflowed. *)
 
 val dispatch : t -> Cause.t -> int -> epcs:int * int * int -> event
 (** Accept an exception: commit the pending load, save the given chain into
@@ -465,6 +465,16 @@ type br_exec =
   | BXjind of int  (** target register *)
   | BXjalind of int * int  (** target register, link register *)
   | BXtrap of int
+
+val op_rd : Operand.t -> bool * int
+(** An operand resolved at compile time: [(true, r)] reads register [r],
+    [(false, n)] is the immediate [n]. *)
+
+(** The piece compilers.  The fast engine's word closures and the jit's
+    trace fragments are both built from them, so each piece's semantics
+    is compiled in one place.  An ALU piece and a conditional branch's
+    test are each one flat closure: operands resolved through {!op_rd},
+    read straight from the register file, no nested operand closures. *)
 
 val compile_alu : Alu.t -> alu_exec
 val compile_mem : config -> Mem.t option -> mem_exec

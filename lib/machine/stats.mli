@@ -67,9 +67,6 @@ val merge : t -> t -> t
 val count_exception : t -> Cause.t -> unit
 val exception_count : t -> Cause.t -> int
 
-val exceptions_sorted : t -> (Cause.t * int) list
-(** Per-cause counts, most frequent first (ties by cause order). *)
-
 val record_stall_pair : t -> producer_pc:int -> consumer_pc:int -> unit
 (** Charge one load-use stall cycle to an instruction pair. *)
 

@@ -77,8 +77,6 @@ val equal : t -> t -> bool
 val kind_name : t -> string
 (** The discriminator used in the JSON encoding ("issue", "stall", ...). *)
 
-val delay_slot_name : delay_slot_kind -> string
-
 val pp : Format.formatter -> t -> unit
 (** One human-readable line per event (the [--trace-format=text] rendering). *)
 

@@ -53,12 +53,6 @@ val ring_contents : ring -> Event.t list
 
 (** {2 Textual sinks} *)
 
-val formatter : Format.formatter -> t
-(** One human-readable line per event. *)
-
-val jsonl_channel : out_channel -> t
-(** One JSON object per line. *)
-
 val jsonl_buffer : Buffer.t -> t
 
 type format = Text | Jsonl

@@ -53,7 +53,6 @@ type kill_reason =
           this space's pool (or the backing store is full) *)
 
 val kill_reason_name : kill_reason -> string
-val kill_reason_detail : kill_reason -> int
 
 val max_procs : int
 (** Process-table capacity: [2^mask_bits = 256], the pid field's worth. *)

@@ -22,11 +22,7 @@ type block = {
   b_shadow : int;
 }
 
-val block_cycles : block -> int
-
 type pair_kind = Cmp_branch | Load_use
-
-val pair_kind_name : pair_kind -> string
 
 type pair = {
   p_at : int;  (** address of the first word of the pair *)

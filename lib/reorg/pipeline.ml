@@ -12,6 +12,12 @@ let level_name = function
 
 let rank = function Naive -> 0 | Reorganized -> 1 | Packed -> 2 | Delay_filled -> 3
 
+let of_rank = function
+  | 0 -> Naive
+  | 1 -> Reorganized
+  | 2 -> Packed
+  | _ -> Delay_filled
+
 let pack_terminator (sb : Sblock.t) =
   (* A synthetic mid-block label at or past the end of the body (created by
      the loop-duplication delay scheme) enters the block just before the

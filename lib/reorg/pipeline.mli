@@ -21,6 +21,10 @@ val rank : level -> int
     compact cache-key component for callers that memoize per-level
     artifacts. *)
 
+val of_rank : int -> level
+(** The level of a rank, as the [-O] flag and the daemon's requests give
+    it; every rank above 2 (and below 0) is [Delay_filled]. *)
+
 val compile : ?level:level -> Asm.program -> Mips_machine.Program.t
 (** Run the postpass at the given level (default [Delay_filled]) and
     assemble.  The result is hazard-free by construction at every level. *)

@@ -52,8 +52,6 @@ val differential :
     the default keeps the historical "reorganized-fast" names.
     Defaults: [flaky_rate = 0.01], [irq_rate = 0.005]. *)
 
-val diff_json : diff -> Mips_obs.Json.t
-
 (** Aggregate result of a multi-process kernel soak run. *)
 type summary = {
   seed : int;
