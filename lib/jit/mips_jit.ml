@@ -220,8 +220,8 @@ let scan t entry_pc =
    flat closure over direct register-file reads, so the fragment
    generators below run exactly the piece semantics [Cpu.step_fast] runs.
    Two shapes stay local, because inside a trace the machine state is
-   pinned (kernel mode, mapping off, word addressing) and measured
-   prototypes that dropped them were slower on guest_jit:
+   pinned (kernel mode, mapping off, word addressing) and prototypes that
+   dropped them were slower on the guest_jit benchmark (2-vCPU host):
 
    - [flat_addr_w]/[flat_mx], the pinned-state word address: translation
      is the identity and the bounds check one comparison.  Routing trace

@@ -470,11 +470,13 @@ val op_rd : Operand.t -> bool * int
 (** An operand resolved at compile time: [(true, r)] reads register [r],
     [(false, n)] is the immediate [n]. *)
 
-(** The piece compilers.  The fast engine's word closures and the jit's
-    trace fragments are both built from them, so each piece's semantics
-    is compiled in one place.  An ALU piece and a conditional branch's
-    test are each one flat closure: operands resolved through {!op_rd},
-    read straight from the register file, no nested operand closures. *)
+(** The piece compilers.  The fast engine's word closures are built from
+    them, and so are the jit's ALU and branch fragments, so the ALU and
+    branch-condition semantics are compiled in one place (the jit keeps
+    only its pinned-state word address and direct fragments).  An ALU
+    piece and a conditional branch's test are each one flat closure:
+    operands resolved through {!op_rd} and read straight from the
+    register file, with no nested operand closures. *)
 
 val compile_alu : Alu.t -> alu_exec
 val compile_mem : config -> Mem.t option -> mem_exec
