@@ -5,7 +5,8 @@
    match, the quiet-path flag tests, the fetch translation and bounds check,
    the closure-cache load, the execution count and the three-deep PC chain
    update.  A trace hoists all of that out of the block body: per-PC
-   hotness counters detect a hot entry, the straight-line word sequence from
+   hotness counts, kept with the trace in the entry slot's [Cpu.xword],
+   detect a hot entry, the straight-line word sequence from
    there (through at most one terminating branch and its delay slots) is
    compiled into one closure, and the dispatch loop runs whole blocks per
    iteration.  Inside the body only the semantic work remains — a trace
@@ -149,7 +150,7 @@ let scan t entry_pc =
                   when e.Predecode.alu = None && e.Predecode.mem = None
                        && delay = 1 && tgt >= 0 && tgt < limit && tgt > pc
                        && i + 2 < max_trace_words
-                       && Bytes.unsafe_get t.jit_nospec pc = '\000' ->
+                       && not t.xcode.(pc).nospec ->
                     (* forward conditional: speculate not-taken and keep
                        scanning the fall-through; backward conditionals
                        (loop edges) stay terminators so the spin-loop
@@ -996,10 +997,11 @@ let compile t entry_pc =
       gexits.(g) <- ex;
       if ex >= 16 && ex * 2 >= tally.tl_runs + !sides then begin
         tally.tl_dead <- true;
-        Bytes.unsafe_set t.jit_nospec gpc '\001';
-        t.jit_code.(entry_pc) <- jit_stale;
-        t.jit_len.(entry_pc) <- 0;
-        t.jit_counts.(entry_pc) <- hot_threshold - 1
+        t.xcode.(gpc).nospec <- true;
+        let x = t.xcode.(entry_pc) in
+        x.tcode <- jit_stale;
+        x.tlen <- 0;
+        x.hot <- hot_threshold - 1
       end;
       fuel - consumed
     in
@@ -1202,8 +1204,9 @@ let compile t entry_pc =
           mat_pend t;
           fuel - len
     in
-    t.jit_code.(entry_pc) <- code;
-    t.jit_len.(entry_pc) <- len;
+    let x = Cpu.slot t entry_pc in
+    x.tcode <- code;
+    x.tlen <- len;
     jit_register t tally;
     true
   end
@@ -1216,7 +1219,6 @@ let compile t entry_pc =
    state only — the steady-state loop allocates nothing. *)
 
 let run ?(fuel = 10_000_000) t handler =
-  jit_arm t;
   let eligible = (not t.cfg.interlock) && not t.cfg.byte_addressed in
   let rec loop fuel =
     if fuel <= 0 then begin
@@ -1239,11 +1241,10 @@ let run ?(fuel = 10_000_000) t handler =
            about to execute, so no straight-line trace applies *)
         step_once fuel
       else
-      let f = t.jit_code.(pc) in
-      if f != jit_stale then begin
-        let len = t.jit_len.(pc) in
-        if fuel >= len then
-          match f t fuel with
+      let x = t.xcode.(pc) in
+      if x.tcode != jit_stale then begin
+        if fuel >= x.tlen then
+          match x.tcode t fuel with
           | fuel' -> chain fuel'
           | exception Fault (cause, detail) ->
               let consumed = t.jit_k in
@@ -1253,13 +1254,22 @@ let run ?(fuel = 10_000_000) t handler =
         else step_once fuel
       end
       else begin
-        let c = t.jit_counts.(pc) + 1 in
-        if c >= hot_threshold then begin
-          if compile t pc then t.jit_counts.(pc) <- 0
-          else t.jit_counts.(pc) <- min_int (* ineligible: never retry *)
+        let x = Cpu.slot t pc in
+        let c = x.hot + 1 in
+        if c < hot_threshold then begin
+          x.hot <- c;
+          step_once fuel
         end
-        else t.jit_counts.(pc) <- c;
-        step_once fuel
+        else if compile t pc then begin
+          (* enter the new trace at once, so the loop's later pcs do not
+             reach the threshold in this iteration and get suffix traces *)
+          x.hot <- 0;
+          loop fuel
+        end
+        else begin
+          x.hot <- min_int (* ineligible: never retry *);
+          step_once fuel
+        end
       end
     end
     else step_once fuel
@@ -1275,11 +1285,10 @@ let run ?(fuel = 10_000_000) t handler =
       let pc = t.p0 in
       if pc >= 0 && pc < t.cfg.imem_words && t.p1 = pc + 1 && t.p2 = pc + 2
       then begin
-        let f = t.jit_code.(pc) in
-        if f != jit_stale then begin
-          let len = t.jit_len.(pc) in
-          if fuel >= len then
-            match f t fuel with
+        let x = t.xcode.(pc) in
+        if x.tcode != jit_stale then begin
+          if fuel >= x.tlen then
+            match x.tcode t fuel with
             | fuel' -> chain fuel'
             | exception Fault (cause, detail) ->
                 let consumed = t.jit_k in

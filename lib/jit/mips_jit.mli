@@ -1,23 +1,26 @@
 (** Trace-JIT execution engine ([--engine=jit]).
 
-    A third engine over the same machine state: per-PC hotness counters
+    A third engine over the same machine state: per-PC hotness counts
     detect hot basic blocks; at {!hot_threshold} executions the
     straight-line superblock from that entry (through at most one
-    terminating branch and its delay slots, up to {!max_trace_words} words)
-    is compiled into a single fused closure.  PC and delayed-load latch
-    bookkeeping are hoisted out of the block body, statistics are applied
-    once per block from precomputed sums, cmp+branch and load+use pairs are
-    fused into single fragments, and a conditional branch back to its own
-    entry makes the loop spin inside the closure.
+    terminating branch and its delay slots) is compiled into a single
+    fused closure, which is entered at once.  PC and delayed-load latch
+    bookkeeping are hoisted out of the block body, a trace counts its runs
+    and the statistics fold charges them to its words, cmp+branch and
+    load+use pairs are fused into single fragments, and a conditional
+    branch back to its own entry makes the loop spin inside the closure.
 
     Traces exist only for the default machine configuration (no interlocks,
     word-addressed) executing in kernel mode with mapping off; everything
     else — other configurations, user mode, tracing, profiling, fault
     injection, pending interrupts, traps, and cold code — runs through
     {!Mips_machine.Cpu.step_fast}, so the jit engine degrades to the fast
-    engine rather than diverging.  The trace cache is invalidated through
-    the {!Mips_machine.Cpu.write_code} path (self-modifying code) and reset
-    on {!Mips_machine.Cpu.load_program}.
+    engine rather than diverging.  A trace's per-pc state lives in its
+    entry slot's {!Mips_machine.Cpu.xword}.  A trace is invalidated when a
+    word of its body is written, by {!Mips_machine.Cpu.write_code}
+    (self-modifying code) or by {!Mips_machine.Cpu.load_program}, which
+    leaves traces over words it does not reload in place;
+    {!Mips_machine.Cpu.reset} drops them all.
 
     The equivalence contract is the fast engine's, unchanged: bit-identical
     architectural state and {!Mips_machine.Stats} versus the reference

@@ -109,10 +109,10 @@ type t = {
   mutable prev_word : int Word.t;
   (* taken-branch shadow countdown; maintained only while tracing *)
   mutable delay_pending : int;
-  (* fast engine: per-word compiled closures, kept in sync with [imem]
-     ([stale_code] marks a slot whose word changed since it was last
-     compiled), and their execution counts; [xlive] lists every slot's
-     [xword] the fold visits, each once *)
+  (* one [xword] per instruction slot, holding every compiled engine's
+     state for it, kept in sync with [imem] ([stale_code] marks a slot
+     whose word changed since it was last compiled); [xlive] lists every
+     slot's record the fold visits, each once *)
   xcode : xword array;
   mutable xlive : xword list;
   (* fast-engine scratch slots: compute-phase results parked here so the
@@ -129,35 +129,37 @@ type t = {
   mutable prof_on : bool;
   mutable prof : profile;
   mutable prof_fetch : int;
-  (* trace-JIT engine state, armed lazily by the jit run loop (lib/jit) and
-     empty otherwise.  [jit_code] holds one compiled-trace closure per entry
-     pc (fuel in, fuel remaining out); [jit_len] its straight-line length in
-     words; [jit_counts] the per-PC hotness counters; [jit_cover] maps every
-     imem address back to the tallies of the traces whose compiled body
-     includes it, so a code write can invalidate exactly the traces it
-     affects; [jit_live] holds the tallies the fold has still to visit.
-     [jit_k] and [jit_pv] are fault-recovery scratch: the body index reached
-     and the in-flight delayed-load value of the trace being executed. *)
-  mutable jit_on : bool;
-  mutable jit_code : (t -> int -> int) array;
-  mutable jit_len : int array;
-  mutable jit_counts : int array;
-  mutable jit_cover : tally list array;
+  (* trace-JIT scratch: [jit_live] holds the tallies of the compiled
+     traces the fold has still to visit (each trace's per-pc state lives in
+     its entry slot's [xword]); [jit_k] and [jit_pv] are fault-recovery
+     scratch: the body index reached and the in-flight delayed-load value
+     of the trace being executed. *)
   mutable jit_live : tally list;
-  mutable jit_nospec : Bytes.t;
   mutable jit_k : int;
   mutable jit_pv : int;
 }
 
-(* One slot's compiled closure and the executions it has not yet had
-   folded into [stats] (see [fold]): bumped by the fast engine once per
-   completed word, and by the jit for trace prefixes and at the fold.  A
-   slot keeps its record from its first compile until [reset]; a code
-   write swaps the closure back to [stale_code]. *)
+(* One instruction slot's state for every compiled engine.  The fast engine
+   reads [code] and [runs]: the slot's compiled closure and the executions
+   it has not yet had folded into [stats] (see [fold]), bumped once per
+   completed word, and by the jit for trace prefixes and at the fold.  The
+   jit keeps its per-pc state here too: [tcode] is the trace entered at
+   this pc (fuel in, fuel remaining out; [jit_stale] when none) and [tlen]
+   its straight-line length in words, [hot] the entry's hotness count,
+   [cover] the tallies of the live traces whose body includes this word
+   (so a code write invalidates exactly the traces it affects) and
+   [nospec] marks a branch whose speculation kept failing (traces compiled
+   later end at it).  A slot keeps its record from its first compile until
+   [reset]; a code write swaps [code] back to [stale_code]. *)
 and xword = {
   mutable code : t -> unit;
-  slot : int;
   mutable runs : int;
+  slot : int;
+  mutable tcode : t -> int -> int;
+  mutable tlen : int;
+  mutable hot : int;
+  mutable cover : tally list;
+  mutable nospec : bool;
 }
 
 and fault_kind =
@@ -167,16 +169,18 @@ and fault_kind =
 
 type event = Stepped | Dispatched of Cause.t
 
+(* Jit-engine sentinel: marks a slot with no compiled trace.  Recognized
+   with [==]; returns its fuel untouched if ever called. *)
+let jit_stale (_ : t) (fuel : int) = fuel
+
 (* Fast-engine sentinel: marks an [xcode] slot whose word has not been
    compiled since it last changed.  Recognized with [==]; never called with
    the intent of executing an instruction.  [stale] is the record of every
-   slot never compiled; its count is never bumped. *)
+   slot never compiled; no field of it is ever written. *)
 let stale_code (_ : t) = ()
-let stale = { code = stale_code; slot = -1; runs = 0 }
-
-(* Jit-engine sentinel: marks a [jit_code] slot with no compiled trace.
-   Recognized with [==]; returns its fuel untouched if ever called. *)
-let jit_stale (_ : t) (fuel : int) = fuel
+let stale =
+  { code = stale_code; runs = 0; slot = -1; tcode = jit_stale; tlen = 0;
+    hot = 0; cover = []; nospec = false }
 
 (* Shared placeholder for machines not being profiled: zero-length arrays,
    never written while [prof_on] is false. *)
@@ -233,52 +237,30 @@ let create ?(config = default_config) () =
     prof_on = false;
     prof = no_profile;
     prof_fetch = -1;
-    jit_on = false;
-    jit_code = [||];
-    jit_len = [||];
-    jit_counts = [||];
-    jit_cover = [||];
     jit_live = [];
-    jit_nospec = Bytes.empty;
     jit_k = 0;
     jit_pv = 0;
   }
 
-(* Arm/reset/invalidate the jit trace cache.  [jit_invalidate] discards
-   every live trace whose body covers address [a] and clears its entry's
-   hotness counter, so a recompile observes the new word.  Traces do not
-   read [notes], so note writes leave them alone. *)
-let jit_arm t =
-  if not t.jit_on then begin
-    t.jit_code <- Array.make t.cfg.imem_words jit_stale;
-    t.jit_len <- Array.make t.cfg.imem_words 0;
-    t.jit_counts <- Array.make t.cfg.imem_words 0;
-    t.jit_cover <- Array.make t.cfg.imem_words [];
-    t.jit_nospec <- Bytes.make t.cfg.imem_words '\000';
-    t.jit_on <- true
-  end
-
+(* Discard every live trace whose body covers address [a] and clear its
+   entry's hotness count, so a recompile observes the new word.  Traces do
+   not read [notes], so note writes leave them alone. *)
 let jit_invalidate t a =
-  List.iter
-    (fun tl ->
-      if not tl.tl_dead then begin
-        tl.tl_dead <- true;
-        t.jit_code.(tl.tl_entry) <- jit_stale;
-        t.jit_len.(tl.tl_entry) <- 0;
-        t.jit_counts.(tl.tl_entry) <- 0
-      end)
-    t.jit_cover.(a);
-  t.jit_cover.(a) <- []
-
-let jit_reset t =
-  if t.jit_on then begin
-    Array.fill t.jit_code 0 (Array.length t.jit_code) jit_stale;
-    Array.fill t.jit_len 0 (Array.length t.jit_len) 0;
-    Array.fill t.jit_counts 0 (Array.length t.jit_counts) 0;
-    Array.fill t.jit_cover 0 (Array.length t.jit_cover) [];
-    Bytes.fill t.jit_nospec 0 (Bytes.length t.jit_nospec) '\000';
-    t.jit_live <- []
-  end
+  let x = t.xcode.(a) in
+  match x.cover with
+  | [] -> ()
+  | cover ->
+      List.iter
+        (fun tl ->
+          if not tl.tl_dead then begin
+            tl.tl_dead <- true;
+            let e = t.xcode.(tl.tl_entry) in
+            e.tcode <- jit_stale;
+            e.tlen <- 0;
+            e.hot <- 0
+          end)
+        cover;
+      x.cover <- []
 
 (* ---------------------------------------------------------------------- *)
 (* Derived statistics.  The fast engine and the jit do not write the static
@@ -312,13 +294,19 @@ let charge t x =
 
 (* Before slot [p]'s word or note changes. *)
 let flush_slot t p =
-  if t.jit_on then List.iter (spread t) t.jit_cover.(p);
-  charge t t.xcode.(p)
+  let x = t.xcode.(p) in
+  List.iter (spread t) x.cover;
+  charge t x
 
-(* After slot [p]'s word changed: recompile on its next execution. *)
+(* After slot [p]'s word changed: recompile on its next execution, and
+   let the jit count and speculate on the new word afresh. *)
 let restale t p =
   let x = t.xcode.(p) in
-  if x != stale then x.code <- stale_code
+  if x != stale then begin
+    x.code <- stale_code;
+    x.hot <- 0;
+    x.nospec <- false
+  end
 
 (* O(compiled slots + live traces): nothing on a machine only the
    reference step has run. *)
@@ -334,8 +322,8 @@ let fold t =
 (* Back to the state [create ~config:t.cfg ()] gives, keeping the big
    arrays.  [stats] and [pagemap] are replaced, not cleared: a caller may
    still hold the last run's records (the artifact cache does), so pending
-   execution counts are dropped, not folded.  An armed jit keeps its
-   arrays and [jit_on]; only its contents go. *)
+   execution counts are dropped, not folded.  Every engine's per-slot
+   state goes with the [xcode] records. *)
 let reset t =
   Array.fill t.regs 0 (Array.length t.regs) 0;
   t.p0 <- 0;
@@ -374,7 +362,7 @@ let reset t =
   t.prof_on <- false;
   t.prof <- no_profile;
   t.prof_fetch <- -1;
-  jit_reset t;
+  t.jit_live <- [];
   t.jit_k <- 0;
   t.jit_pv <- 0
 
@@ -469,7 +457,7 @@ let write_code t a w =
   flush_slot t a;
   t.imem.(a) <- w;
   restale t a;
-  if t.jit_on then jit_invalidate t a
+  jit_invalidate t a
 
 let write_note t a n =
   flush_slot t a;
@@ -478,70 +466,15 @@ let read_data t a = t.dmem.(a)
 let write_data t a v = t.dmem.(a) <- Word32.norm v
 let faulted t = t.fault
 
-(* The mutable execution state that is not reachable through the public
-   architectural accessors — what checkpoint/restore must carry to make a
-   resumed run bit-identical.  [prev_word] is not captured: it is always
-   the instruction word at [prev_pc], so restore re-derives it from [imem]
-   (code is reloaded deterministically before state is restored). *)
-type pipeline_state = {
-  ps_byte_select : int;
-  ps_pending : (int * int) option;
-  ps_last_load_writes : int;  (* 16-bit register-set mask *)
-  ps_fault : fault_kind option;
-  ps_flaky_armed : bool;
-  ps_prev_pc : int;
-  ps_delay_pending : int;
-}
-
-let pipeline_state t =
-  {
-    ps_byte_select = t.byte_select;
-    ps_pending = (if t.pend_r >= 0 then Some (t.pend_r, t.pend_v) else None);
-    ps_last_load_writes =
-      Reg.Set.fold (fun r m -> m lor (1 lsl Reg.to_int r)) t.last_load_writes 0;
-    ps_fault = t.fault;
-    ps_flaky_armed = t.flaky_armed;
-    ps_prev_pc = t.prev_pc;
-    ps_delay_pending = t.delay_pending;
-  }
-
-let set_pipeline_state t ps =
-  t.byte_select <- ps.ps_byte_select;
-  (match ps.ps_pending with
-  | Some (r, v) ->
-      t.pend_r <- r;
-      t.pend_v <- v
-  | None -> t.pend_r <- -1);
-  t.last_load_writes <-
-    (let s = ref Reg.Set.empty in
-     for i = 0 to 15 do
-       if ps.ps_last_load_writes land (1 lsl i) <> 0 then
-         s := Reg.Set.add (Reg.r i) !s
-     done;
-     !s);
-  t.fault <- ps.ps_fault;
-  t.flaky_armed <- ps.ps_flaky_armed;
-  t.prev_pc <- ps.ps_prev_pc;
-  t.prev_word <-
-    (if ps.ps_prev_pc >= 0 && ps.ps_prev_pc < Array.length t.imem then
-       t.imem.(ps.ps_prev_pc)
-     else Word.Nop);
-  t.delay_pending <- ps.ps_delay_pending
-
 let faulted_addr t =
   match t.fault with
   | Some (Missing_page (sp, ga)) -> Some (sp, ga)
   | Some (Segment_violation _ | Transient_ref) | None -> None
 
+(* Each loaded word is written the way [write_code] writes one: traces
+   over words not reloaded survive. *)
 let load_program ?(at = 0) ?(data_at = 0) t (p : Program.t) =
-  (* every trace goes, so all their runs are spread first *)
-  List.iter (spread t) t.jit_live;
-  for a = at to at + Array.length p.code - 1 do
-    charge t t.xcode.(a);
-    restale t a
-  done;
-  Array.blit p.code 0 t.imem at (Array.length p.code);
-  jit_reset t;
+  Array.iteri (fun i w -> write_code t (at + i) w) p.code;
   Array.blit p.notes 0 t.notes at (Array.length p.notes);
   List.iter (fun (a, v) -> t.dmem.(data_at + a) <- Word32.norm v) p.data;
   set_pc t (at + p.entry)
@@ -1531,19 +1464,19 @@ let compile_slot t p =
     x
   end
   else begin
-    let x = { code; slot = p; runs = 0 } in
+    let x = { stale with code; slot = p } in
     t.xcode.(p) <- x;
     t.xlive <- x :: t.xlive;
     x
   end
 
+let[@inline] slot t p =
+  let x = t.xcode.(p) in
+  if x.code == stale_code then compile_slot t p else x
+
 let jit_register t tl =
   t.jit_live <- tl :: t.jit_live;
-  Array.iter
-    (fun p ->
-      t.jit_cover.(p) <- tl :: t.jit_cover.(p);
-      if t.xcode.(p).code == stale_code then ignore (compile_slot t p))
-    tl.tl_pcs
+  Array.iter (fun p -> let x = slot t p in x.cover <- tl :: x.cover) tl.tl_pcs
 
 (* The quiet path's precondition: no tracing, no fault injection, no armed
    flaky reference, interrupt line low, no profiling.  Any of them arming
@@ -1569,8 +1502,7 @@ let step_fast_quiet t =
     in
     if fetch_phys < 0 || fetch_phys >= t.cfg.imem_words then
       raise (Fault (Cause.Illegal, 0));
-    let x = t.xcode.(fetch_phys) in
-    let x = if x.code == stale_code then compile_slot t fetch_phys else x in
+    let x = slot t fetch_phys in
     x.code t;
     x
   with

@@ -78,9 +78,14 @@ type tally = {
 
 (** The machine state, exposed concretely so the compiled execution engines
     (the per-word closures below and the trace compiler in [lib/jit]) can
-    read and write it without accessor calls on the hot path.  Everything
-    here is reachable through the named accessors too; code outside the
-    engines should prefer those. *)
+    read and write it without accessor calls on the hot path.  The
+    architectural state is reachable through the named accessors too, and
+    code outside the engines should prefer those; the execution state they
+    do not reach ([byte_select], the pending load, [last_load_writes],
+    [fault], [flaky_armed], [prev_pc]/[prev_word], [delay_pending]) is
+    read and written directly by the checkpoint codec
+    ([Mips_resilience.Snapshot]), which must carry it to make a resumed
+    run bit-identical.  [prev_word] is always the word at [prev_pc]. *)
 type t = {
   cfg : config;
   regs : int array;
@@ -113,9 +118,9 @@ type t = {
   mutable prev_word : int Word.t;
   (* taken-branch shadow countdown; maintained only while tracing *)
   mutable delay_pending : int;
-  (* fast engine: per-word compiled closures, kept in sync with [imem],
-     and their execution counts; [xlive] lists every slot's [xword] the
-     statistics fold visits, each once *)
+  (* one [xword] per instruction slot, holding every compiled engine's
+     state for it, kept in sync with [imem]; [xlive] lists every slot's
+     record the statistics fold visits, each once *)
   xcode : xword array;
   mutable xlive : xword list;
   (* fast-engine scratch slots: compute-phase results parked here so the
@@ -132,39 +137,40 @@ type t = {
   mutable prof_on : bool;
   mutable prof : profile;
   mutable prof_fetch : int;
-  (* trace-JIT engine state, armed lazily by the jit run loop (lib/jit) and
-     empty otherwise.  [jit_code] holds one compiled-trace closure per entry
-     pc (fuel in, fuel remaining out); [jit_len] its straight-line length in
-     words; [jit_counts] the per-PC hotness counters; [jit_cover] maps every
-     imem address back to the tallies of the traces whose compiled body
-     includes it, so a code write can invalidate exactly the traces it
-     affects; [jit_live] holds the tallies the fold has still to visit.
-     [jit_nospec] marks branch pcs whose speculation kept failing (one byte
-     per imem word; traces recompiled after a blacklisting treat the branch
-     as a trace terminator).  [jit_k] and [jit_pv] are fault-recovery
-     scratch: the body index reached and the in-flight delayed-load value
-     of the trace being executed. *)
-  mutable jit_on : bool;
-  mutable jit_code : (t -> int -> int) array;
-  mutable jit_len : int array;
-  mutable jit_counts : int array;
-  mutable jit_cover : tally list array;
+  (* trace-JIT scratch: [jit_live] holds the tallies of the compiled
+     traces the fold has still to visit; [jit_k] and [jit_pv] are
+     fault-recovery scratch: the body index reached and the in-flight
+     delayed-load value of the trace being executed *)
   mutable jit_live : tally list;
-  mutable jit_nospec : Bytes.t;
   mutable jit_k : int;
   mutable jit_pv : int;
 }
 
-(** One instruction slot's compiled closure ([code], or a stale sentinel
-    when the word changed since it was last compiled) and its executions
-    not yet folded into the statistics: bumped by the fast engine once per
-    completed word, and by the jit for the completed prefix of a trace it
-    leaves early and when the fold spreads its run counts.  A slot never
-    compiled shares one sentinel record, whose count is never bumped. *)
+(** One instruction slot's state, for every compiled engine.  A slot never
+    compiled shares one sentinel record, of which no field is ever
+    written; a slot gets a record of its own on its first compile and
+    keeps it until {!reset}. *)
 and xword = {
   mutable code : t -> unit;
-  slot : int;
+      (** the fast engine's closure, or a stale sentinel when the word
+          changed since it was last compiled *)
   mutable runs : int;
+      (** executions not yet folded into the statistics: bumped by the
+          fast engine once per completed word, and by the jit for the
+          completed prefix of a trace it leaves early and when the fold
+          spreads its run counts *)
+  slot : int;
+  mutable tcode : t -> int -> int;
+      (** the jit trace entered at this pc (fuel in, fuel remaining out),
+          or {!jit_stale} *)
+  mutable tlen : int;  (** that trace's straight-line length in words *)
+  mutable hot : int;  (** the jit's hotness count for this entry pc *)
+  mutable cover : tally list;
+      (** the live traces whose compiled body includes this word, so a
+          code write invalidates exactly the traces it affects *)
+  mutable nospec : bool;
+      (** a branch whose speculation kept failing: traces compiled later
+          end at it *)
 }
 
 (** What the external mapping unit latched at the most recent [Page_fault]
@@ -308,7 +314,9 @@ val write_data : t -> int -> Word32.t -> unit
 val load_program : ?at:int -> ?data_at:int -> t -> Program.t -> unit
 (** Copy a program image into physical memory ([at] = code origin,
     [data_at] = data origin, both default 0) and point the PC chain at its
-    entry.  The caller chooses privilege/mapping via {!set_surprise}. *)
+    entry.  The caller chooses privilege/mapping via {!set_surprise}.
+    Each loaded word is written as {!write_code} writes one, so compiled
+    jit traces over words not reloaded survive. *)
 
 (** {2 Execution} *)
 
@@ -375,36 +383,6 @@ val faulted : t -> fault_kind option
 
 val faulted_addr : t -> (Pagemap.space * int) option
 (** The page-miss address, when the latest fault was one. *)
-
-(** {2 Checkpoint support}
-
-    The execution state that the architectural accessors above do not
-    reach: the delayed-load slot, the interlock stall-detection set, the
-    byte-select register, the latched fault kind, the armed flaky-memory
-    flag, the previous-word attribution state and the traced delay-slot
-    countdown.  Together with registers, PC chain, EPCs, surprise, segment
-    map, page map, data memory and {!Stats.t}, this makes a machine
-    restorable bit-for-bit. *)
-
-type pipeline_state = {
-  ps_byte_select : int;
-  ps_pending : (int * int) option;  (** load landing one word late *)
-  ps_last_load_writes : int;  (** 16-bit register-set mask *)
-  ps_fault : fault_kind option;
-  ps_flaky_armed : bool;
-  ps_prev_pc : int;
-  ps_delay_pending : int;
-}
-
-val pipeline_state : t -> pipeline_state
-
-val set_pipeline_state : t -> pipeline_state -> unit
-(** Restore the hidden execution state.  The previous-word text is
-    re-derived from instruction memory at [ps_prev_pc], so code must be
-    reloaded before this is called.  {!set_fault_plan} disarms the flaky
-    flag — attach the plan {e before} restoring pipeline state.  The jit
-    trace cache is {e not} part of the restorable state: it is a derived
-    cache, rebuilt from hotness counters after a restore. *)
 
 (** {2 Engine internals}
 
@@ -485,20 +463,21 @@ val compile_branch : int Branch.t option -> br_exec
 (** {2 Jit hooks}
 
     The trace compiler lives in [lib/jit] (which depends on this module);
-    these are its attachment points. *)
-
-val jit_arm : t -> unit
-(** Allocate the per-machine trace-cache arrays ([jit_code] and friends)
-    and set [jit_on], making {!write_code} invalidate covered traces from
-    then on.  Idempotent. *)
+    these are its attachment points.  Its per-pc state is kept in the
+    slots' {!xword} records, so {!reset} clears it with the fast engine's
+    and {!write_code} and {!load_program} invalidate exactly the traces
+    covering the words they write. *)
 
 val jit_stale : t -> int -> int
-(** The empty-slot sentinel for [jit_code]; recognized with [==]. *)
+(** The no-trace sentinel for {!xword.tcode}; recognized with [==]. *)
+
+val slot : t -> int -> xword
+(** Slot [p]'s own record, compiled first when its word is stale. *)
 
 val jit_register : t -> tally -> unit
 (** Enter a newly compiled trace's tally: the fold visits it, and a write
     to any word in [tl_pcs] flushes and invalidates it.  Every word in
-    [tl_pcs] gets a compiled [xcode] slot, which holds its count. *)
+    [tl_pcs] gets a compiled slot, which holds its count. *)
 
 val set_jit_runner :
   (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool) -> unit

@@ -464,18 +464,21 @@ let machine_to_string cpu =
   Io.W.int b (Surprise.to_word (Cpu.surprise cpu));
   Io.W.int b (Segmap.to_word (Cpu.segmap cpu));
   Io.W.bool b (Cpu.interrupt_pending cpu);
-  let ps = Cpu.pipeline_state cpu in
-  Io.W.int b ps.Cpu.ps_byte_select;
+  (* the execution state the accessors do not reach; [prev_word] is not
+     written, since it is always the word at [prev_pc] *)
+  Io.W.int b cpu.Cpu.byte_select;
   Io.W.opt
     (fun b (reg, v) ->
       Io.W.int b reg;
       Io.W.int b v)
-    b ps.ps_pending;
-  Io.W.int b ps.ps_last_load_writes;
-  Io.W.opt w_fault_kind b ps.ps_fault;
-  Io.W.bool b ps.ps_flaky_armed;
-  Io.W.int b ps.ps_prev_pc;
-  Io.W.int b ps.ps_delay_pending;
+    b
+    (if cpu.pend_r >= 0 then Some (cpu.pend_r, cpu.pend_v) else None);
+  Io.W.int b
+    (Reg.Set.fold (fun r m -> m lor (1 lsl Reg.to_int r)) cpu.last_load_writes 0);
+  Io.W.opt w_fault_kind b cpu.fault;
+  Io.W.bool b cpu.flaky_armed;
+  Io.W.int b cpu.prev_pc;
+  Io.W.int b cpu.delay_pending;
   Io.W.list
     (fun b (sp, vpage, (e : Pagemap.entry)) ->
       w_space b sp;
@@ -507,19 +510,33 @@ let restore_machine cpu data =
     Cpu.set_surprise cpu (Surprise.of_word (Io.R.int r));
     Cpu.set_segmap cpu (Segmap.of_word (Io.R.int r));
     Cpu.set_interrupt cpu (Io.R.bool r);
-    let ps_byte_select = Io.R.int r in
-    let ps_pending =
-      Io.R.opt
-        (fun r ->
-          let reg = Io.R.int r in
-          (reg, Io.R.int r))
-        r
-    in
-    let ps_last_load_writes = Io.R.int r in
-    let ps_fault = Io.R.opt r_fault_kind r in
-    let ps_flaky_armed = Io.R.bool r in
-    let ps_prev_pc = Io.R.int r in
-    let ps_delay_pending = Io.R.int r in
+    (* the execution state; [flaky_armed] waits for the plan below *)
+    cpu.Cpu.byte_select <- Io.R.int r;
+    (match
+       Io.R.opt
+         (fun r ->
+           let reg = Io.R.int r in
+           (reg, Io.R.int r))
+         r
+     with
+    | Some (reg, v) ->
+        cpu.pend_r <- reg;
+        cpu.pend_v <- v
+    | None -> cpu.pend_r <- -1);
+    let mask = Io.R.int r in
+    cpu.last_load_writes <- Reg.Set.empty;
+    for i = 0 to 15 do
+      if mask land (1 lsl i) <> 0 then
+        cpu.last_load_writes <- Reg.Set.add (Reg.r i) cpu.last_load_writes
+    done;
+    cpu.fault <- Io.R.opt r_fault_kind r;
+    let flaky_armed = Io.R.bool r in
+    let prev_pc = Io.R.int r in
+    cpu.prev_pc <- prev_pc;
+    cpu.prev_word <-
+      (if prev_pc >= 0 && prev_pc < Array.length cpu.imem then cpu.imem.(prev_pc)
+       else Word.Nop);
+    cpu.delay_pending <- Io.R.int r;
     let entries =
       Io.R.list
         (fun r ->
@@ -545,19 +562,9 @@ let restore_machine cpu data =
     r_dmem r cpu;
     r_stats r (Cpu.stats cpu);
     let plan = r_plan r in
-    (* attaching a plan disarms the flaky flag, so the plan goes on before
-       the pipeline state *)
+    (* attaching a plan disarms the flaky flag, so the plan goes on first *)
     Cpu.set_fault_plan cpu (Mips_fault.Plan.of_snapshot plan);
-    Cpu.set_pipeline_state cpu
-      {
-        Cpu.ps_byte_select;
-        ps_pending;
-        ps_last_load_writes;
-        ps_fault;
-        ps_flaky_armed;
-        ps_prev_pc;
-        ps_delay_pending;
-      };
+    cpu.flaky_armed <- flaky_armed;
     if Io.R.remaining r <> 0 then raise (Bad "trailing machine bytes")
   with
   | () -> Ok ()

@@ -58,7 +58,10 @@ val read_file : string -> (container, error) result
 val machine_to_string : Cpu.t -> string
 (** Registers, PC chain, EPCs, surprise, segment map, interrupt line,
     pipeline state, page map, data memory (zero-run compressed), full
-    statistics and the fault plan's stream position. *)
+    statistics and the fault plan's stream position.  The engines' per-slot
+    state ({!Cpu.xword}: compiled words, jit traces and their hotness
+    counts) is a derived cache and is not carried; a resumed run rebuilds
+    it. *)
 
 val restore_machine : Cpu.t -> string -> (unit, error) result
 (** Write a captured machine state into [cpu] — a fresh (or

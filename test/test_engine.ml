@@ -486,6 +486,79 @@ let test_jit_smc_hot_block () =
       check_int "acc after reload" 600 e
   | _ -> assert false
 
+(* Two hot loops, the first at 0 and the second at 100, each compiled into
+   a trace, and then a second image of the second loop loaded over it.
+   [load_program] writes each loaded word as [write_code] does: the
+   trace over the reloaded words goes, and the first loop's trace, whose
+   words were not reloaded, keeps its closure.  Both runs are compared
+   with the reference engine driven through the same sequence. *)
+let test_reload_keeps_disjoint_traces () =
+  let open Mips_isa in
+  let movi8 c d = Word.A (Alu.Movi8 (c, Reg.r d)) in
+  let rr i = Operand.reg (Reg.r i) and i4 = Operand.imm4 in
+  let add a b d = Word.A (Alu.Binop (Alu.Add, a, b, Reg.r d)) in
+  (* the second loop as loaded at 100: acc += step, 100 times *)
+  let second step =
+    [| movi8 0 1; (* 100: i := 0 *)
+       movi8 100 3; (* 101: bound *)
+       add (rr 2) (i4 step) 2; (* 102: loop entry *)
+       add (rr 1) (i4 1) 1; (* 103: i += 1 *)
+       Word.B (Branch.Cbr (Cond.Lt, rr 1, rr 3, 102)); (* 104 *)
+       Word.Nop; (* 105: delay slot *)
+       movi8 0 10; (* 106: exit status *)
+       Word.B (Branch.Trap Monitor.exit_) (* 107 *) |]
+  in
+  let first =
+    [| movi8 0 2; (* 0: acc := 0 *)
+       movi8 0 1; (* 1: i := 0 *)
+       movi8 200 3; (* 2: bound *)
+       add (rr 2) (i4 1) 2; (* 3: loop entry: acc += 1 *)
+       add (rr 1) (i4 1) 1; (* 4: i += 1 *)
+       Word.B (Branch.Cbr (Cond.Lt, rr 1, rr 3, 3)); (* 5 *)
+       Word.Nop; (* 6: delay slot *)
+       Word.B (Branch.Jump 100); (* 7 *)
+       Word.Nop (* 8: delay slot *) |]
+  in
+  let code = Array.make 108 Word.Nop in
+  Array.blit first 0 code 0 (Array.length first);
+  Array.blit (second 2) 0 code 100 8;
+  let kept = ref 0 and dropped = ref 0 in
+  let reload cpu =
+    let traced =
+      List.filter_map
+        (fun p ->
+          let f = cpu.Cpu.xcode.(p).Cpu.tcode in
+          if f != Cpu.jit_stale then Some (p, f) else None)
+        (List.init 108 Fun.id)
+    in
+    Cpu.load_program ~at:100 cpu (Program.make (second 3));
+    List.iter
+      (fun (p, f) ->
+        let now = cpu.Cpu.xcode.(p).Cpu.tcode in
+        if p < 100 then begin
+          if now != f then Alcotest.failf "reload: the trace at %d was dropped" p;
+          incr kept
+        end
+        else begin
+          if now != Cpu.jit_stale then
+            Alcotest.failf "reload: the trace at %d over reloaded words survived" p;
+          incr dropped
+        end)
+      traced
+  in
+  let reference =
+    phases_agree "reload" (Program.make code)
+      [ ("heat, then the second loop is reloaded", reload);
+        ("reloaded", ignore) ]
+  in
+  check "the first loop's trace was kept" true (!kept > 0);
+  check "the second loop's trace was dropped" true (!dropped > 0);
+  match List.map (fun (_, acc, _, _) -> acc) reference with
+  | [ a; b ] ->
+      check_int "acc before the reload" 400 a;
+      check_int "acc after the reload" 500 b
+  | _ -> assert false
+
 (* Checkpoint/resume under the fast and jit engines: slice a run at every
    [every] steps, reading the statistics at each boundary (each read folds
    the pending counts), and the boundary readings and the completed run
@@ -610,5 +683,7 @@ let suite =
         tc "kernel scheduling identical" test_kernel_differential;
         tc "jit: SMC patch of hot compiled block" test_jit_smc_hot_block;
         tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume;
+        tc "jit: load_program keeps traces over words it does not reload"
+          test_reload_keeps_disjoint_traces;
         tc "ref/fast/jit steady state allocates < 0.05 words/word"
           test_steady_state_allocation ] ) ]

@@ -82,14 +82,15 @@ let dirty ~config ~engine ~seed (_, program, input) =
   let pm = Cpu.pagemap cpu in
   Pagemap.map pm Pagemap.Dspace ~vpage:3 ~frame:7 ~writable:true;
   Pagemap.map pm Pagemap.Ispace ~vpage:0 ~frame:1 ~writable:false;
-  Cpu.set_pipeline_state cpu
-    { Cpu.ps_byte_select = 2;
-      ps_pending = Some (5, 42);
-      ps_last_load_writes = 0b1010;
-      ps_fault = Some Cpu.Transient_ref;
-      ps_flaky_armed = true;
-      ps_prev_pc = 1;
-      ps_delay_pending = 1 };
+  cpu.Cpu.byte_select <- 2;
+  cpu.pend_r <- 5;
+  cpu.pend_v <- 42;
+  cpu.last_load_writes <- Mips_isa.Reg.(Set.of_list [ r 1; r 3 ]);
+  cpu.fault <- Some Cpu.Transient_ref;
+  cpu.flaky_armed <- true;
+  cpu.prev_pc <- 1;
+  cpu.prev_word <- Cpu.read_code cpu 1;
+  cpu.delay_pending <- 1;
   Cpu.set_interrupt cpu true;
   Cpu.set_segmap cpu (Segmap.make ~pid:3 ~mask_bits:4);
   Cpu.set_surprise cpu
@@ -109,11 +110,18 @@ let assert_pristine what (got : Cpu.t) (fresh : Cpu.t) =
   if Cpu.fault_plan got != Cpu.fault_plan fresh then fail "fault plan attached";
   if Cpu.trace got != Cpu.trace fresh then fail "trace sink attached";
   if not (Array.for_all2 ( == ) got.Cpu.xcode fresh.Cpu.xcode) then
-    fail "a fast-engine slot is not stale";
-  if not (Array.for_all (fun f -> f == Cpu.jit_stale) got.Cpu.jit_code) then
-    fail "a jit trace survived";
-  if not (Array.for_all (( = ) 0) got.Cpu.jit_counts) then
-    fail "jit hotness counters survived"
+    fail "a compiled slot survived";
+  (* every slot now shares the sentinel record, so this also shows that no
+     run wrote into it *)
+  Array.iter
+    (fun (x : Cpu.xword) ->
+      if x.Cpu.tcode != Cpu.jit_stale || x.tlen <> 0 then
+        fail "a jit trace survived";
+      if x.hot <> 0 then fail "a jit hotness count survived";
+      if x.cover <> [] then fail "a jit cover list survived";
+      if x.nospec then fail "a jit speculation blacklisting survived";
+      if x.runs <> 0 then fail "an execution count survived")
+    got.Cpu.xcode
 
 let run_snapshot ~engine cpu (_, program, input) =
   let res = Hosted.run_program_on ~fuel:500_000 ~input ~engine cpu program in
@@ -144,7 +152,7 @@ let test_reset_is_create () =
               let stale = fresh.Cpu.xcode.(0) in
               if Array.exists (fun f -> f != stale) cpu.Cpu.xcode then
                 incr fast_code;
-              if Array.exists (fun f -> f != Cpu.jit_stale) cpu.Cpu.jit_code
+              if Array.exists (fun x -> x.Cpu.tcode != Cpu.jit_stale) cpu.Cpu.xcode
               then incr jit_traces;
               Cpu.reset cpu;
               assert_pristine what cpu fresh;
@@ -254,6 +262,30 @@ let test_borrowed_run_allocates_no_machine () =
           (Cpu.engine_name engine) (m1 -. m0))
     [ Cpu.Ref; Cpu.Fast ]
 
+(* The jit keeps its per-pc state in the slot records the fast engine
+   compiles for the words that run, so a first jit run on a fresh machine
+   allocates no table sized to instruction memory.  The minor heap is
+   emptied first, so what was allocated before the run is not promoted
+   into its count. *)
+let max_major_words_first_jit_run = 1_000.
+
+let test_first_jit_run_allocates_no_tables () =
+  let e = Mips_corpus.Corpus.find "queens" in
+  let p = Mips_artifact.compiled e.Mips_corpus.Corpus.source in
+  let cpu = Cpu.create () in
+  Gc.minor ();
+  let m0 = (Gc.quick_stat ()).Gc.major_words in
+  let res =
+    Hosted.run_program_on ~input:e.Mips_corpus.Corpus.input ~engine:Cpu.Jit cpu p
+  in
+  let m1 = (Gc.quick_stat ()).Gc.major_words in
+  if not res.Hosted.halted then Alcotest.fail "queens did not halt";
+  if not (Array.exists (fun x -> x.Cpu.tcode != Cpu.jit_stale) cpu.Cpu.xcode) then
+    Alcotest.fail "queens compiled no trace";
+  if m1 -. m0 >= max_major_words_first_jit_run then
+    Alcotest.failf "queens on jit: %.0f major words in a fresh machine's first run"
+      (m1 -. m0)
+
 let suite =
   [ ( "machine:reuse",
       [ tc_slow "reset equals create, then runs bit-identically"
@@ -265,4 +297,6 @@ let suite =
         tc_slow "cold report leaves the artifact cache uncorrupted"
           test_cold_report_no_corruption;
         tc "borrowed run allocates < 1000 major words"
-          test_borrowed_run_allocates_no_machine ] ) ]
+          test_borrowed_run_allocates_no_machine;
+        tc "a first jit run on a fresh machine allocates < 1000 major words"
+          test_first_jit_run_allocates_no_tables ] ) ]
