@@ -25,12 +25,17 @@
    bit-identical to the same words executed by Cpu.step.  Two consequences
    shape the design:
 
-   - Traces exist only for the default machine (no interlocks, word
-     addressed) running in kernel mode with mapping off.  There every word
-     weighs exactly 1.0 cycle, so even the weighted cycles are derived from
-     the run counts, and fetch translation is the identity, so
-     straight-line execution is really straight-line.
-     Every other configuration or machine state falls back to step_fast.
+   - Traces exist for the delayed-load machines, word and byte addressed,
+     running in kernel mode with mapping off.  There fetch and data
+     translation are the identity, so straight-line execution is really
+     straight-line and a data address resolves by the machine's one rule
+     with no call.  On the word machine every word weighs exactly 1.0
+     cycle, so the weighted cycles are derived from the run counts like
+     every other static statistic; the byte machine's weights (1.15 for a
+     word referencing memory) make the float sum order-dependent, so a
+     trace adds them per word, in execution order, as it leaves.  The
+     interlocked machine and every other machine state fall back to
+     step_fast.
    - A fault inside a trace must dispatch exactly as if the words had run
      one by one.  Fragments record their body index in [jit_k] before any
      faultable compute; the recovery path then counts the words of the
@@ -40,9 +45,9 @@
 
    A trace runs the fast engine's value closures: its ALU and branch pieces
    come from [Cpu.compile_alu] and [Cpu.compile_branch].  Only the
-   pinned-state word address and the one-closure direct fragments are
-   compiled here, because prototypes without them measured slower (see
-   "Compute closures" below).
+   pinned-state address and the one-closure direct fragments are compiled
+   here, because prototypes without them measured slower (see "Compute
+   closures" below).
 
    The dispatch loop and the compiled closures allocate nothing per
    executed instruction: recursion replaces ref cells, scalar scratch
@@ -60,17 +65,15 @@ let min_trace_words = 3
 (* ------------------------------------------------------------------ *)
 (* Trace scanning *)
 
-(* A word the trace body may contain: no branch piece, no trap, nothing
-   that could change privilege/mapping mid-trace (Wr_special, Rfe), and no
-   byte-sized access (always-faulting on the word machine). *)
+(* A word the trace body may contain: no branch piece, no trap, and
+   nothing that could change privilege/mapping mid-trace (Wr_special,
+   Rfe). *)
 let pieces_ok (e : Predecode.entry) =
   (not e.Predecode.is_trap)
-  && (match e.Predecode.alu with
-     | Some (Alu.Wr_special _ | Alu.Rfe) -> false
-     | Some _ | None -> true)
-  && (match e.Predecode.mem with
-     | Some (Mem.Load (Mem.W8, _, _) | Mem.Store (Mem.W8, _, _)) -> false
-     | Some _ | None -> true)
+  &&
+  match e.Predecode.alu with
+  | Some (Alu.Wr_special _ | Alu.Rfe) -> false
+  | Some _ | None -> true
 
 let plain_ok (e : Predecode.entry) = e.Predecode.branch = None && pieces_ok e
 
@@ -221,18 +224,20 @@ let scan t entry_pc =
    flat closure over direct register-file reads, so the fragment
    generators below run exactly the piece semantics [Cpu.step_fast] runs.
    Two shapes stay local, because inside a trace the machine state is
-   pinned (kernel mode, mapping off, word addressing) and prototypes that
-   dropped them were slower on the guest_jit benchmark (2-vCPU host):
+   pinned (kernel mode, mapping off) and prototypes that dropped them were
+   slower on the guest_jit benchmark (2-vCPU host):
 
-   - [flat_addr_w]/[flat_mx], the pinned-state word address: translation
-     is the identity and the bounds check one comparison.  Routing trace
-     loads and stores through [Cpu.compile_mem] instead made the p50
-     latency 118.5 -> 131.9 ms (medians of 4 rotations, slower in 4 of 4).
+   - [flat_addr]/[flat_mx], the pinned-state address: translation is the
+     identity, so the machine's resolve rule is a shift and one or two
+     comparisons.  Routing trace loads and stores through
+     [Cpu.compile_resolve]'s closures instead made the p50 latency
+     118.5 -> 131.9 ms (medians of 4 rotations, slower in 4 of 4).
    - The one-closure direct fragments [flat_alu_frag], [flat_load_frag]
      and [flat_store_frag], which fold compute, fault bookkeeping and
      commit into a single call.  Building the load and store fragments
-     from [flat_addr_w] (two calls per word) read 110.2 -> 122.7 ms over 6
-     rotations; dropping every direct fragment read 110.2 -> 121.0 ms.
+     from the address closures (two calls per word) read 110.2 -> 122.7 ms
+     over 6 rotations; dropping every direct fragment read 110.2 ->
+     121.0 ms.
 
    The purity bit marks ALU computes that cannot raise under the pinned
    state; a word whose every piece is pure skips the [jit_k]
@@ -256,37 +261,45 @@ let flat_ax e =
         | Alu.Mov _ | Alu.Movi8 _ | Alu.Setc _ | Alu.Xbyte _ | Alu.Ibyte _ -> true
         | Alu.Rd_special _ | Alu.Wr_special _ | Alu.Rfe -> false )
 
-(* flat effective address for the pinned state: translation is the
-   identity, the bounds check is one comparison raising the reference
-   engine's exact fault (Illegal detail 1).  The returned physical index is
-   in range by construction, which is what lets the fragment generators
-   use unsafe data-memory accesses. *)
-let flat_addr_w ~dmem_words a =
-  let bounds t p =
-    ignore t;
-    if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
-    p
-  in
+(* The machine's one resolve rule ([Cpu.rule_word], [Cpu.rule_place])
+   under the pinned state, where translation is the identity, so the
+   faults are the reference engine's, in its order.  The result is in
+   range by construction, which is what lets the fragment generators use
+   unsafe data-memory accesses. *)
+let[@inline] resolve rule ~dmem_words a =
+  rule_place rule ~dmem_words a (rule_word rule a)
+
+(* A resolved byte reference's lane, read and written in place. *)
+let[@inline] read_lane t a =
+  Word32.get_byte (Array.unsafe_get t.dmem (a lsr 2)) (a land 3)
+
+let[@inline] write_lane t a v =
+  let p = a lsr 2 in
+  Array.unsafe_set t.dmem p
+    (Word32.set_byte (Array.unsafe_get t.dmem p) (a land 3) v)
+
+(* flat resolved address for the pinned state, one closure per mode *)
+let flat_addr ~rule ~dmem_words a =
+  let[@inline] r a = resolve rule ~dmem_words a in
   match a with
-  | Mem.Abs c -> fun t -> bounds t c
+  | Mem.Abs c -> fun _ -> r c
   | Mem.Disp (b, d) ->
       let b = Reg.to_int b in
-      fun t -> bounds t (Word32.add (Array.unsafe_get t.regs b) d)
+      fun t -> r (Word32.add (Array.unsafe_get t.regs b) d)
   | Mem.Idx (b, i) ->
       let b = Reg.to_int b and i = Reg.to_int i in
       fun t ->
-        bounds t
-          (Word32.add (Array.unsafe_get t.regs b) (Array.unsafe_get t.regs i))
+        r (Word32.add (Array.unsafe_get t.regs b) (Array.unsafe_get t.regs i))
   | Mem.Shifted (b, i, n) ->
       let b = Reg.to_int b and i = Reg.to_int i in
       fun t ->
-        bounds t
+        r
           (Word32.add (Array.unsafe_get t.regs b)
              (Word32.shift_right_logical (Array.unsafe_get t.regs i) n))
   | Mem.Scaled (b, i, n) ->
       let b = Reg.to_int b and i = Reg.to_int i in
       fun t ->
-        bounds t
+        r
           (Word32.add (Array.unsafe_get t.regs b)
              (Word32.shift_left (Array.unsafe_get t.regs i) n))
 
@@ -394,10 +407,13 @@ let flat_alu_frag ~k a =
             (Word32.set_byte (Array.unsafe_get t.regs d) (t.byte_select land 3) s))
   | Alu.Rd_special _ | Alu.Wr_special _ | Alu.Rfe -> DNo
 
-let flat_load_frag ~k ~dmem_words addr =
-  let[@inline] ld t p =
-    if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
-    t.jit_pv <- Array.unsafe_get t.dmem p
+let flat_load_frag ~k ~rule ~dmem_words addr =
+  let[@inline] ld t a =
+    let p = resolve rule ~dmem_words a in
+    t.jit_pv <-
+      (match rule with
+      | Lane -> read_lane t p
+      | Whole | Aligned | No_lane -> Array.unsafe_get t.dmem p)
   in
   match addr with
   | Mem.Abs c ->
@@ -435,11 +451,14 @@ let flat_load_frag ~k ~dmem_words addr =
             (Word32.add (Array.unsafe_get t.regs b)
                (Word32.shift_left (Array.unsafe_get t.regs i) n)))
 
-let flat_store_frag ~k ~dmem_words src addr =
+let flat_store_frag ~k ~rule ~dmem_words src addr =
   let s = Reg.to_int src in
-  let[@inline] st t p =
-    if p < 0 || p >= dmem_words then raise (Fault (Cause.Illegal, 1));
-    Array.unsafe_set t.dmem p (Array.unsafe_get t.regs s)
+  let[@inline] st t a =
+    let p = resolve rule ~dmem_words a in
+    let v = Array.unsafe_get t.regs s in
+    match rule with
+    | Lane -> write_lane t p v
+    | Whole | Aligned | No_lane -> Array.unsafe_set t.dmem p v
   in
   match addr with
   | Mem.Abs c ->
@@ -477,15 +496,23 @@ let flat_store_frag ~k ~dmem_words src addr =
             (Word32.add (Array.unsafe_get t.regs b)
                (Word32.shift_left (Array.unsafe_get t.regs i) n)))
 
-let flat_mx cfg e =
+(* the word's memory piece, its address resolved by the pinned rule; a
+   byte reference on the byte machine is the one [_b] shape *)
+let flat_mx (cfg : Cpu.config) e =
+  let dmem_words = cfg.dmem_words in
   match e.Predecode.mem with
   | None -> MXnone
   | Some (Mem.Limm (c, d)) -> MXlimm (Reg.to_int d, c)
-  | Some (Mem.Load (Mem.W32, a, d)) when not cfg.byte_addressed ->
-      MXload_w (Reg.to_int d, flat_addr_w ~dmem_words:cfg.dmem_words a)
-  | Some (Mem.Store (Mem.W32, s, a)) when not cfg.byte_addressed ->
-      MXstore_w (Reg.to_int s, flat_addr_w ~dmem_words:cfg.dmem_words a)
-  | m -> compile_mem cfg m
+  | Some (Mem.Load (w, a, d)) ->
+      let rule = rule_of cfg w in
+      let fp = flat_addr ~rule ~dmem_words a in
+      if rule = Lane then MXload_b (Reg.to_int d, fp)
+      else MXload_w (Reg.to_int d, fp)
+  | Some (Mem.Store (w, s, a)) ->
+      let rule = rule_of cfg w in
+      let fp = flat_addr ~rule ~dmem_words a in
+      if rule = Lane then MXstore_b (Reg.to_int s, fp)
+      else MXstore_w (Reg.to_int s, fp)
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time tracking of the delayed-load latch.
@@ -499,6 +526,12 @@ let flat_mx cfg e =
 type pend = PDyn | PNone | PKnown of int
 
 let pend_code = function PDyn -> -2 | PNone -> -1 | PKnown d -> d
+
+(* the latch a word leaves: its own load's destination, or none *)
+let pend_after = function
+  | MXload_w (d, _) | MXload_b (d, _) -> PKnown d
+  | MXnone | MXlimm _ | MXstore_w _ | MXstore_b _ -> PNone
+
 let ignore_t (_ : Cpu.t) = ()
 
 (* The fragment committing the incoming latch at this word's commit point.
@@ -533,7 +566,7 @@ let pend_frag pend_in mx ax =
 
 let gen_plain ~k ~pend_in ~pure mx ax =
   let pf = pend_frag pend_in mx ax in
-  let pend_out = match mx with MXload_w (d, _) -> PKnown d | _ -> PNone in
+  let pend_out = pend_after mx in
   let frag =
     match (mx, ax) with
     | MXnone, AXnone -> pf (* a nop's only work is the incoming latch *)
@@ -595,7 +628,36 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           Array.unsafe_set t.dmem a sv;
           pf t;
           Array.unsafe_set t.regs da v
-    | _ -> assert false (* byte/special shapes excluded by [pieces_ok] *)
+    | MXload_b (_, fp), AXnone ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          pf t;
+          t.jit_pv <- read_lane t a
+    | MXload_b (_, fp), AXreg (da, f) ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          let v = f t in
+          pf t;
+          Array.unsafe_set t.regs da v;
+          t.jit_pv <- read_lane t a
+    | MXstore_b (src, fp), AXnone ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          write_lane t a (Array.unsafe_get t.regs src);
+          pf t
+    | MXstore_b (src, fp), AXreg (da, f) ->
+        fun t ->
+          t.jit_k <- k;
+          let a = fp t in
+          let sv = Array.unsafe_get t.regs src in
+          let v = f t in
+          write_lane t a sv;
+          pf t;
+          Array.unsafe_set t.regs da v
+    | _ -> assert false (* special shapes excluded by [pieces_ok] *)
   in
   (frag, pend_out)
 
@@ -631,16 +693,14 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
           t.sc_target <- tgt),
         PNone )
   | _ ->
-      let pend_out = match mx with MXload_w (d, _) -> PKnown d | _ -> PNone in
       ( (fun t ->
           t.jit_k <- k;
           (match mx with
           | MXnone | MXlimm _ -> ()
-          | MXload_w (_, fp) -> t.sc_a <- fp t
-          | MXstore_w (s, fp) ->
+          | MXload_w (_, fp) | MXload_b (_, fp) -> t.sc_a <- fp t
+          | MXstore_w (s, fp) | MXstore_b (s, fp) ->
               t.sc_a <- fp t;
-              t.sc_b <- t.regs.(s)
-          | MXload_b _ | MXstore_b _ -> assert false);
+              t.sc_b <- t.regs.(s));
           (match ax with
           | AXnone -> ()
           | AXreg (_, f) -> t.sc_v <- f t
@@ -658,18 +718,20 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
           | BXnone | BXtrap _ -> assert false);
           (match mx with
           | MXstore_w _ -> t.dmem.(t.sc_a) <- t.sc_b
+          | MXstore_b _ -> write_lane t t.sc_a t.sc_b
           | _ -> ());
           pf t;
           (match ax with AXreg (d, _) -> t.regs.(d) <- t.sc_v | _ -> ());
           (match mx with
           | MXlimm (d, c) -> t.regs.(d) <- c
           | MXload_w (_, _) -> t.jit_pv <- t.dmem.(t.sc_a)
+          | MXload_b (_, _) -> t.jit_pv <- read_lane t t.sc_a
           | _ -> ());
           (match bx with
           | BXjal (_, link) -> t.regs.(link) <- pc + 2
           | BXjalind (_, link) -> t.regs.(link) <- pc + 3
           | _ -> ())),
-        pend_out )
+        pend_after mx )
 
 (* ------------------------------------------------------------------ *)
 (* Macro-op fusion peepholes.  Both fold two adjacent words into a single
@@ -703,14 +765,14 @@ let gen_cmp_branch ~pend_in d f test tgt mx ax =
    [jit_pv] is still written for the recovery path, and the consumer's
    operands are read before the commit so it still sees the architecturally
    stale register, exactly as the delayed-load machine specifies. *)
-let gen_load_use ~k ~pend_in d fp da f mx ax =
+let gen_load_use ~k ~pend_in ~byte d fp da f mx ax =
   let pf = pend_frag pend_in mx ax in
   let dead = da = d in
   fun t ->
     t.jit_k <- k;
     let a = fp t in
     pf t;
-    let v = t.dmem.(a) in
+    let v = if byte then read_lane t a else t.dmem.(a) in
     t.jit_pv <- v;
     t.jit_k <- k + 1;
     let v2 = f t in
@@ -764,6 +826,32 @@ let compile t entry_pc =
         tb.(j + 1) <- tb.(j)
       end
     done;
+    (* The byte machine's weighted cycles ([Cpu.weight]) are added per
+       word, in execution order, since their float sum depends on the
+       order.  A trace adds the weights of the words it completed as it
+       leaves — every whole run, then the completed prefix of a run cut by
+       a fault or a side exit — in body order.  Nothing reads or writes
+       the cell while a trace runs, so the sum is bit for bit the per-step
+       one. *)
+    let weigh = t.cfg.byte_addressed in
+    let wts =
+      Array.map
+        (fun p -> Cpu.weight t.cfg ~busy:(Word.references_memory t.imem.(p)))
+        wp
+    in
+    let add_weights t runs k =
+      let cell = t.stats.Stats.weighted in
+      let acc = ref (Array.unsafe_get cell 0) in
+      for _ = 1 to runs do
+        for j = 0 to len - 1 do
+          acc := !acc +. Array.unsafe_get wts j
+        done
+      done;
+      for j = 0 to k - 1 do
+        acc := !acc +. Array.unsafe_get wts j
+      done;
+      Array.unsafe_set cell 0 !acc
+    in
     (* where a completed trace resumes when it does not take the
        terminator: past the delay slots, or at the scan stop point *)
     let exit_seq =
@@ -840,13 +928,16 @@ let compile t entry_pc =
              && next_plain (!k + 1)
           then
             match mx with
-            | MXload_w (d, fp) -> (
+            | MXload_w (d, fp) | MXload_b (d, fp) -> (
+                let byte = match mx with MXload_b _ -> true | _ -> false in
                 let ne = words.(!k + 1) in
                 let nmx = flat_mx t.cfg ne in
                 let nax, _ = flat_ax ne in
                 match (nmx, nax) with
                 | MXnone, AXreg (da, f) ->
-                    let frag = gen_load_use ~k:!k ~pend_in:!pend d fp da f mx ax in
+                    let frag =
+                      gen_load_use ~k:!k ~pend_in:!pend ~byte d fp da f mx ax
+                    in
                     pend_at.(!k + 1) <- pend_code (PKnown d);
                     frag_list := frag :: !frag_list;
                     pend := PNone;
@@ -868,23 +959,23 @@ let compile t entry_pc =
               | MXnone, Some a -> flat_alu_frag ~k:!k a
               | MXlimm (dm, c), None ->
                   DFrag (fun t -> Array.unsafe_set t.regs dm c)
-              | MXload_w (_, _), None -> (
+              | (MXload_w _ | MXload_b _), None -> (
                   match e.Predecode.mem with
-                  | Some (Mem.Load (Mem.W32, addr, _)) ->
-                      flat_load_frag ~k:!k ~dmem_words:t.cfg.dmem_words addr
+                  | Some (Mem.Load (w, addr, _)) ->
+                      flat_load_frag ~k:!k ~rule:(rule_of t.cfg w)
+                        ~dmem_words:t.cfg.dmem_words addr
                   | _ -> DNo)
-              | MXstore_w (_, _), None -> (
+              | (MXstore_w _ | MXstore_b _), None -> (
                   match e.Predecode.mem with
-                  | Some (Mem.Store (Mem.W32, s, addr)) ->
-                      flat_store_frag ~k:!k ~dmem_words:t.cfg.dmem_words s addr
+                  | Some (Mem.Store (w, s, addr)) ->
+                      flat_store_frag ~k:!k ~rule:(rule_of t.cfg w)
+                        ~dmem_words:t.cfg.dmem_words s addr
                   | _ -> DNo)
               | _ -> DNo
           in
           let frag0, p' =
             match direct with
-            | DFrag f ->
-                (Some f,
-                 match mx with MXload_w (d, _) -> PKnown d | _ -> PNone)
+            | DFrag f -> (Some f, pend_after mx)
             | DDrop -> (None, PNone)
             | DNo ->
                 let pure =
@@ -959,7 +1050,8 @@ let compile t entry_pc =
       for j = 0 to k - 1 do
         let x = t.xcode.(wp.(j)) in
         x.runs <- x.runs + 1
-      done
+      done;
+      if weigh then add_weights t 0 k
     in
     let final_pend = !pend in
     let mat_pend =
@@ -1145,7 +1237,8 @@ let compile t entry_pc =
            once, not per iteration. *)
         let flush t iters taken =
           tally.tl_runs <- tally.tl_runs + iters;
-          t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + taken
+          t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + taken;
+          if weigh then add_weights t iters 0
         in
         let rec spin t fuel iters =
           match run_body t with
@@ -1189,6 +1282,7 @@ let compile t entry_pc =
           | exception Guard_exit -> side_exit t fuel
           | () ->
           tally.tl_runs <- tally.tl_runs + 1;
+          if weigh then add_weights t 1 0;
           (if n >= 0 && t.sc_taken then begin
              t.stats.Stats.branches_taken <- t.stats.Stats.branches_taken + 1;
              let tgt = t.sc_target in
@@ -1219,7 +1313,7 @@ let compile t entry_pc =
    state only — the steady-state loop allocates nothing. *)
 
 let run ?(fuel = 10_000_000) t handler =
-  let eligible = (not t.cfg.interlock) && not t.cfg.byte_addressed in
+  let eligible = not t.cfg.interlock in
   let rec loop fuel =
     if fuel <= 0 then begin
       t.stats.Stats.fuel_exhausted <- true;

@@ -10,9 +10,11 @@
     load+use pairs are fused into single fragments, and a conditional
     branch back to its own entry makes the loop spin inside the closure.
 
-    Traces exist only for the default machine configuration (no interlocks,
-    word-addressed) executing in kernel mode with mapping off; everything
-    else — other configurations, user mode, tracing, profiling, fault
+    Traces exist for the delayed-load machines, word and byte addressed,
+    executing in kernel mode with mapping off; on the byte machine a trace
+    adds each completed word's weighted cycles ({!Mips_machine.Cpu.weight})
+    in execution order, since that float sum is never folded.  Everything
+    else — the interlocked machine, user mode, tracing, profiling, fault
     injection, pending interrupts, traps, and cold code — runs through
     {!Mips_machine.Cpu.step_fast}, so the jit engine degrades to the fast
     engine rather than diverging.  A trace's per-pc state lives in its

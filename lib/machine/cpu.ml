@@ -269,7 +269,8 @@ let jit_invalidate t a =
    [Predecode.charge].  Integer sums commute, so the folded record equals
    the reference step's per-cycle one at any fold point.  The weighted
    cell is folded only off the byte machine, where every word weighs
-   exactly 1.0; the byte machine's fractional weights are added per step.
+   exactly 1.0; the byte machine's fractional weights are added per word
+   ([weight]), in execution order, by every engine.
    A count is always charged with the word it counted: a write to a slot
    ([write_code], [write_note], [load_program]) first flushes the slot and
    the traces covering it. *)
@@ -713,6 +714,13 @@ let dispatch t cause detail ~epcs:(e0, e1, e2) =
   end;
   Dispatched cause
 
+(* One completed word's weighted cycles: on the byte machine a word that
+   references data memory pays the fetch overhead.  Every engine adds this
+   value, per word and in execution order. *)
+let[@inline] weight cfg ~busy =
+  if cfg.byte_addressed && busy then 1. +. (cfg.fetch_overhead_pct /. 100.)
+  else 1.
+
 let count_cycle t word =
   let s = t.stats in
   s.cycles <- s.cycles + 1;
@@ -720,9 +728,7 @@ let count_cycle t word =
   let busy = Word.references_memory word in
   if busy then s.mem_busy_cycles <- s.mem_busy_cycles + 1
   else s.free_cycles <- s.free_cycles + 1;
-  if t.cfg.byte_addressed && busy then
-    s.weighted.(0) <- s.weighted.(0) +. (1. +. (t.cfg.fetch_overhead_pct /. 100.))
-  else s.weighted.(0) <- s.weighted.(0) +. 1.;
+  s.weighted.(0) <- s.weighted.(0) +. weight t.cfg ~busy;
   match word with
   | Word.Nop -> s.nops <- s.nops + 1
   | Word.A _ -> s.alu_pieces <- s.alu_pieces + 1
@@ -1167,36 +1173,49 @@ let compile_addr = function
       let b = Reg.to_int b and i = Reg.to_int i in
       fun t -> Word32.add t.regs.(b) (Word32.shift_left t.regs.(i) n)
 
+(* A data reference's resolve rule, by machine and width.  The word
+   address is [addr asr 2] on the byte machine and [addr] on the word
+   machine ([rule_word]); a byte reference on the word machine raises
+   Illegal 3 before any translation.  The translated word out of range
+   raises Illegal 1, then a misaligned word reference on the byte machine
+   Illegal 2 ([rule_place]).  A word reference resolves to the physical
+   word, a byte reference to [(phys lsl 2) lor lane].  The faults rank as
+   in [resolve], which the reference engine keeps as the oracle. *)
+type rule = Whole | Aligned | Lane | No_lane
+
+let rule_of (cfg : config) width =
+  match (cfg.byte_addressed, width) with
+  | false, Mem.W32 -> Whole
+  | true, Mem.W32 -> Aligned
+  | true, Mem.W8 -> Lane
+  | false, Mem.W8 -> No_lane
+
+let[@inline] rule_word rule addr =
+  match rule with
+  | Whole -> addr
+  | Aligned | Lane -> addr asr 2
+  | No_lane -> raise (Fault (Cause.Illegal, 3))
+
+let[@inline] rule_place rule ~dmem_words addr phys =
+  if phys < 0 || phys >= dmem_words then raise (Fault (Cause.Illegal, 1));
+  match rule with
+  | Whole | No_lane -> phys
+  | Aligned ->
+      if addr land 3 <> 0 then raise (Fault (Cause.Illegal, 2));
+      phys
+  | Lane -> (phys lsl 2) lor (addr land 3)
+
 (* Compiled data-address resolution shared by loads and stores: the
    closure returns the physical word, or [(phys lsl 2) lor lane] when the
-   flag says it is a byte reference, faulting exactly where [resolve]
-   would. *)
+   flag says it is a byte reference. *)
 let compile_resolve (cfg : config) ~write width a =
-  let ga = compile_addr a in
-  if cfg.byte_addressed then
-    let resolve lane_rule t =
+  let ga = compile_addr a and rule = rule_of cfg width in
+  let dmem_words = cfg.dmem_words in
+  ( rule = Lane,
+    fun t ->
       let addr = ga t in
-      let word_v = addr asr 2 and lane = addr land 3 in
-      let phys = translate_word t Pagemap.Dspace ~write word_v in
-      data_bounds_check t phys;
-      lane_rule phys lane
-    in
-    match width with
-    | Mem.W8 -> (true, resolve (fun phys lane -> (phys lsl 2) lor lane))
-    | Mem.W32 ->
-        ( false,
-          resolve (fun phys lane ->
-              if lane <> 0 then raise (Fault (Cause.Illegal, 2));
-              phys) )
-  else
-    match width with
-    | Mem.W8 -> (false, fun _ -> raise (Fault (Cause.Illegal, 3)))
-    | Mem.W32 ->
-        ( false,
-          fun t ->
-            let phys = translate_word t Pagemap.Dspace ~write (ga t) in
-            data_bounds_check t phys;
-            phys )
+      rule_place rule ~dmem_words addr
+        (translate_word t Pagemap.Dspace ~write (rule_word rule addr)) )
 
 let compile_mem (cfg : config) m =
   match m with
@@ -1229,9 +1248,10 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
      depends on the order of the adds: they stay a per-step add, in the
      reference order, instead of being folded *)
   let weigh = cfg.byte_addressed in
-  let weight =
-    if Word.references_memory w then 1. +. (cfg.fetch_overhead_pct /. 100.)
-    else 1.
+  let weight = weight cfg ~busy:(Word.references_memory w) in
+  (* every closure below calls it once, after the word's faultable compute *)
+  let[@inline] weigh_word t =
+    if weigh then t.stats.weighted.(0) <- t.stats.weighted.(0) +. weight
   in
   let stall_check = interlock && e.Predecode.may_stall in
   let reads = e.Predecode.reads in
@@ -1273,7 +1293,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
     | AXreg (_, f) | AXspecial (_, f) -> t.sc_v <- f t
     | AXrfe -> user_priv_check t);
     (* nothing faults past this point: the word completes (a trap too) *)
-    if weigh then t.stats.weighted.(0) <- t.stats.weighted.(0) +. weight;
+    weigh_word t;
     (match bx with
     | BXnone | BXjump _ | BXjal _ -> ()
     | BXcbr (f, _) -> t.sc_taken <- f t
@@ -1337,47 +1357,73 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
       | BXtrap _ -> assert false (* raised during the compute phase *)
   in
   (* Specialised straight-line bodies for the common shapes on the
-     delayed-load word machine.  The [mx]/[ax]/[bx] matches in [generic]
-     are constant per closure but share branch-predictor sites across every
-     compiled word, so the hot shapes get dedicated closures with the
-     pending-load commit and the PC advance inlined ([@inline]: no tuples,
-     no out-of-line calls).  Interlock mode, the byte machine and the rare
-     shapes (traps, rfe, specials, unusual packings) stay on [generic]; the
-     commit ordering in each body mirrors it exactly. *)
-  if interlock || cfg.byte_addressed then generic
+     delayed-load machines, word and byte addressed alike.  The
+     [mx]/[ax]/[bx] matches in [generic] are constant per closure but share
+     branch-predictor sites across every compiled word, so the hot shapes
+     get dedicated closures with the pending-load commit and the PC advance
+     inlined ([@inline]: no tuples, no out-of-line calls).  Each body adds
+     the byte machine's weighted cycles right after its faultable compute,
+     as [generic] does; the address closures already carry the machine's
+     resolve rule.  Interlock mode and the rare shapes (traps, rfe,
+     specials, unusual packings) stay on [generic]; the commit ordering in
+     each body mirrors it exactly. *)
+  if interlock then generic
   else
     match (mx, ax, bx) with
     | MXnone, AXnone, BXnone ->
         fun t ->
+          weigh_word t;
           commit_pending t;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXreg (d, f), BXnone ->
         fun t ->
           let v = f t in
+          weigh_word t;
           commit_pending t;
           t.regs.(d) <- v;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXlimm (d, c0), AXnone, BXnone ->
         fun t ->
+          weigh_word t;
           commit_pending t;
           t.regs.(d) <- c0;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXload_w (d, fp), AXnone, BXnone ->
         fun t ->
           let a = fp t in
+          weigh_word t;
           commit_pending t;
           t.pend_r <- d;
           t.pend_v <- t.dmem.(a);
+          set_chain t t.p1 t.p2 (t.p2 + 1)
+    | MXload_b (d, fp), AXnone, BXnone ->
+        fun t ->
+          let a = fp t in
+          weigh_word t;
+          commit_pending t;
+          t.pend_r <- d;
+          t.pend_v <- Word32.get_byte t.dmem.(a lsr 2) (a land 3);
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXstore_w (src, fp), AXnone, BXnone ->
         fun t ->
           let a = fp t in
           let v = t.regs.(src) in
+          weigh_word t;
           t.dmem.(a) <- v;
+          commit_pending t;
+          set_chain t t.p1 t.p2 (t.p2 + 1)
+    | MXstore_b (src, fp), AXnone, BXnone ->
+        fun t ->
+          let a = fp t in
+          let v = t.regs.(src) in
+          weigh_word t;
+          let phys = a lsr 2 in
+          t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) (a land 3) v;
           commit_pending t;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXnone, BXcbr (f, target) ->
         fun t ->
+          weigh_word t;
           let taken = f t in
           commit_pending t;
           if taken then begin
@@ -1387,23 +1433,27 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           else set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXnone, BXjump target ->
         fun t ->
+          weigh_word t;
           commit_pending t;
           t.stats.branches_taken <- t.stats.branches_taken + 1;
           set_chain t t.p1 target (target + 1)
     | MXnone, AXnone, BXjal (target, link) ->
         fun t ->
+          weigh_word t;
           commit_pending t;
           t.regs.(link) <- t.p2;
           t.stats.branches_taken <- t.stats.branches_taken + 1;
           set_chain t t.p1 target (target + 1)
     | MXnone, AXnone, BXjind r ->
         fun t ->
+          weigh_word t;
           let target = t.regs.(r) in
           commit_pending t;
           t.stats.branches_taken <- t.stats.branches_taken + 1;
           set_chain t t.p1 t.p2 target
     | MXnone, AXnone, BXjalind (r, link) ->
         fun t ->
+          weigh_word t;
           let target = t.regs.(r) in
           commit_pending t;
           t.regs.(link) <- t.p2 + 1;
@@ -1412,6 +1462,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
     | MXnone, AXreg (d, fa), BXcbr (fb, target) ->
         fun t ->
           let v = fa t in
+          weigh_word t;
           let taken = fb t in
           commit_pending t;
           t.regs.(d) <- v;
@@ -1423,6 +1474,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
     | MXnone, AXreg (d, fa), BXjump target ->
         fun t ->
           let v = fa t in
+          weigh_word t;
           commit_pending t;
           t.regs.(d) <- v;
           t.stats.branches_taken <- t.stats.branches_taken + 1;
@@ -1430,6 +1482,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
     | MXlimm (dm, c0), AXreg (da, fa), BXnone ->
         fun t ->
           let v = fa t in
+          weigh_word t;
           commit_pending t;
           t.regs.(da) <- v;
           t.regs.(dm) <- c0;
@@ -1438,6 +1491,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
         fun t ->
           let a = fp t in
           let v = fa t in
+          weigh_word t;
           commit_pending t;
           t.regs.(da) <- v;
           t.pend_r <- dm;
@@ -1448,6 +1502,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           let a = fp t in
           let sv = t.regs.(src) in
           let v = fa t in
+          weigh_word t;
           t.dmem.(a) <- sv;
           commit_pending t;
           t.regs.(da) <- v;

@@ -227,9 +227,10 @@ val stats : t -> Stats.t
     counted: {!write_code}, {!write_note} and {!load_program} flush the
     slots they change first.  The byte machine's [weighted] cell is the
     exception: its per-word weights are not integral, so the float sum
-    depends on the order of the adds, and on [byte_addressed] configs the
-    engines keep the reference step's per-step add.  Everywhere else
-    [weighted] is integer-valued and derived.
+    depends on the order of the adds, and on [byte_addressed] configs
+    every engine adds each word's {!weight} in execution order (the jit
+    as a trace leaves).  Everywhere else [weighted] is integer-valued and
+    derived.
 
     The fold costs O(slots with code + live traces) and nothing on a
     machine only the reference step has run.  The returned record is the
@@ -405,6 +406,13 @@ val quiet : t -> bool
     where it is false runs on the reference {!step}, so the observers see
     it exactly as they would under [Ref]. *)
 
+val weight : config -> busy:bool -> float
+(** One completed word's weighted cycles: [1 + fetch_overhead_pct / 100]
+    for a word that references data memory ([busy]) on a [byte_addressed]
+    config, 1.0 otherwise.  On the byte machine the float sum depends on
+    the order of the adds, so every engine adds this per word, in
+    execution order (see {!stats}). *)
+
 val overflow_trap : t -> unit
 (** Raises [Fault (Overflow, 0)] when the surprise register enables
     overflow traps; called by a piece whose arithmetic overflowed. *)
@@ -451,13 +459,34 @@ val op_rd : Operand.t -> bool * int
 (** The piece compilers.  The fast engine's word closures are built from
     them, and so are the jit's ALU and branch fragments, so the ALU and
     branch-condition semantics are compiled in one place (the jit keeps
-    only its pinned-state word address and direct fragments).  An ALU
+    only its pinned-state address and direct fragments, which apply the
+    same resolve rule).  An ALU
     piece and a conditional branch's test are each one flat closure:
     operands resolved through {!op_rd} and read straight from the
     register file, with no nested operand closures. *)
 
 val compile_alu : Alu.t -> alu_exec
-val compile_mem : config -> Mem.t option -> mem_exec
+
+(** A data reference's resolve rule: a word reference on the word machine
+    ([Whole]), on the byte machine ([Aligned]), a byte reference on the
+    byte machine ([Lane]) or on the word machine ([No_lane]).  The fast
+    engine's compiled addresses apply it around the data translation, and
+    the jit's with translation pinned to the identity. *)
+type rule = Whole | Aligned | Lane | No_lane
+
+val rule_of : config -> Mem.width -> rule
+
+val rule_word : rule -> int -> int
+(** The word address to translate for native address [addr]: [addr asr 2]
+    on the byte machine.  A byte reference on the word machine raises
+    [Fault (Illegal, 3)]. *)
+
+val rule_place : rule -> dmem_words:int -> int -> int -> int
+(** [rule_place rule ~dmem_words addr phys] checks translated word [phys]
+    (out of range: [Fault (Illegal, 1)]) and the alignment of [addr]
+    (a misaligned word reference on the byte machine:
+    [Fault (Illegal, 2)]), and returns the physical word, or
+    [(phys lsl 2) lor lane] for a byte reference. *)
 val compile_branch : int Branch.t option -> br_exec
 
 (** {2 Jit hooks}

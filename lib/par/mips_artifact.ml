@@ -19,6 +19,10 @@
 
 open Mips_machine
 
+(* the default engine below is the jit: a program that links only this
+   module must still find it installed *)
+let () = Mips_jit.install ()
+
 type sim = {
   program : Program.t;
   result : Hosted.result;
@@ -136,7 +140,7 @@ let compiled ?(config = Mips_ir.Config.default)
     (fun () -> Mips_reorg.Pipeline.compile ~level (asm ~config src))
 
 let simulated ?(config = Mips_ir.Config.default)
-    ?(level = Mips_reorg.Pipeline.Delay_filled) ?(engine = Cpu.Fast)
+    ?(level = Mips_reorg.Pipeline.Delay_filled) ?(engine = Cpu.Jit)
     ?(fuel = default_fuel) ?(input = "") src =
   cached sims
     ( digest src,

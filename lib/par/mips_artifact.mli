@@ -43,10 +43,12 @@ val simulated :
   sim
 (** A full simulation of the program: compiled as above, then run to
     completion (or the fuel budget) on a reset machine matching the
-    config's addressing mode, borrowed with [Cpu.with_machine].  [engine] defaults to [Cpu.Fast], which is
-    bit-identical to the reference stepper; pass [~engine:Cpu.Ref] for the
-    oracle.  The engine is part of the key, so runs on different engines
-    never share an entry. *)
+    config's addressing mode, borrowed with [Cpu.with_machine].  [engine]
+    defaults to [Cpu.Jit] on both machines, which is bit-identical to the
+    reference stepper; linking this module installs it
+    ([Mips_jit.install]).  Pass [~engine:Cpu.Ref] for the oracle.  The
+    engine is part of the key, so runs on different engines never share an
+    entry. *)
 
 val entry_sim :
   ?config:Mips_ir.Config.t -> ?level:Mips_reorg.Pipeline.level ->

@@ -108,9 +108,10 @@ let test_differential () =
           let r = run_one ~config ~plan ~engine:Cpu.Ref program in
           let f = run_one ~config ~plan ~engine:Cpu.Fast program in
           explain_diff vname seed r f;
-          (* the jit engine under the same oracle: compiled traces where
-             eligible, fallback everywhere else (interlocked and byte
-             configs, armed fault plans), same bit-exact contract *)
+          (* the jit engine under the same oracle: compiled traces on
+             the word and byte machines, fallback everywhere else
+             (interlocked configs, armed fault plans), same bit-exact
+             contract *)
           let j = run_one ~config ~plan ~engine:Cpu.Jit program in
           explain_diff (vname ^ "-jit") seed r j)
         (variants seed))
@@ -178,9 +179,14 @@ let machine_state cpu (res : Hosted.result) =
     | Some (c, d) -> Printf.sprintf "%s/%d" (Cause.name c) d
     | None -> "none")
 
-let phases_agree what program phases =
+(* The weighted cell's exact bits: on the byte machine its sum depends on
+   the order of the per-word adds, and the JSON rendering need not show
+   every bit. *)
+let weighted_bits cpu = Int64.bits_of_float (Cpu.stats cpu).Stats.weighted.(0)
+
+let phases_agree ?(config = Cpu.default_config) what program phases =
   let drive engine =
-    let cpu = Cpu.create () in
+    let cpu = Cpu.create ~config () in
     Cpu.load_program cpu program;
     List.map
       (fun (name, patch) ->
@@ -190,21 +196,23 @@ let phases_agree what program phases =
           Alcotest.failf "%s, %s: %s did not halt" what name (Cpu.engine_name engine);
         let state = machine_state cpu res in
         patch cpu;
-        (name, Cpu.get_reg cpu (Mips_isa.Reg.r 2), state, stats_json cpu))
+        ( (name, Cpu.get_reg cpu (Mips_isa.Reg.r 2), state, stats_json cpu),
+          weighted_bits cpu ))
       phases
   in
   let reference = drive Cpu.Ref in
   List.iter
     (fun engine ->
       List.iter2
-        (fun (name, racc, rstate, rstats) (_, acc, state, stats) ->
+        (fun ((name, racc, rstate, rstats), rbits) ((_, acc, state, stats), bits) ->
           let label = Printf.sprintf "%s, %s, %s" what name (Cpu.engine_name engine) in
           check_int (label ^ ": r2") racc acc;
           check_string (label ^ ": state") rstate state;
-          check_string (label ^ ": stats") rstats stats)
+          check_string (label ^ ": stats") rstats stats;
+          check (label ^ ": weighted bits") true (Int64.equal rbits bits))
         reference (drive engine))
     [ Cpu.Fast; Cpu.Jit ];
-  reference
+  List.map fst reference
 
 (* Self-modifying code: write_code must invalidate the compiled slot, and
    code and note writes must charge the counts already taken to the words
@@ -412,6 +420,150 @@ let test_hot_trace_shapes () =
       check_int "acc restored = heat" a f
   | _ -> assert false
 
+(* The same for the byte machine, whose addresses are byte addresses and
+   whose words referencing memory weigh 1.15 cycles, added per word in
+   execution order.  The loop reaches byte loads and stores at every lane
+   and addressing mode, word loads and stores at byte addresses, the byte
+   extract and insert behind a byte load (the load+use pair), a packed
+   ALU+byte-load word, a guard side exit into a trace that is not a loop,
+   and a word load whose address turns misaligned
+   (Illegal 2), then out of range and misaligned at once (Illegal 1 ranks
+   first), at i = 30 of a run that by then executes as a trace. *)
+let test_hot_trace_shapes_byte () =
+  let open Mips_isa in
+  let rr i = Operand.reg (Reg.r i) and i4 = Operand.imm4 in
+  let alu a = Word.A a in
+  let binop op x y d = alu (Alu.Binop (op, x, y, Reg.r d)) in
+  let fold r = binop Alu.Xor (rr 2) (rr r) 2 in (* acc ^= r *)
+  let movi c d = alu (Alu.Movi8 (c, Reg.r d)) in
+  let limm c d = Word.M (Mem.Limm (c, Reg.r d)) in
+  let ld w a d = Word.M (Mem.Load (w, a, Reg.r d)) in
+  let st w s a = Word.M (Mem.Store (w, Reg.r s, a)) in
+  let ld8 = ld Mem.W8 and ld32 = ld Mem.W32 in
+  let st8 = st Mem.W8 and st32 = st Mem.W32 in
+  let n = 80 and loop = 8 in
+  let dmem_words = Cpu.byte_addressed_config.Cpu.dmem_words in
+  (* r1 = i, r2 = acc, r3 = n - i, r4 = 256 (the byte address of the
+     read-only array at data word 64), r5 = the offset in data word 1 (a
+     word multiple normally), r9 = i land 3 (a lane), r12 = 30, r13 = 4096
+     (the store area, data word 1024); the byte insert's lane is 2.  Each
+     loaded value is folded after the load's delay slot, and each store is
+     read back through its own address, so every phase's accumulator
+     depends only on the phase. *)
+  let prologue =
+    [ movi 0 1; movi 0 2; movi n 3; limm 256 4;
+      ld32 (Mem.Abs 4) 5;
+      movi 30 12; limm 4096 13;
+      alu (Alu.Wr_special (Alu.Byte_select, i4 2)) ]
+  in
+  let lanes = [ 0; 1; 2; 3 ] in
+  let body =
+    List.concat
+      [ (* a forward branch the jit speculates not taken: one iteration in
+           four leaves the loop's trace by a side exit and goes on in a
+           trace entered at the branch target, which is not a loop *)
+        [ binop Alu.And (rr 1) (i4 3) 9;
+          Word.B (Branch.Cbr (Cond.Eq, rr 9, i4 3, loop + 4));
+          Word.Nop;
+          fold 9 ];
+        (* byte loads at every lane, absolute and displaced *)
+        List.concat_map
+          (fun l ->
+            [ ld8 (Mem.Abs (256 + (4 * l) + l)) 7;
+              ld8 (Mem.Disp (Reg.r 4, 20 + l)) 10;
+              fold 7; fold 10 ])
+          lanes;
+        (* the other modes, whose lane follows i *)
+        [ ld8 (Mem.Idx (Reg.r 4, Reg.r 9)) 7;
+          ld8 (Mem.Shifted (Reg.r 4, Reg.r 1, 1)) 10;
+          fold 7; fold 10;
+          ld8 (Mem.Scaled (Reg.r 4, Reg.r 1, 0)) 7;
+          binop Alu.Add (rr 1) (i4 1) 8; fold 7 ];
+        (* byte stores at every lane, each read back *)
+        List.concat_map
+          (fun l ->
+            [ st8 2 (Mem.Abs (4096 + l));
+              st8 1 (Mem.Disp (Reg.r 13, 8 + l));
+              ld8 (Mem.Abs (4096 + l)) 7;
+              ld8 (Mem.Disp (Reg.r 13, 8 + l)) 10;
+              fold 7; fold 10 ])
+          lanes;
+        [ st8 8 (Mem.Idx (Reg.r 13, Reg.r 9));
+          st8 2 (Mem.Shifted (Reg.r 13, Reg.r 1, 3));
+          st8 1 (Mem.Scaled (Reg.r 13, Reg.r 1, 0));
+          ld8 (Mem.Idx (Reg.r 13, Reg.r 9)) 7;
+          ld8 (Mem.Shifted (Reg.r 13, Reg.r 1, 3)) 10;
+          fold 7; fold 10;
+          ld8 (Mem.Scaled (Reg.r 13, Reg.r 1, 0)) 7;
+          movi 77 6; fold 7;
+          (* extract and insert behind a byte load: the insert overwrites
+             the load's own destination, so the load's write is dead *)
+          ld8 (Mem.Disp (Reg.r 4, 5)) 7;
+          alu (Alu.Xbyte (rr 9, rr 7, Reg.r 6)); fold 6; fold 7;
+          ld8 (Mem.Disp (Reg.r 4, 6)) 7;
+          alu (Alu.Ibyte (rr 1, Reg.r 7)); fold 7;
+          Word.AM
+            ( Alu.Binop (Alu.Add, rr 1, i4 2, Reg.r 6),
+              Mem.Load (Mem.W8, Mem.Disp (Reg.r 4, 7), Reg.r 7) );
+          fold 6; fold 7;
+          (* word references at byte addresses *)
+          ld32 (Mem.Disp (Reg.r 4, 8)) 10;
+          ld32 (Mem.Scaled (Reg.r 4, Reg.r 9, 2)) 7;
+          fold 10; fold 7;
+          st32 2 (Mem.Disp (Reg.r 13, 16));
+          st32 1 (Mem.Scaled (Reg.r 13, Reg.r 9, 2));
+          ld32 (Mem.Disp (Reg.r 13, 16)) 10;
+          ld32 (Mem.Scaled (Reg.r 13, Reg.r 9, 2)) 7;
+          fold 10; fold 7;
+          (* r0 = the offset from i = 30 on, else 0 *)
+          alu (Alu.Setc (Cond.Ge, rr 1, rr 12, Reg.r 0));
+          binop Alu.Mul (rr 0) (rr 5) 0;
+          ld32 (Mem.Idx (Reg.r 4, Reg.r 0)) 10;
+          ld8 (Mem.Idx (Reg.r 4, Reg.r 0)) 7;
+          fold 10; fold 7;
+          binop Alu.Add (rr 1) (i4 1) 1;
+          binop Alu.Sub (rr 3) (i4 1) 3;
+          alu (Alu.Setc (Cond.Gt, i4 1, rr 3, Reg.r 14));
+          Word.B (Branch.Cbr (Cond.Eq, rr 14, i4 0, loop));
+          Word.Nop ] ]
+  in
+  let code =
+    Array.of_list
+      (prologue @ body @ [ movi 0 10; Word.B (Branch.Trap Monitor.exit_) ])
+  in
+  (* distinct bytes in every lane of the read-only array *)
+  let byte_word k =
+    (0x10 + k) lor ((0x40 + k) lsl 8) lor ((0x70 + k) lsl 16) lor ((0x20 + k) lsl 24)
+  in
+  let program =
+    Program.make ~data:((1, 4) :: List.init 40 (fun k -> (64 + k, byte_word k))) code
+  in
+  let reference =
+    phases_agree ~config:Cpu.byte_addressed_config "byte hot trace shapes" program
+      [ ("heat", ignore);
+        ("steady, then the offset is misaligned at i = 30",
+         fun cpu -> Cpu.write_data cpu 1 2);
+        ("misaligned word load mid-trace, then the offset is out of range \
+          and misaligned",
+         fun cpu -> Cpu.write_data cpu 1 ((4 * dmem_words) + 2));
+        ("out-of-range word load mid-trace, then restored",
+         fun cpu -> Cpu.write_data cpu 1 4);
+        ("restored", ignore) ]
+  in
+  let faults =
+    List.map
+      (fun (_, _, state, _) ->
+        let i = String.rindex state ' ' in
+        String.sub state (i + 1) (String.length state - i - 1))
+      reference
+  in
+  check_string "faults" "none,none,Illegal/2,Illegal/1,none" (String.concat "," faults);
+  match List.map (fun (_, acc, _, _) -> acc) reference with
+  | [ a; b; _; _; e ] ->
+      check_int "acc steady = heat" a b;
+      check_int "acc restored = heat" a e
+  | _ -> assert false
+
 (* The kernel under the fast engine: quantum interrupts, demand paging and
    monitor traps all force reference-path cycles mid-run; scheduling and
    per-process outcomes must not change. *)
@@ -559,6 +711,33 @@ let test_reload_keeps_disjoint_traces () =
       check_int "acc after the reload" 500 b
   | _ -> assert false
 
+(* The byte machine is traced, not single-stepped: queens on the jit
+   compiles traces, and most of its words are charged through whole trace
+   runs.  Counted from the live tallies before the statistics are read (a
+   fold drops retired traces' tallies, so this can only undercount). *)
+let test_jit_traces_byte_queens () =
+  let e = Mips_corpus.Corpus.find "queens" in
+  let program =
+    Mips_codegen.Compile.compile ~config:Mips_ir.Config.byte_machine
+      e.Mips_corpus.Corpus.source
+  in
+  let cpu = Cpu.create ~config:Cpu.byte_addressed_config () in
+  let res =
+    Hosted.run_program_on ~input:e.Mips_corpus.Corpus.input ~engine:Cpu.Jit cpu
+      program
+  in
+  check "queens halted" true res.Hosted.halted;
+  let tallies = cpu.Cpu.jit_live in
+  let traced =
+    List.fold_left
+      (fun acc tl -> acc + (tl.Cpu.tl_runs * Array.length tl.Cpu.tl_pcs))
+      0 tallies
+  in
+  let words = (Cpu.stats cpu).Stats.words in
+  if tallies = [] then Alcotest.fail "no trace was compiled";
+  if 2 * traced <= words then
+    Alcotest.failf "only %d of %d words ran in whole traces" traced words
+
 (* Checkpoint/resume under the fast and jit engines: slice a run at every
    [every] steps, reading the statistics at each boundary (each read folds
    the pending counts), and the boundary readings and the completed run
@@ -680,6 +859,9 @@ let suite =
         tc "write_code invalidates compiled slot" test_write_code_invalidation;
         tc "hot trace: every ALU op, address mode and mid-trace fault"
           test_hot_trace_shapes;
+        tc "byte hot trace: every lane, address mode and mid-trace fault"
+          test_hot_trace_shapes_byte;
+        tc "jit: byte-machine queens runs as traces" test_jit_traces_byte_queens;
         tc "kernel scheduling identical" test_kernel_differential;
         tc "jit: SMC patch of hot compiled block" test_jit_smc_hot_block;
         tc "jit: checkpoint/resume bit-identical" test_jit_checkpoint_resume;
