@@ -18,7 +18,10 @@
      word, byte and interlocked machines (output, exit status and the full
      statistics record) and of three complete JSONL event traces, so the
      reference interpreter's accounting and every trace emission site stay
-     pinned whatever its implementation.
+     pinned whatever its implementation,
+   - a digest of kernel runs (report, machine statistics, scheduler and
+     machine snapshots, and traces) on every engine, whole and sliced, so
+     the kernel's scheduling and accounting stay pinned whatever drives it.
 
    Regenerate intentionally with:
      GOLDEN_UPDATE=1 GOLDEN_DIR=$PWD/test/golden \
@@ -266,10 +269,138 @@ let ref_stats_digest_text () =
 let test_ref_stats_digest () =
   check_golden "ref_stats_digest.txt" (ref_stats_digest_text ())
 
+(* One line per kernel run: the MD5 of its report, the machine's statistics,
+   the scheduler and machine snapshots and, where traced, the whole JSONL
+   event stream.  Each scenario runs on every engine, once as a whole [run]
+   and once as [run_for] slices of 97, so a change to how the kernel drives
+   the machine (slice bounds, quantum and watchdog timing, the order of
+   bookkeeping around a dispatch) fails here even when the engines still
+   agree with each other. *)
+let kernel_digest_text () =
+  let module Cpu = Mips_machine.Cpu in
+  let module Kernel = Mips_os.Kernel in
+  let module Plan = Mips_fault.Plan in
+  let module Progen = Mips_soak.Progen in
+  let module Snapshot = Mips_resilience.Snapshot in
+  let os_config =
+    { Mips_ir.Config.default with
+      Mips_ir.Config.stack_top = Kernel.user_stack_top }
+  in
+  let report_workload k =
+    List.iter
+      (fun name ->
+        let e = Mips_corpus.Corpus.find name in
+        Kernel.spawn k ~input:e.Mips_corpus.Corpus.input ~name
+          (Mips_codegen.Compile.compile ~config:os_config
+             e.Mips_corpus.Corpus.source))
+      [ "fib"; "sieve"; "strops" ]
+  in
+  let progen seeds k =
+    List.iter
+      (fun seed ->
+        Kernel.spawn k ~name:(Progen.name ~seed)
+          (Mips_reorg.Pipeline.compile (Progen.generate ~segments:40 ~seed ())))
+      seeds
+  in
+  let every_fault =
+    { Plan.quiet with
+      Plan.seed = 41;
+      flip_reg_rate = 0.004;
+      flip_data_rate = 0.004;
+      irq_rate = 0.004;
+      page_drop_rate = 0.004;
+      flaky_rate = 0.01 }
+  in
+  let flaky = { Plan.quiet with Plan.seed = 43; flaky_rate = 0.3; page_drop_rate = 0.05 } in
+  (* name, kernel parameters, processes, fuel, traced *)
+  let q400 engine trace = Kernel.create ~quantum:400 ~engine ~trace () in
+  let quantum q engine trace = Kernel.create ~quantum:q ~engine ~trace () in
+  let scenarios =
+    [ ("report-q400", q400, report_workload, 50_000_000, false);
+      ("report-q400-traced", q400, report_workload, 50_000_000, true);
+      ("report-q400-fuel-cut", q400, report_workload, 100_003, false);
+      ("q0", quantum 0, progen [ 5; 17 ], 60_000, false);
+      ("q1", quantum 1, progen [ 5; 17 ], 60_000, false);
+      ("q2", quantum 2, progen [ 5; 17 ], 60_000, false);
+      ("q7", quantum 7, progen [ 5; 17; 23 ], 400_000, false);
+      ( "frames-2+2",
+        (fun engine trace ->
+          Kernel.create ~data_frames:2 ~code_frames:2 ~quantum:1000 ~engine
+            ~trace ()),
+        report_workload, 50_000_000, false );
+      ( "watchdog-20000",
+        (fun engine trace ->
+          Kernel.create ~quantum:400 ~watchdog:20_000 ~engine ~trace ()),
+        report_workload, 50_000_000, false );
+      ( "watchdog-eq-quantum",
+        (fun engine trace ->
+          Kernel.create ~quantum:400 ~watchdog:400 ~engine ~trace ()),
+        report_workload, 50_000_000, false );
+      ( "progen-every-fault",
+        (fun engine trace ->
+          Kernel.create ~data_frames:8 ~code_frames:8 ~quantum:500
+            ~watchdog:200_000 ~fault_plan:(Plan.make every_fault) ~engine
+            ~trace ()),
+        progen [ 3; 7; 11; 13 ], 2_000_000, false );
+      ( "flaky-retries-2-double-2",
+        (fun engine trace ->
+          Kernel.create ~quantum:300 ~max_retries:2 ~double_fault_limit:2
+            ~fault_plan:(Plan.make flaky) ~engine ~trace ()),
+        progen [ 5; 17; 23 ], 2_000_000, false );
+      ( "backing-limit-1",
+        (fun engine trace ->
+          Kernel.create ~data_frames:2 ~code_frames:4 ~quantum:500
+            ~backing_limit:1 ~engine ~trace ()),
+        report_workload, 50_000_000, false ) ]
+  in
+  let run_one (name, make, spawn, fuel, traced) engine sliced =
+    let buf = Buffer.create (if traced then 1 lsl 20 else 16) in
+    let sink =
+      if traced then Mips_obs.Sink.jsonl_buffer buf else Mips_obs.Sink.null
+    in
+    let k = make engine sink in
+    spawn k;
+    let report =
+      if sliced then begin
+        let rec go left =
+          if left > 0 && Kernel.run_for k ~steps:(min 97 left) = `More then
+            go (left - 97)
+        in
+        go fuel;
+        Kernel.report k
+      end
+      else Kernel.run ~fuel k
+    in
+    Mips_obs.Sink.flush sink;
+    let cpu = Kernel.cpu k in
+    Printf.sprintf "%s %s %s %s" name (Cpu.engine_name engine)
+      (if sliced then "run_for-97" else "run")
+      (Digest.to_hex
+         (Digest.string
+            (String.concat "\n"
+               [ Json.to_string (Kernel.report_json report);
+                 Json.to_string (Mips_machine.Stats.to_json (Cpu.stats cpu));
+                 Snapshot.sched_to_string (Kernel.sched_snapshot k);
+                 Snapshot.machine_to_string cpu; Buffer.contents buf ])))
+  in
+  let lines =
+    List.concat_map
+      (fun sc ->
+        List.concat_map
+          (fun engine -> [ run_one sc engine false; run_one sc engine true ])
+          Cpu.[ Ref; Fast; Jit ])
+      scenarios
+  in
+  String.concat "\n" lines ^ "\n"
+
+let test_kernel_digest () =
+  check_golden "kernel_digest.txt" (kernel_digest_text ())
+
 let suite =
   [ ( "golden:compile",
       [ tc_slow "reorganizer output digest" test_compile_digest;
-        tc_slow "ref engine stats and trace digest" test_ref_stats_digest ] );
+        tc_slow "ref engine stats and trace digest" test_ref_stats_digest;
+        tc_slow "kernel runs on every engine and slicing" test_kernel_digest ] );
     ( "golden:cli-json",
       [ tc_slow "run --stats-json fib" (test_stats_golden "fib");
         tc_slow "run --stats-json strops" (test_stats_golden "strops");
