@@ -1306,19 +1306,17 @@ let compile t entry_pc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The dispatch loop.  Mirrors [Cpu.run_with]'s fuel semantics exactly:
+(* The dispatch loop.  Mirrors [Cpu.run_engine]'s fuel semantics exactly:
    each single step costs 1 fuel (including a dispatching one), a trace
    costs its word count, and a trace that faults after [k] completed words
-   costs [k] plus 1 for the dispatch.  Written with recursion and scalar
-   state only — the steady-state loop allocates nothing. *)
+   costs [k] plus 1 for the dispatch; it returns the fuel left, [0] when
+   out of fuel.  Written with recursion and scalar state only — the
+   steady-state loop allocates nothing. *)
 
 let run ?(fuel = 10_000_000) t handler =
   let eligible = not t.cfg.interlock in
   let rec loop fuel =
-    if fuel <= 0 then begin
-      t.stats.Stats.fuel_exhausted <- true;
-      false
-    end
+    if fuel <= 0 then 0
     else if
       eligible
       && quiet t
@@ -1401,12 +1399,9 @@ let run ?(fuel = 10_000_000) t handler =
     | Dispatched cause -> dispatched cause fuel
   and dispatched cause fuel =
     match handler t cause with
-    | `Halt -> true
+    | `Halt -> fuel
     | `Resume ->
-        t.sr <- Surprise.pop t.sr;
-        t.p0 <- t.epcs.(0);
-        t.p1 <- t.epcs.(1);
-        t.p2 <- t.epcs.(2);
+        Cpu.resume t;
         loop (fuel - 1)
   in
   loop fuel

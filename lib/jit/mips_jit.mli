@@ -34,11 +34,12 @@ val hot_threshold : int
 val run :
   ?fuel:int ->
   Mips_machine.Cpu.t ->
-  (Mips_machine.Cpu.t -> Mips_machine.Cause.t -> [ `Resume | `Halt ]) -> bool
-(** The whole-run jit dispatch loop; same contract and fuel semantics as
-    {!Mips_machine.Cpu.run} (each simulated word costs 1 fuel, a
-    dispatching step costs 1).  The steady-state loop and the compiled
-    trace closures allocate no minor words per simulated instruction. *)
+  (Mips_machine.Cpu.t -> Mips_machine.Cause.t -> [ `Resume | `Halt ]) -> int
+(** The whole-run jit dispatch loop; same contract, fuel semantics and
+    result (the fuel left) as {!Mips_machine.Cpu.run_engine} (each
+    simulated word costs 1 fuel, a dispatching step costs 1).  The
+    steady-state loop and the compiled trace closures allocate no minor
+    words per simulated instruction. *)
 
 val install : unit -> unit
 (** Register {!run} as the [Cpu.Jit] engine

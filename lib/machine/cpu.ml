@@ -1584,39 +1584,33 @@ let engine_of_string = function
   | "jit" -> Some Jit
   | _ -> None
 
-(* Per-step contexts (the kernel's scheduler loop, arbitrary interleaving)
-   get the fast engine for [Jit]: trace dispatch only exists at whole-run
-   granularity, and [step_fast] is the jit loop's own single-step fallback,
-   so the state evolution is identical. *)
-let stepper = function Ref -> step | Fast | Jit -> step_fast
+(* The return-from-exception: pop the surprise register and restart at the
+   saved PC chain (the handler may have redirected the EPCs first). *)
+let resume t =
+  t.sr <- Surprise.pop t.sr;
+  set_chain t t.epcs.(0) t.epcs.(1) t.epcs.(2)
 
 let run_with stepf ?(fuel = 10_000_000) t handler =
   let rec loop fuel =
-    if fuel <= 0 then begin
-      t.stats.Stats.fuel_exhausted <- true;
-      false
-    end
+    if fuel <= 0 then 0
     else
       match stepf t with
       | Stepped -> loop (fuel - 1)
       | Dispatched cause -> (
           match handler t cause with
-          | `Halt -> true
+          | `Halt -> fuel
           | `Resume ->
-              t.sr <- Surprise.pop t.sr;
-              set_chain t t.epcs.(0) t.epcs.(1) t.epcs.(2);
+              resume t;
               loop (fuel - 1))
   in
   loop fuel
-
-let run ?fuel t handler = run_with step ?fuel t handler
 
 (* The jit run loop lives in [Mips_jit] (lib/jit), which depends on this
    module; it registers itself here at [install] time.  Requesting the jit
    engine without having linked it is a programming error, and failing loud
    beats silently falling back to a slower engine. *)
 let jit_runner :
-    (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool) ref =
+    (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int) ref =
   ref (fun ?fuel:_ _ _ ->
       failwith "Cpu.run_engine: jit engine not installed (call Mips_jit.install)")
 
@@ -1624,5 +1618,6 @@ let set_jit_runner f = jit_runner := f
 
 let run_engine ?fuel ~engine t handler =
   match engine with
+  | Ref -> run_with step ?fuel t handler
+  | Fast -> run_with step_fast ?fuel t handler
   | Jit -> !jit_runner ?fuel t handler
-  | Ref | Fast -> run_with (stepper engine) ?fuel t handler

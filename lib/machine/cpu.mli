@@ -217,9 +217,9 @@ val stats : t -> Stats.t
 
     {b Derived statistics.}  The reference {!step} charges every counter
     as it goes.  The fast engine and the jit write only the dynamic fields
-    directly: [branches_taken], the stall counters and stall pairs,
-    [exceptions] and [fuel_exhausted].  For everything else they count
-    executions — one per completed word, or one per trace run — and this
+    directly: [branches_taken], the stall counters and stall pairs, and
+    [exceptions].  For everything else they count executions — one per
+    completed word, or one per trace run — and this
     call folds the pending counts into the record, each charged with its
     word's {!Predecode.charge} through {!Stats.charge}.  Integer sums
     commute, so the result is bit-identical to the reference engine's at
@@ -324,18 +324,9 @@ val load_program : ?at:int -> ?data_at:int -> t -> Program.t -> unit
 val step : t -> event
 (** Execute one instruction word (or accept a pending interrupt). *)
 
-val run : ?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool
-(** [run t handler] steps until the handler (called on every dispatched
-    exception) answers [`Halt], or [fuel] (default 10 million) words have
-    executed.  On [`Resume] the machine performs the return-from-exception:
-    restores the surprise register and the saved PC chain (the handler may
-    have redirected the EPCs first).  Returns [true] when halted by the
-    handler, [false] when out of fuel (which also sets
-    {!Stats.t.fuel_exhausted}).
-
-    This is the {e hosted} mode used by tests and analyses; the full machine
-    -level dispatch path (kernel code at address 0) is exercised by the OS
-    library instead. *)
+val resume : t -> unit
+(** The return-from-exception: pop the surprise register and restart at the
+    saved PC chain (the EPCs, which a handler may have redirected first). *)
 
 (** {2 Fast engine}
 
@@ -367,18 +358,19 @@ type engine = Ref | Fast | Jit
 val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
-val stepper : engine -> t -> event
-(** The step function an engine uses at single-step granularity:
-    [stepper Ref == step]; [Fast] and [Jit] both step with {!step_fast}
-    (trace dispatch only exists at whole-run granularity, and the fast
-    engine is the jit loop's own fallback, so the state evolution is
-    identical). *)
-
 val run_engine :
-  ?fuel:int -> engine:engine -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool
-(** Run under the named engine.  [Jit] requires the trace compiler to have
-    been linked and installed ([Mips_jit.install]); requesting it without
-    fails loudly rather than silently running a slower engine. *)
+  ?fuel:int -> engine:engine -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int
+(** [run_engine ~engine t handler] steps under the named engine until the
+    handler (called on every dispatched exception) answers [`Halt], or
+    [fuel] (default 10 million) words have executed; a dispatching step
+    costs 1.  On [`Resume] the machine performs {!resume}.  Returns the
+    fuel left: [0] when out of fuel, above [0] when the handler halted.
+
+    This is the {e hosted} mode used by {!Hosted}, the kernel's slices,
+    tests and analyses: the handler stands in for kernel code at
+    address 0.  [Jit] requires the trace compiler to have been linked and
+    installed ([Mips_jit.install]); requesting it without fails loudly
+    rather than silently running a slower engine. *)
 
 val faulted : t -> fault_kind option
 
@@ -509,5 +501,6 @@ val jit_register : t -> tally -> unit
     [tl_pcs] gets a compiled slot, which holds its count. *)
 
 val set_jit_runner :
-  (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> bool) -> unit
-(** Register the whole-run jit loop that {!run_engine} dispatches [Jit] to. *)
+  (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int) -> unit
+(** Register the whole-run jit loop that {!run_engine} dispatches [Jit] to;
+    it returns the fuel left, as {!run_engine} does. *)

@@ -107,13 +107,9 @@ let run ?fuel ?(input = "") ?(on_unhandled = `Abort) ?(engine = Cpu.Ref)
   let halted =
     match checkpoint with
     | Some (every, save) when total > 0 ->
-        (* [Cpu.run_with] marks fuel exhaustion whenever its own argument
-           reaches zero, so the flag is cleared at interior boundaries and
-           only the final slice's verdict survives. *)
         Slice.run ~every ~total
-          ~step:(fun n -> Cpu.run_engine ~fuel:n ~engine cpu handler)
+          ~step:(fun n -> Cpu.run_engine ~fuel:n ~engine cpu handler > 0)
           ~boundary:(fun done_ ->
-            (Cpu.stats cpu).Stats.fuel_exhausted <- false;
             save
               {
                 h_output = Buffer.contents out;
@@ -123,8 +119,9 @@ let run ?fuel ?(input = "") ?(on_unhandled = `Abort) ?(engine = Cpu.Ref)
               })
           ()
         = Slice.Finished
-    | _ -> Cpu.run_engine ?fuel ~engine cpu handler
+    | _ -> Cpu.run_engine ?fuel ~engine cpu handler > 0
   in
+  if not halted then (Cpu.stats cpu).Stats.fuel_exhausted <- true;
   {
     halted;
     exit_status = !exit_status;

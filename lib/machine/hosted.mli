@@ -49,6 +49,8 @@ val run :
     past (with [`Ignore], which skips the offending instruction — for
     fault-injection tests).  [engine] selects the execution engine
     (default {!Cpu.Ref}); {!Cpu.Fast} must be observationally identical.
+    A run that ends out of fuel, not halted, sets
+    {!Stats.t.fuel_exhausted}.
 
     [checkpoint = (every, save)] runs in {!Slice}s of [every] steps and calls
     [save] at each interior boundary with the live host state — the caller

@@ -41,8 +41,8 @@ type t = {
       (** machine-artifact references (the extra read in a byte store's
           read-modify-write), excluded from the logical classes below *)
   mutable fuel_exhausted : bool;
-      (** set by {!Cpu.run} when it stopped because the fuel budget ran out
-          rather than because the handler halted the machine *)
+      (** set by {!Hosted.run} when it stopped because the fuel budget ran
+          out rather than because the handler halted the machine *)
   word_refs : ref_class;  (** word-sized, non-character references *)
   word_char_refs : ref_class;  (** word-sized references to character data *)
   byte_refs : ref_class;  (** byte-sized, non-character references *)

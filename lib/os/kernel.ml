@@ -91,7 +91,7 @@ type t = {
   mutable started : bool;  (* first ready process installed *)
   mutable halted : bool;  (* no ready process left *)
   trace : Mips_obs.Sink.t;
-  stepf : Cpu.t -> Cpu.event;  (* engine-selected step function *)
+  engine : Cpu.engine;
 }
 
 let cpu t = t.cpu
@@ -137,7 +137,7 @@ let create ?(data_frames = 32) ?(code_frames = 32) ?(quantum = 2000)
     started = false;
     halted = false;
     trace;
-    stepf = Cpu.stepper engine;
+    engine;
   }
 
 let user_sr =
@@ -393,12 +393,6 @@ let switch t =
          });
   next <> None
 
-(* resume the current process exactly where the exception left it (the
-   handler may have redirected the EPCs first) *)
-let resume t =
-  Cpu.set_surprise t.cpu (Surprise.pop (Cpu.surprise t.cpu));
-  Cpu.set_pc_chain t.cpu (Cpu.epc t.cpu 0, Cpu.epc t.cpu 1, Cpu.epc t.cpu 2)
-
 (* --- monitor calls -------------------------------------------------------------- *)
 
 let service_trap t (p : pcb) code =
@@ -584,108 +578,124 @@ let start (t : t) =
     t.halted <- t.current = None
   end
 
-(* exactly one iteration of the scheduling loop (one machine step or one
-   dispatched exception) *)
-let step_kernel (t : t) =
-  match t.stepf t.cpu with
-  | Cpu.Stepped ->
-      (match t.current with
-      | Some p ->
-          p.cycles_used <- p.cycles_used + 1;
-          (* forward progress: every no-progress streak ends here *)
-          p.retries <- 0;
-          p.consec_faults <- 0;
-          p.first_fault <- None;
-          (match t.watchdog with
-          | Some budget when p.cycles_used > budget ->
-              kill t p (Watchdog p.cycles_used)
-          | _ -> ())
-      | None -> ());
-      t.quantum_left <- t.quantum_left - 1;
-      if (not t.halted) && t.quantum_left <= 0 then begin
-        Cpu.set_interrupt t.cpu true;
+(* The per-step bookkeeping, once for the [n] words of a slice: a slice
+   never crosses the quantum or the watchdog budget before its last word. *)
+let stepped (t : t) n =
+  if n > 0 then begin
+    (match t.current with
+    | Some p -> (
+        p.cycles_used <- p.cycles_used + n;
+        (* forward progress: every no-progress streak ends here *)
+        p.retries <- 0;
+        p.consec_faults <- 0;
+        p.first_fault <- None;
+        match t.watchdog with
+        | Some budget when p.cycles_used > budget ->
+            kill t p (Watchdog p.cycles_used)
+        | _ -> ())
+    | None -> ());
+    t.quantum_left <- t.quantum_left - n;
+    if (not t.halted) && t.quantum_left <= 0 then begin
+      Cpu.set_interrupt t.cpu true;
+      t.quantum_left <- t.quantum
+    end
+  end
+
+(* one dispatched exception: resume, switch or kill *)
+let dispatched (t : t) cause =
+  let p = match t.current with Some p -> p | None -> assert false in
+  let transient =
+    cause = Cause.Page_fault && Cpu.faulted t.cpu = Some Cpu.Transient_ref
+  in
+  let is_fault =
+    (not transient)
+    && match cause with Cause.Interrupt | Cause.Trap -> false | _ -> true
+  in
+  if is_fault then begin
+    if p.first_fault = None then p.first_fault <- Some cause;
+    p.consec_faults <- p.consec_faults + 1
+  end;
+  if is_fault && p.consec_faults >= t.double_fault_limit then
+    (* faulting over and over with no successful step in between:
+       looping through the dispatch path will not converge — kill *)
+    let first = match p.first_fault with Some c -> c | None -> cause in
+    kill t p (Double_fault (first, cause))
+  else
+    match cause with
+    | Cause.Interrupt ->
+        Cpu.set_interrupt t.cpu false;
+        t.interrupts <- t.interrupts + 1;
+        if not (switch t) then t.halted <- true;
         t.quantum_left <- t.quantum
-      end
-  | Cpu.Dispatched cause -> (
-      let p = match t.current with Some p -> p | None -> assert false in
-      let transient =
-        cause = Cause.Page_fault && Cpu.faulted t.cpu = Some Cpu.Transient_ref
-      in
-      let is_fault =
-        (not transient)
-        && match cause with Cause.Interrupt | Cause.Trap -> false | _ -> true
-      in
-      if is_fault then begin
-        if p.first_fault = None then p.first_fault <- Some cause;
-        p.consec_faults <- p.consec_faults + 1
-      end;
-      if is_fault && p.consec_faults >= t.double_fault_limit then
-        (* faulting over and over with no successful step in between:
-           looping through the dispatch path will not converge — kill *)
-        let first = match p.first_fault with Some c -> c | None -> cause in
-        kill t p (Double_fault (first, cause))
-      else
-        match cause with
-        | Cause.Interrupt ->
-            Cpu.set_interrupt t.cpu false;
-            t.interrupts <- t.interrupts + 1;
+    | Cause.Trap -> (
+        let code = (Cpu.surprise t.cpu).Surprise.cause_detail in
+        match service_trap t p code with
+        | `Resume -> Cpu.resume t.cpu
+        | `Yield ->
             if not (switch t) then t.halted <- true;
             t.quantum_left <- t.quantum
-        | Cause.Trap -> (
-            let code = (Cpu.surprise t.cpu).Surprise.cause_detail in
-            match service_trap t p code with
-            | `Resume -> resume t
-            | `Yield ->
-                if not (switch t) then t.halted <- true;
-                t.quantum_left <- t.quantum
-            | `Exit status ->
-                p.st <- Exited status;
-                note_departure t p;
-                t.current <- None;
-                if not (switch t) then t.halted <- true
-            | `Kill (c, d) -> kill t p (Arch_fault (c, d)))
-        | Cause.Page_fault when transient ->
-            t.transient_faults <- t.transient_faults + 1;
-            p.retries <- p.retries + 1;
-            p.total_retries <- p.total_retries + 1;
-            if p.retries > t.max_retries then
-              kill t p (Retry_exhausted p.retries)
-            else begin
-              (* bounded retry with exponential backoff, charged as kernel
-                 work (the backoff models a widening re-issue delay) *)
-              t.transient_retries <- t.transient_retries + 1;
-              t.kernel_cycles <-
-                t.kernel_cycles
-                + (fault_service_cost * (1 lsl min (p.retries - 1) 6));
-              if t.trace.Mips_obs.Sink.enabled then
-                Mips_obs.Sink.emit t.trace
-                  (Mips_obs.Event.Retry { pid = p.pid; attempt = p.retries });
-              resume t
-            end
-        | Cause.Page_fault -> (
-            match Cpu.faulted_addr t.cpu with
-            | Some (space, gaddr) -> (
-                match service_fault t p space gaddr with
-                | Serviced -> resume t
-                | Bad_address ->
-                    (* a reference between the two valid regions, or outside
-                       the segment entirely: terminate the offender *)
-                    kill t p (Arch_fault (Cause.Page_fault, 0))
-                | Out_of_frames -> kill t p (Out_of_memory space))
-            | None -> kill t p (Arch_fault (Cause.Page_fault, 0)))
-        | (Cause.Overflow | Cause.Privilege | Cause.Illegal | Cause.Reset) as c
-          ->
-            kill t p (Arch_fault (c, (Cpu.surprise t.cpu).Surprise.cause_detail)))
+        | `Exit status ->
+            p.st <- Exited status;
+            note_departure t p;
+            t.current <- None;
+            if not (switch t) then t.halted <- true
+        | `Kill (c, d) -> kill t p (Arch_fault (c, d)))
+    | Cause.Page_fault when transient ->
+        t.transient_faults <- t.transient_faults + 1;
+        p.retries <- p.retries + 1;
+        p.total_retries <- p.total_retries + 1;
+        if p.retries > t.max_retries then
+          kill t p (Retry_exhausted p.retries)
+        else begin
+          (* bounded retry with exponential backoff, charged as kernel
+             work (the backoff models a widening re-issue delay) *)
+          t.transient_retries <- t.transient_retries + 1;
+          t.kernel_cycles <-
+            t.kernel_cycles
+            + (fault_service_cost * (1 lsl min (p.retries - 1) 6));
+          if t.trace.Mips_obs.Sink.enabled then
+            Mips_obs.Sink.emit t.trace
+              (Mips_obs.Event.Retry { pid = p.pid; attempt = p.retries });
+          Cpu.resume t.cpu
+        end
+    | Cause.Page_fault -> (
+        match Cpu.faulted_addr t.cpu with
+        | Some (space, gaddr) -> (
+            match service_fault t p space gaddr with
+            | Serviced -> Cpu.resume t.cpu
+            | Bad_address ->
+                (* a reference between the two valid regions, or outside
+                   the segment entirely: terminate the offender *)
+                kill t p (Arch_fault (Cause.Page_fault, 0))
+            | Out_of_frames -> kill t p (Out_of_memory space))
+        | None -> kill t p (Arch_fault (Cause.Page_fault, 0)))
+    | (Cause.Overflow | Cause.Privilege | Cause.Illegal | Cause.Reset) as c
+      ->
+        kill t p (Arch_fault (c, (Cpu.surprise t.cpu).Surprise.cause_detail))
 
-(* Run for at most [steps] loop iterations — the slice a checkpointing
-   driver asks for.  The iteration sequence is identical to one [run] with
-   the same total budget: all loop state lives in [t]. *)
+let halt _ _ = `Halt
+
+(* Run for at most [steps] loop iterations (one word or one dispatch each),
+   in machine slices that end at the first dispatch, whose cause the kernel
+   reads from the surprise register.  All loop state lives in [t], so any
+   slicing of the same total budget runs identically. *)
 let run_for (t : t) ~steps =
   start t;
-  let n = ref steps in
-  while (not t.halted) && !n > 0 do
-    step_kernel t;
-    decr n
+  let left = ref steps in
+  while (not t.halted) && !left > 0 do
+    let budget =
+      match (t.current, t.watchdog) with
+      | Some p, Some w -> w + 1 - p.cycles_used
+      | _ -> max_int
+    in
+    let slice = max 1 (min !left (min t.quantum_left budget)) in
+    let fuel = Cpu.run_engine ~fuel:slice ~engine:t.engine t.cpu halt in
+    stepped t (slice - fuel);
+    left := !left - (slice - fuel);
+    if fuel > 0 then begin
+      dispatched t (Cpu.surprise t.cpu).Surprise.cause;
+      decr left
+    end
   done;
   t.out_of_fuel <- not t.halted;
   if t.halted then `Done else `More

@@ -88,10 +88,9 @@ val create :
     also attached to the underlying machine, so per-word events and monitor
     calls interleave in the same stream.
 
-    [engine] selects the execution engine for the run loop (default
-    {!Mips_machine.Cpu.Ref}).  With {!Mips_machine.Cpu.Fast} user code runs
-    through the predecoded closure cache; every quantum-expiry interrupt,
-    injected fault and traced cycle automatically drops back to the
+    [engine] selects the machine's engine (default {!Mips_machine.Cpu.Ref});
+    [Fast] and [Jit] (which steps mapped user mode on [Fast]) drop every
+    quantum-expiry interrupt, injected fault and traced cycle back to the
     reference step, so scheduling behaviour is unchanged. *)
 
 val user_stack_top : int
@@ -144,11 +143,13 @@ val run : ?fuel:int -> t -> report
 
 val run_for : t -> steps:int -> [ `Done | `More ]
 (** Run at most [steps] iterations of the scheduling loop (each is one
-    machine step or one dispatched exception).  All loop state lives in the
-    kernel, so a run sliced into arbitrary [run_for] calls is bit-identical
-    to a single {!run} with the same total budget — this is the hook the
-    checkpointing driver uses.  [`Done] when every process has exited or
-    been killed; [`More] when the budget ran out first. *)
+    machine step or one dispatched exception), in
+    {!Mips_machine.Cpu.run_engine} slices that end at a dispatch, the
+    quantum or the watchdog budget.  All loop state lives in the kernel, so
+    a run sliced into arbitrary [run_for] calls is bit-identical to a single
+    {!run} with the same total budget — this is the hook the checkpointing
+    driver uses.  [`Done] when every process has exited or been killed;
+    [`More] when the budget ran out first. *)
 
 val report : t -> report
 (** The report for the work done so far (what {!run} returns). *)

@@ -45,7 +45,7 @@ val simulated :
     completion (or the fuel budget) on a reset machine matching the
     config's addressing mode, borrowed with [Cpu.with_machine].  [engine]
     defaults to [Cpu.Jit] on both machines, which is bit-identical to the
-    reference stepper; linking this module installs it
+    reference engine; linking this module installs it
     ([Mips_jit.install]).  Pass [~engine:Cpu.Ref] for the oracle.  The
     engine is part of the key, so runs on different engines never share an
     entry. *)

@@ -481,7 +481,7 @@ let test_page_fault_and_restart () =
         `Resume
     | _ -> Alcotest.fail "unexpected cause"
   in
-  check "ran to halt" true (Cpu.run cpu handler);
+  check "ran to halt" true (Cpu.run_engine ~engine:Cpu.Ref cpu handler > 0);
   check_int "one fault" 1 !faults;
   check_int "loaded after restart" 77 (Cpu.get_reg cpu (Reg.r 3));
   check_int "alu committed on restart" 3 (Cpu.get_reg cpu (Reg.r 4))
