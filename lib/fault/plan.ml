@@ -58,47 +58,6 @@ let make cfg = fresh ~enabled:true cfg
 let enabled t = t.enabled
 let config t = t.cfg
 
-type snapshot = {
-  s_config : config;
-  s_enabled : bool;
-  s_rng : int64;
-  s_injected : int;
-  s_reg_flips : int;
-  s_data_flips : int;
-  s_irqs : int;
-  s_page_drops : int;
-  s_flaky_armed : int;
-  s_flaky_fired : int;
-}
-
-let snapshot t =
-  {
-    s_config = t.cfg;
-    s_enabled = t.enabled;
-    s_rng = Rng.state t.rng;
-    s_injected = t.injected;
-    s_reg_flips = t.reg_flips;
-    s_data_flips = t.data_flips;
-    s_irqs = t.irqs;
-    s_page_drops = t.page_drops;
-    s_flaky_armed = t.flaky_armed;
-    s_flaky_fired = t.flaky_fired;
-  }
-
-let of_snapshot s =
-  {
-    enabled = s.s_enabled;
-    cfg = s.s_config;
-    rng = Rng.of_state s.s_rng;
-    injected = s.s_injected;
-    reg_flips = s.s_reg_flips;
-    data_flips = s.s_data_flips;
-    irqs = s.s_irqs;
-    page_drops = s.s_page_drops;
-    flaky_armed = s.s_flaky_armed;
-    flaky_fired = s.s_flaky_fired;
-  }
-
 let decide t =
   if
     (not t.enabled)

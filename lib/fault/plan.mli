@@ -36,7 +36,25 @@ type injection =
   | Drop_page of { pick : int }
   | Flaky_mem
 
-type t
+(** A plan: its configuration, stream position and injection counters.
+    Concrete so the checkpoint codec
+    ([Mips_resilience.Snapshot.machine_to_string]) reads and writes it
+    directly: the whole dynamic state is the stream position plus the
+    counters, so a restored plan continues the decision sequence exactly
+    where the captured one left off.  Otherwise change it only through
+    {!decide} and {!note_flaky_fired}. *)
+type t = {
+  enabled : bool;
+  cfg : config;
+  rng : Rng.t;  (** the decision stream; {!Rng.state} is its position *)
+  mutable injected : int;
+  mutable reg_flips : int;
+  mutable data_flips : int;
+  mutable irqs : int;
+  mutable page_drops : int;
+  mutable flaky_armed : int;
+  mutable flaky_fired : int;
+}
 
 val none : t
 (** The disabled plan: {!decide} always answers [None], nothing counts. *)
@@ -47,28 +65,6 @@ val make : config -> t
 
 val enabled : t -> bool
 val config : t -> config
-
-(** {2 Checkpoint support}
-
-    A plan's whole dynamic state is its stream position plus the injection
-    counters; a restored plan continues the decision sequence exactly where
-    the captured one left off. *)
-
-type snapshot = {
-  s_config : config;
-  s_enabled : bool;
-  s_rng : int64;  (** {!Rng.state} of the plan's stream *)
-  s_injected : int;
-  s_reg_flips : int;
-  s_data_flips : int;
-  s_irqs : int;
-  s_page_drops : int;
-  s_flaky_armed : int;
-  s_flaky_fired : int;
-}
-
-val snapshot : t -> snapshot
-val of_snapshot : snapshot -> t
 
 val decide : t -> injection option
 (** One per-step decision.  Advances the stream exactly once per call (plus

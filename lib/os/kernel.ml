@@ -474,7 +474,7 @@ type report = {
   fuel_exhausted : bool;
 }
 
-let make_report (t : t) =
+let report (t : t) =
   {
     procs =
       List.map
@@ -700,193 +700,21 @@ let run_for (t : t) ~steps =
   t.out_of_fuel <- not t.halted;
   if t.halted then `Done else `More
 
-let report t = make_report t
-
 let run ?(fuel = 50_000_000) t =
   ignore (run_for t ~steps:fuel);
-  make_report t
+  report t
 
 (* --- checkpoint -------------------------------------------------------------- *)
 
-(* Everything the scheduler knows that the machine state does not carry.
-   The pcb snapshot for the *current* process holds its last-saved (stale)
-   register copy, exactly as the live pcb does — the live values travel in
-   the machine snapshot. *)
-type pcb_snapshot = {
-  sn_pid : int;
-  sn_pname : string;
-  sn_regs : int array;
-  sn_chain : int * int * int;
-  sn_usr : Surprise.t;
-  sn_in_pos : int;
-  sn_out : string;
-  sn_st : [ `Ready | `Exited of int | `Killed of kill_reason ];
-  sn_cycles_used : int;
-  sn_retries : int;
-  sn_total_retries : int;
-  sn_consec_faults : int;
-  sn_first_fault : Cause.t option;
-}
-
-type sched_snapshot = {
-  k_procs : pcb_snapshot list;
-  k_current : int option;  (* pid *)
-  k_code_frames : (int * int * int) list;  (* frame index, owner pid, gpage *)
-  k_data_frames : (int * int * int) list;
-  k_code_clock : int;
-  k_data_clock : int;
-  k_backing : ((int * int) * int array) list;  (* sorted by (pid, gpage) *)
-  k_switches : int;
-  k_page_faults : int;
-  k_evictions : int;
-  k_interrupts : int;
-  k_map_changes : int;
-  k_kernel_cycles : int;
-  k_watchdog_kills : int;
-  k_transient_faults : int;
-  k_transient_retries : int;
-  k_double_faults : int;
-  k_oom_kills : int;
-  k_out_of_fuel : bool;
-  k_quantum_left : int;
-  k_started : bool;
-  k_halted : bool;
-}
-
-let frames_snapshot frames =
-  let acc = ref [] in
+(* Instruction memory is not checkpointed: a restored kernel refills every
+   owned code frame from its owner's program image.  Code pages are
+   read-only, so the refill is bit-identical to the frame's content in the
+   uninterrupted run; data frames travel with the machine's data memory. *)
+let refill_code_frames (t : t) =
   Array.iteri
-    (fun i o ->
-      match o with
-      | Some { fo_pid; fo_gpage } -> acc := (i, fo_pid, fo_gpage) :: !acc
+    (fun frame -> function
+      | Some o ->
+          let p = List.find (fun (p : pcb) -> p.pid = o.fo_pid) t.procs in
+          fill_frame t p Pagemap.Ispace o.fo_gpage frame
       | None -> ())
-    frames;
-  List.rev !acc
-
-let sched_snapshot (t : t) =
-  {
-    k_procs =
-      List.map
-        (fun (p : pcb) ->
-          {
-            sn_pid = p.pid;
-            sn_pname = p.pname;
-            sn_regs = Array.copy p.regs;
-            sn_chain = p.chain;
-            sn_usr = p.usr;
-            sn_in_pos = p.in_pos;
-            sn_out = Buffer.contents p.out;
-            sn_st =
-              (match p.st with
-              | Ready -> `Ready
-              | Exited s -> `Exited s
-              | Killed r -> `Killed r);
-            sn_cycles_used = p.cycles_used;
-            sn_retries = p.retries;
-            sn_total_retries = p.total_retries;
-            sn_consec_faults = p.consec_faults;
-            sn_first_fault = p.first_fault;
-          })
-        t.procs;
-    k_current = (match t.current with Some p -> Some p.pid | None -> None);
-    k_code_frames = frames_snapshot t.code_frames;
-    k_data_frames = frames_snapshot t.data_frames;
-    k_code_clock = t.code_clock;
-    k_data_clock = t.data_clock;
-    k_backing =
-      Hashtbl.fold (fun k v acc -> (k, Array.copy v) :: acc) t.backing []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    k_switches = t.switches;
-    k_page_faults = t.page_faults;
-    k_evictions = t.evictions;
-    k_interrupts = t.interrupts;
-    k_map_changes = t.map_changes_outside_fault;
-    k_kernel_cycles = t.kernel_cycles;
-    k_watchdog_kills = t.watchdog_kills;
-    k_transient_faults = t.transient_faults;
-    k_transient_retries = t.transient_retries;
-    k_double_faults = t.double_faults;
-    k_oom_kills = t.oom_kills;
-    k_out_of_fuel = t.out_of_fuel;
-    k_quantum_left = t.quantum_left;
-    k_started = t.started;
-    k_halted = t.halted;
-  }
-
-let restore_sched (t : t) (s : sched_snapshot) =
-  if List.length t.procs <> List.length s.k_procs then
-    invalid_arg "Kernel.restore_sched: process count mismatch";
-  List.iter2
-    (fun (p : pcb) (sn : pcb_snapshot) ->
-      if p.pid <> sn.sn_pid || p.pname <> sn.sn_pname then
-        invalid_arg
-          (Printf.sprintf
-             "Kernel.restore_sched: process mismatch (snapshot %d:%s, live \
-              %d:%s)"
-             sn.sn_pid sn.sn_pname p.pid p.pname);
-      if Array.length sn.sn_regs <> Array.length p.regs then
-        invalid_arg "Kernel.restore_sched: register-file size mismatch";
-      Array.blit sn.sn_regs 0 p.regs 0 (Array.length p.regs);
-      p.chain <- sn.sn_chain;
-      p.usr <- sn.sn_usr;
-      p.in_pos <- sn.sn_in_pos;
-      Buffer.clear p.out;
-      Buffer.add_string p.out sn.sn_out;
-      p.st <-
-        (match sn.sn_st with
-        | `Ready -> Ready
-        | `Exited c -> Exited c
-        | `Killed r -> Killed r);
-      p.cycles_used <- sn.sn_cycles_used;
-      p.retries <- sn.sn_retries;
-      p.total_retries <- sn.sn_total_retries;
-      p.consec_faults <- sn.sn_consec_faults;
-      p.first_fault <- sn.sn_first_fault)
-    t.procs s.k_procs;
-  let proc pid =
-    match List.find_opt (fun (p : pcb) -> p.pid = pid) t.procs with
-    | Some p -> p
-    | None -> invalid_arg "Kernel.restore_sched: unknown pid"
-  in
-  t.current <-
-    (match s.k_current with Some pid -> Some (proc pid) | None -> None);
-  let restore_frames frames lst =
-    Array.fill frames 0 (Array.length frames) None;
-    List.iter
-      (fun (i, pid, gpage) ->
-        if i < 0 || i >= Array.length frames then
-          invalid_arg "Kernel.restore_sched: frame index out of range";
-        frames.(i) <- Some { fo_pid = pid; fo_gpage = gpage })
-      lst
-  in
-  restore_frames t.code_frames s.k_code_frames;
-  restore_frames t.data_frames s.k_data_frames;
-  t.code_clock <- s.k_code_clock;
-  t.data_clock <- s.k_data_clock;
-  Hashtbl.reset t.backing;
-  List.iter (fun (k, v) -> Hashtbl.replace t.backing k (Array.copy v)) s.k_backing;
-  t.switches <- s.k_switches;
-  t.page_faults <- s.k_page_faults;
-  t.evictions <- s.k_evictions;
-  t.interrupts <- s.k_interrupts;
-  t.map_changes_outside_fault <- s.k_map_changes;
-  t.kernel_cycles <- s.k_kernel_cycles;
-  t.watchdog_kills <- s.k_watchdog_kills;
-  t.transient_faults <- s.k_transient_faults;
-  t.transient_retries <- s.k_transient_retries;
-  t.double_faults <- s.k_double_faults;
-  t.oom_kills <- s.k_oom_kills;
-  t.out_of_fuel <- s.k_out_of_fuel;
-  t.quantum_left <- s.k_quantum_left;
-  t.started <- s.k_started;
-  t.halted <- s.k_halted;
-  t.in_switch <- false;
-  (* instruction memory is not serialized: every owned code frame is
-     refilled from the (deterministic) program image.  Code pages are
-     read-only, so the refill is bit-identical to the frame's content in
-     the uninterrupted run.  Data frames are restored with the machine's
-     data memory and left alone here. *)
-  List.iter
-    (fun (frame, pid, gpage) ->
-      fill_frame t (proc pid) Pagemap.Ispace gpage frame)
-    s.k_code_frames
+    t.code_frames

@@ -33,8 +33,6 @@
 
 open Mips_machine
 
-type t
-
 (** Why the kernel terminated a process. *)
 type kill_reason =
   | Arch_fault of Cause.t * int
@@ -53,6 +51,76 @@ type kill_reason =
           this space's pool (or the backing store is full) *)
 
 val kill_reason_name : kill_reason -> string
+
+(** {2 The kernel's state}
+
+    Concrete, like {!Mips_machine.Cpu.t}, so the checkpoint codec
+    ([Mips_resilience.Snapshot.sched_to_string]) reads and writes these
+    records directly.  Everything else treats them as the kernel's own:
+    change them only through the functions below. *)
+
+type state = Ready | Exited of int | Killed of kill_reason
+
+(** One process control block.  For the installed process the machine holds
+    the live registers, PC chain and surprise register; [regs], [chain] and
+    [usr] are the copy last saved at a switch. *)
+type pcb = {
+  pid : int;  (** its place in the process table, from 0 *)
+  pname : string;
+  program : Program.t;
+  data_image : int array;  (** the initial static data, filled on demand *)
+  regs : int array;  (** the sixteen general registers *)
+  mutable chain : int * int * int;  (** the PC chain *)
+  mutable usr : Surprise.t;  (** user-mode surprise register, popped form *)
+  input : string;
+  mutable in_pos : int;  (** next [input] byte [getchar] returns *)
+  out : Buffer.t;  (** everything the process has printed *)
+  mutable st : state;
+  mutable cycles_used : int;  (** user instruction words, for the watchdog *)
+  mutable retries : int;
+      (** consecutive transient retries, no step between *)
+  mutable total_retries : int;
+  mutable consec_faults : int;  (** faults with no successful step between *)
+  mutable first_fault : Cause.t option;  (** oldest cause in that streak *)
+}
+
+(** The owner of a physical frame: a process and a global virtual page. *)
+type frame_owner = { fo_pid : int; fo_gpage : int }
+
+type t = {
+  cpu : Cpu.t;
+  quantum : int;
+  watchdog : int option;  (** per-process cycle budget *)
+  max_retries : int;
+  double_fault_limit : int;
+  backing_limit : int option;  (** backing-store capacity, in pages *)
+  mutable procs : pcb list;  (** in pid order *)
+  mutable current : pcb option;  (** the installed process *)
+  code_frames : frame_owner option array;
+  data_frames : frame_owner option array;
+  mutable code_clock : int;  (** clock hand over [code_frames] *)
+  mutable data_clock : int;
+  backing : (int * int, int array) Hashtbl.t;
+      (** (pid, data gpage) -> the page's words *)
+  mutable switches : int;
+  mutable page_faults : int;
+  mutable evictions : int;
+  mutable interrupts : int;
+  mutable map_changes_outside_fault : int;
+  mutable in_switch : bool;  (** inside a context switch, for the map-change count *)
+  mutable kernel_cycles : int;
+  mutable watchdog_kills : int;
+  mutable transient_faults : int;
+  mutable transient_retries : int;
+  mutable double_faults : int;
+  mutable oom_kills : int;
+  mutable out_of_fuel : bool;
+  mutable quantum_left : int;  (** words to the next quantum interrupt *)
+  mutable started : bool;  (** first ready process installed *)
+  mutable halted : bool;  (** no ready process left *)
+  trace : Mips_obs.Sink.t;
+  engine : Cpu.engine;
+}
 
 val max_procs : int
 (** Process-table capacity: [2^mask_bits = 256], the pid field's worth. *)
@@ -163,64 +231,18 @@ val cpu : t -> Cpu.t
 
 (** {2 Checkpoint support}
 
-    A {!sched_snapshot} carries everything the scheduler knows that the
-    machine state does not: process control blocks, frame ownership, clock
-    hands, the backing store, counters and the run loop's own position.
-    Restoring a run means: re-create the kernel with the same parameters,
-    {!spawn} the same processes (their programs are re-derived
-    deterministically — code is not serialized), {!restore_sched}, then
-    restore the machine snapshot.  [restore_sched] refills every owned code
-    frame from the program image (code pages are read-only, so the refill is
-    bit-identical); data memory travels with the machine snapshot. *)
+    A checkpoint carries the machine
+    ([Mips_resilience.Snapshot.machine_to_string]) and the fields of {!t}
+    and its {!pcb}s that the machine does not
+    ([Mips_resilience.Snapshot.sched_to_string]), but no code.  Restoring a
+    run means: re-create the kernel with the same parameters, {!spawn} the
+    same processes in the same order (their programs are re-derived
+    deterministically), [Mips_resilience.Snapshot.restore_sched], then
+    [Mips_resilience.Snapshot.restore_machine]. *)
 
-type pcb_snapshot = {
-  sn_pid : int;
-  sn_pname : string;
-  sn_regs : int array;
-  sn_chain : int * int * int;
-  sn_usr : Surprise.t;
-  sn_in_pos : int;
-  sn_out : string;
-  sn_st : [ `Ready | `Exited of int | `Killed of kill_reason ];
-  sn_cycles_used : int;
-  sn_retries : int;
-  sn_total_retries : int;
-  sn_consec_faults : int;
-  sn_first_fault : Cause.t option;
-}
-
-type sched_snapshot = {
-  k_procs : pcb_snapshot list;
-  k_current : int option;  (** pid of the installed process *)
-  k_code_frames : (int * int * int) list;
-      (** (frame index, owner pid, global page) *)
-  k_data_frames : (int * int * int) list;
-  k_code_clock : int;
-  k_data_clock : int;
-  k_backing : ((int * int) * int array) list;  (** sorted by (pid, gpage) *)
-  k_switches : int;
-  k_page_faults : int;
-  k_evictions : int;
-  k_interrupts : int;
-  k_map_changes : int;
-  k_kernel_cycles : int;
-  k_watchdog_kills : int;
-  k_transient_faults : int;
-  k_transient_retries : int;
-  k_double_faults : int;
-  k_oom_kills : int;
-  k_out_of_fuel : bool;
-  k_quantum_left : int;
-  k_started : bool;
-  k_halted : bool;
-}
-
-val sched_snapshot : t -> sched_snapshot
-(** Capture the scheduler state.  Side-effect free: safe to call between
-    {!run_for} slices without perturbing the run. *)
-
-val restore_sched : t -> sched_snapshot -> unit
-(** Restore scheduler state captured by {!sched_snapshot} into a freshly
-    created kernel whose processes have been re-spawned in the same order.
-    @raise Invalid_argument when the live process table does not match the
-    snapshot (count, pids or names), or a frame index is out of range. *)
+val refill_code_frames : t -> unit
+(** Write every owned code frame again from its owner's program image: the
+    last step of a scheduler restore, since instruction memory is not
+    checkpointed.  Code pages are read-only, so the refill is bit-identical
+    to the frame's content in the uninterrupted run.  Every owner must be a
+    spawned process. *)

@@ -243,7 +243,7 @@ let result_json s diffs =
    exact run that wrote it), then phase-specific state.  The kernel phase
    saves machine + scheduler snapshots and the step count; programs are
    *not* saved — resume regenerates and recompiles them from the same seeds
-   and [Kernel.restore_sched] refills the owned code frames, so the restored
+   and [Snapshot.restore_sched] refills the owned code frames, so the restored
    machine is byte-identical by construction.  The differential phase saves
    the finished summary and the prefix of completed diffs.  A final "done"
    checkpoint is written at completion so a resume always succeeds no
@@ -449,13 +449,8 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
             let* sc = section c "sched" in
             let* pr = section c "progress" in
             let* steps_done = decode_section pr Io.R.int in
-            let* sched = sched_of_string sc in
             let k = make_kernel () in
-            let* () =
-              match Mips_os.Kernel.restore_sched k sched with
-              | () -> Ok ()
-              | exception Invalid_argument msg -> Error (Corrupt msg)
-            in
+            let* () = restore_sched k sc in
             let* () = restore_machine (Mips_os.Kernel.cpu k) m in
             restored (`Kernel (k, steps_done)) steps_done
         | "diffs" | "done" ->
@@ -471,7 +466,7 @@ let run_checkpointed ?(programs = 4) ?segments ?(quantum = 500) ?watchdog
   in
   let kernel_sections k steps_done =
     [ ("machine", machine_to_string (Mips_os.Kernel.cpu k));
-      ("sched", sched_to_string (Mips_os.Kernel.sched_snapshot k));
+      ("sched", sched_to_string k);
       ("progress", int_payload steps_done) ]
   in
   (* Run the kernel in [checkpoint_every]-step slices.  Slicing is

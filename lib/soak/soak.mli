@@ -100,7 +100,8 @@ val result_json : summary -> diff list -> Mips_obs.Json.t
     killed-and-resumed run is {e bit-identical} to an uninterrupted one —
     the kernel executes in slices whose loop state lives in the kernel
     itself, programs are regenerated from their seeds on resume, and
-    {!Mips_os.Kernel.restore_sched} + {!Mips_resilience.Snapshot.restore_machine}
+    {!Mips_resilience.Snapshot.restore_sched} +
+    {!Mips_resilience.Snapshot.restore_machine}
     reinstate the exact machine.  Differential seeds run in supervised
     chunks: a seed whose job is quarantined is attributed in place
     ([mismatches = [("supervisor", error)]]) instead of sinking the sweep. *)

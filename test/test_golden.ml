@@ -380,7 +380,7 @@ let kernel_digest_text () =
             (String.concat "\n"
                [ Json.to_string (Kernel.report_json report);
                  Json.to_string (Mips_machine.Stats.to_json (Cpu.stats cpu));
-                 Snapshot.sched_to_string (Kernel.sched_snapshot k);
+                 Snapshot.sched_to_string k;
                  Snapshot.machine_to_string cpu; Buffer.contents buf ])))
   in
   let lines =
