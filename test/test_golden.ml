@@ -13,7 +13,8 @@
      oracle for every table whatever engine the report runs on, and
    - a digest of every program image the reorganizer produces for the
      corpus, so a change to scheduling, packing or delay filling that moves
-     a single word fails here,
+     a single word fails here, and one of every image's symbol table (names,
+     addresses and stored order),
    - a digest of every reference-engine run of the reference corpus on the
      word, byte and interlocked machines (output, exit status and the full
      statistics record) and of three complete JSONL event traces, so the
@@ -156,7 +157,15 @@ let image_digest (p : Mips_machine.Program.t) =
           (p.code, p.notes, p.entry, p.data, p.data_words)
           [ Marshal.No_sharing ]))
 
-let compile_digest_text () =
+(* The MD5 of the image's symbol table, in stored order: what
+   [Program.lookup] and [Program.pp_listing] read. *)
+let symbols_digest (p : Mips_machine.Program.t) =
+  Digest.to_hex
+    (Digest.string (Marshal.to_string p.symbols [ Marshal.No_sharing ]))
+
+(* One line per (program, config, level), and one for [compile_raw]: the
+   name, config, level and [describe image stats]. *)
+let compile_lines describe =
   let module Pipeline = Mips_reorg.Pipeline in
   let module Corpus = Mips_corpus.Corpus in
   let configs =
@@ -167,34 +176,41 @@ let compile_digest_text () =
       [ (Naive, "naive"); (Reorganized, "reorganized"); (Packed, "packed");
         (Delay_filled, "delay_filled") ]
   in
-  let stats = function
-    | None -> "-"
-    | Some (s : Mips_reorg.Delay.stats) ->
-        Printf.sprintf "s1=%d s2=%d s3=%d unfilled=%d" s.scheme1 s.scheme2
-          s.scheme3 s.unfilled
-  in
   let lines =
     List.concat_map
       (fun (e : Corpus.entry) ->
         List.concat_map
           (fun (cname, config) ->
             let asm = Mips_codegen.Compile.to_asm ~config e.source in
-            let line level digest st =
-              Printf.sprintf "%s %s %s %s %s" e.name cname level digest st
+            let line level p st =
+              Printf.sprintf "%s %s %s %s" e.name cname level (describe p st)
             in
             List.map
               (fun (level, lname) ->
                 let p, st = Pipeline.compile_with_stats ~level asm in
-                line lname (image_digest p) (stats st))
+                line lname p st)
               levels
-            @ [ line "raw" (image_digest (Pipeline.compile_raw asm)) "-" ])
+            @ [ line "raw" (Pipeline.compile_raw asm) None ])
           configs)
       Corpus.all (* the Table 11 trio included *)
   in
   String.concat "\n" lines ^ "\n"
 
+let compile_digest_text () =
+  let stats = function
+    | None -> "-"
+    | Some (s : Mips_reorg.Delay.stats) ->
+        Printf.sprintf "s1=%d s2=%d s3=%d unfilled=%d" s.scheme1 s.scheme2
+          s.scheme3 s.unfilled
+  in
+  compile_lines (fun p st -> image_digest p ^ " " ^ stats st)
+
 let test_compile_digest () =
   check_golden "compile_digest.txt" (compile_digest_text ())
+
+let test_compile_symbols () =
+  check_golden "compile_symbols.txt"
+    (compile_lines (fun p _ -> symbols_digest p))
 
 (* One line per reference-engine run: the MD5 of its output, exit status
    and [Stats.to_json] (stall pairs, exception tallies and the byte
@@ -400,7 +416,8 @@ let suite =
   [ ( "golden:compile",
       [ tc_slow "reorganizer output digest" test_compile_digest;
         tc_slow "ref engine stats and trace digest" test_ref_stats_digest;
-        tc_slow "kernel runs on every engine and slicing" test_kernel_digest ] );
+        tc_slow "kernel runs on every engine and slicing" test_kernel_digest;
+        tc_slow "reorganizer symbol tables" test_compile_symbols ] );
     ( "golden:cli-json",
       [ tc_slow "run --stats-json fib" (test_stats_golden "fib");
         tc_slow "run --stats-json strops" (test_stats_golden "strops");
