@@ -105,3 +105,65 @@ let program_seed : int G.t = G.int_range 0 1_000_000
 
 let whole_program : Mips_reorg.Asm.program G.t =
   G.map (fun seed -> Mips_soak.Progen.generate ~seed ()) program_seed
+
+(* --- IR functions for the register allocator ----------------------------- *)
+
+(* A function over vregs [0 .. nv-1], all defined up front and most used
+   again at the end, so that more than ten are live at once through a body
+   of arithmetic, memory references and [Br]/[Jmp] to labels placed
+   anywhere (forward, backward, into unreachable code or endless loops:
+   the allocator must not care).  About half the functions also call, with
+   every value still to be summed live across the call.  [nv] is the
+   accumulator of the closing sum. *)
+let ir_func : Mips_ir.Ir.func G.t =
+  let open Mips_ir.Ir in
+  let* nv = G.int_range 2 28 in
+  let* nl = G.int_range 1 4 in
+  let* calls = G.bool in
+  let v = G.int_range 0 (nv - 1) in
+  let op =
+    G.frequency
+      [ (4, G.map (fun x -> V x) v); (1, G.map (fun c -> C c) (G.int_range 0 20)) ]
+  in
+  let label = G.map (Printf.sprintf "L%d") (G.int_range 0 (nl - 1)) in
+  let note = Note.plain in
+  let call =
+    G.map
+      (fun (func, args, dst) -> Call { func; args; dst })
+      (G.triple (G.return "g") (G.list_size (G.int_range 0 3) op) (G.opt v))
+  in
+  let instr =
+    G.frequency
+      ([ (6, G.map (fun (o, a, b, d) -> Bin (o, a, b, d))
+               (G.quad (G.oneofl [ Alu.Add; Alu.Sub; Alu.And ]) op op v));
+         (2, G.map (fun (a, d) -> Mov (a, d)) (G.pair op v));
+         (1, G.map (fun (c, a, b, d) -> Setcond (c, a, b, d)) (G.quad cond op op v));
+         (1, G.map (fun (b, d) -> Load { addr = Based (V b, 1); dst = d; width = W32; note })
+               (G.pair v v));
+         (1, G.map (fun (s, b, i) -> Store { src = s; addr = Indexed (V b, i); width = W32; note })
+               (G.triple op v op));
+         (1, G.map (fun (b, i, d) -> Lea (Shifted_a (V b, i, 2), d)) (G.triple v op v));
+         (1, G.map (fun (args, dst) -> Trapcall { code = 1; args; dst })
+               (G.pair (G.list_size (G.int_range 0 2) op) (G.opt v)));
+         (2, G.map (fun (c, a, b, l) -> Br (c, a, b, l)) (G.quad cond op op label));
+         (1, G.map (fun l -> Jmp l) label);
+         (1, G.map (fun a -> Ret (Some a)) op) ]
+      @ if calls then [ (3, call) ] else [])
+  in
+  let* body = G.list_size (G.int_range 0 50) instr in
+  let* at = G.list_repeat nl (G.int_range 0 (List.length body)) in
+  let* summed = G.list_repeat nv (G.frequency [ (4, G.return true); (1, G.return false) ]) in
+  let labels_at p =
+    List.concat (List.mapi (fun l q -> if q = p then [ Lbl (Printf.sprintf "L%d" l) ] else []) at)
+  in
+  let body =
+    List.concat (List.mapi (fun p i -> labels_at p @ [ i ]) body)
+    @ labels_at (List.length body)
+  in
+  let prologue = List.init (nv + 1) (fun x -> Mov (C x, x)) in
+  let sum =
+    List.concat (List.mapi (fun x s -> if s then [ Bin (Alu.Add, V nv, V x, nv) ] else []) summed)
+  in
+  G.return
+    { name = "gen"; body = prologue @ body @ sum @ [ Ret (Some (V nv)) ]; nparams = 0;
+      local_units = 0; ret_vreg = Some nv; vreg_count = nv + 1 }
