@@ -22,6 +22,10 @@ type t = {
 
 val allocate : Ir.func -> t
 
+val live_out : Ir.instr list -> Ir.vreg list array
+(** Each instruction's live-out vregs, ascending (used by the property
+    tests). *)
+
 val check : t -> bool
 (** Validate the result: no two simultaneously-live vregs share a color
     (used by the property tests). *)

@@ -60,26 +60,26 @@ type func = {
   vreg_count : int;
 }
 
-let operand_vreg = function V v -> Some v | C _ -> None
+(* [v :: acc] for an operand [V v] *)
+let cons_vreg op acc = match op with V v -> v :: acc | C _ -> acc
 
 let addr_vregs = function
   | Abs_a _ | Frame _ -> []
-  | Based (b, _) -> Option.to_list (operand_vreg b)
+  | Based (b, _) -> cons_vreg b []
   | Indexed (a, b) | Shifted_a (a, b, _) | Scaled_a (a, b, _) ->
-      Option.to_list (operand_vreg a) @ Option.to_list (operand_vreg b)
+      cons_vreg a (cons_vreg b [])
 
 (* Virtual registers read / written by an instruction. *)
 let uses = function
   | Bin (_, a, b, _) | Setcond (_, a, b, _) | Xbyte (a, b, _) | Br (_, a, b, _) ->
-      Option.to_list (operand_vreg a) @ Option.to_list (operand_vreg b)
-  | Mov (a, _) | Set_bs a -> Option.to_list (operand_vreg a)
+      cons_vreg a (cons_vreg b [])
+  | Mov (a, _) | Set_bs a -> cons_vreg a []
   | Lea (a, _) -> addr_vregs a
   | Load { addr; _ } -> addr_vregs addr
-  | Store { src; addr; _ } -> Option.to_list (operand_vreg src) @ addr_vregs addr
-  | Ibyte (a, w) -> Option.to_list (operand_vreg a) @ [ w ]
-  | Call { args; _ } | Trapcall { args; _ } ->
-      List.concat_map (fun a -> Option.to_list (operand_vreg a)) args
-  | Ret (Some op) -> Option.to_list (operand_vreg op)
+  | Store { src; addr; _ } -> cons_vreg src (addr_vregs addr)
+  | Ibyte (a, w) -> cons_vreg a [ w ]
+  | Call { args; _ } | Trapcall { args; _ } -> List.fold_right cons_vreg args []
+  | Ret (Some op) -> cons_vreg op []
   | Lbl _ | Jmp _ | Ret None -> []
 
 let defs = function

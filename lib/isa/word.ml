@@ -36,16 +36,21 @@ let packable_branch = function
   | Branch.Cbr _ | Branch.Jump _ | Branch.Jal _ -> true
   | Branch.Jind _ | Branch.Jalind _ | Branch.Trap _ -> false
 
+let packs_ordered p q =
+  match (p, q) with
+  | Piece.Alu a, Piece.Mem m ->
+      (not (Mem.whole_word m)) && disjoint_writes (Alu.writes a) (Mem.writes m)
+  | Piece.Alu a, Piece.Branch b ->
+      packable_branch b && disjoint_writes (Alu.writes a) (Branch.writes b)
+  | _ -> false
+
 let pack_ordered p q =
   match (p, q) with
-  | Piece.Alu a, Piece.Mem m
-    when (not (Mem.whole_word m)) && disjoint_writes (Alu.writes a) (Mem.writes m) ->
-      Some (AM (a, m))
-  | Piece.Alu a, Piece.Branch b
-    when packable_branch b && disjoint_writes (Alu.writes a) (Branch.writes b) ->
-      Some (AB (a, b))
+  | Piece.Alu a, Piece.Mem m when packs_ordered p q -> Some (AM (a, m))
+  | Piece.Alu a, Piece.Branch b when packs_ordered p q -> Some (AB (a, b))
   | _ -> None
 
+let packs p q = packs_ordered p q || packs_ordered q p
 let pack p q = match pack_ordered p q with Some w -> Some w | None -> pack_ordered q p
 
 let fold_pieces f acc w = List.fold_left f acc (pieces w)

@@ -29,6 +29,9 @@ val pack : 'lbl Piece.t -> 'lbl Piece.t -> 'lbl t option
     non-whole-word memory piece or a {e direct} branch (Cbr/Jump/Jal), and
     only when the two pieces do not write the same register. *)
 
+val packs : 'lbl Piece.t -> 'lbl Piece.t -> bool
+(** Whether {!pack} succeeds, without building the word. *)
+
 val reads : _ t -> Reg.Set.t
 (** Registers read anywhere in the word (all pieces read pre-state). *)
 

@@ -118,6 +118,11 @@ let test_word_reads_writes () =
         (Reg.Set.equal (Word.load_writes w) (Reg.Set.singleton (Reg.r 3)))
   | None -> Alcotest.fail "pack failed"
 
+let prop_packs_agrees =
+  QCheck2.Test.make ~name:"word: packs agrees with pack" ~count:2000
+    QCheck2.Gen.(pair Gen.piece Gen.piece)
+    (fun (p, q) -> Word.packs p q = Option.is_some (Word.pack p q))
+
 (* --- Hazard ------------------------------------------------------------- *)
 
 let test_load_use_hazard () =
@@ -286,7 +291,8 @@ let suite =
         Alcotest.test_case "same dest rejected" `Quick test_pack_same_dest_rejected;
         Alcotest.test_case "whole-word mem rejected" `Quick test_pack_whole_word_rejected;
         Alcotest.test_case "indirect branch rejected" `Quick test_pack_indirect_rejected;
-        Alcotest.test_case "reads/writes" `Quick test_word_reads_writes ] );
+        Alcotest.test_case "reads/writes" `Quick test_word_reads_writes ]
+      @ qsuite [ prop_packs_agrees ] );
     ( "isa:hazard",
       [ Alcotest.test_case "load-use" `Quick test_load_use_hazard;
         Alcotest.test_case "independence" `Quick test_independent ]
