@@ -14,11 +14,10 @@ let peek2 st =
   if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.bol <- st.pos + 1
-  | _ -> ());
+  if st.pos < String.length st.src && st.src.[st.pos] = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.pos + 1
+  end;
   st.pos <- st.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -141,6 +140,9 @@ let symbol st l =
   | Some c, _ -> raise (Error (l, Printf.sprintf "unexpected character %C" c))
   | None, _ -> assert false
 
+(* built once, read-only after: safe to share between Domains *)
+let keywords = Hashtbl.of_seq (List.to_seq Token.keyword_table)
+
 let tokenize src =
   let st = { src; pos = 0; line = 1; bol = 0 } in
   let out = ref [] in
@@ -152,7 +154,7 @@ let tokenize src =
     | Some c when is_alpha c ->
         let id = lex_ident st in
         let tok =
-          match List.assoc_opt id Token.keyword_table with
+          match Hashtbl.find_opt keywords id with
           | Some k -> k
           | None -> Token.Ident id
         in

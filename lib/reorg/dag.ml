@@ -2,8 +2,8 @@ open Mips_isa
 
 type t = {
   items : Asm.item array;
-  preds : (int * int) list array;
-  succs : (int * int) list array;
+  lat : Bytes.t;
+  npreds : int array;
   priority : int array;
 }
 
@@ -58,23 +58,20 @@ let latency a b = match dep (summarize a) (summarize b) with -1 -> None | l -> S
 let build items =
   let n = Array.length items in
   let sums = Array.map summarize items in
-  let preds = Array.make n [] in
-  let succs = Array.make n [] in
-  for j = 0 to n - 1 do
-    for i = 0 to j - 1 do
+  let lat = Bytes.make (n * n) '\000' in
+  let npreds = Array.make n 0 and priority = Array.make n 0 in
+  (* walking up from the block's end, a node's critical-path priority is
+     final before any of its predecessors reads it *)
+  for i = n - 1 downto 0 do
+    for j = i + 1 to n - 1 do
       let l = dep sums.(i) sums.(j) in
       if l >= 0 then begin
-        preds.(j) <- (i, l) :: preds.(j);
-        succs.(i) <- (j, l) :: succs.(i)
+        Bytes.set lat ((i * n) + j) (Char.chr (l + 1));
+        npreds.(j) <- npreds.(j) + 1;
+        priority.(i) <- max priority.(i) (priority.(j) + max l 1)
       end
     done
   done;
-  (* critical-path priority: walking down from the block's end, a node's
-     priority is final before any of its predecessors reads it *)
-  let priority = Array.make n 0 in
-  for j = n - 1 downto 0 do
-    List.iter
-      (fun (i, l) -> priority.(i) <- max priority.(i) (priority.(j) + max l 1))
-      preds.(j)
-  done;
-  { items; preds; succs; priority }
+  { items; lat; npreds; priority }
+
+let edge t i j = Char.code (Bytes.get t.lat ((i * Array.length t.items) + j)) - 1

@@ -17,8 +17,8 @@
 
 type t = {
   items : Asm.item array;
-  preds : (int * int) list array;  (** per node: (predecessor index, latency) *)
-  succs : (int * int) list array;  (** per node: (successor index, latency) *)
+  lat : Bytes.t;  (** the latency matrix {!edge} reads, one byte a pair *)
+  npreds : int array;  (** per node: how many predecessors it has *)
   priority : int array;
       (** critical-path length to the block's end, used as the scheduling
           heuristic's tie-breaker *)
@@ -28,7 +28,11 @@ val build : Asm.item array -> t
 (** Summarises each item once (register read/write masks, load flag,
     special-register accesses, memory piece), then runs {!latency}'s test
     on the summaries of every pair [i < j]: one pass over item pairs, with
-    no set built per pair. *)
+    no set and no edge list built per pair. *)
+
+val edge : t -> int -> int -> int
+(** [edge t i j], for [i < j]: the latency of the edge from [i] to [j], or
+    -1 when they are independent. *)
 
 val latency : Asm.item -> Asm.item -> int option
 (** [latency earlier later] for two pieces in program order: [None] when
