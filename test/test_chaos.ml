@@ -572,6 +572,36 @@ let test_fsck_repairs_and_quarantines () =
   | Protocol.Pong -> ()
   | resp -> Alcotest.failf "daemon unhealthy after fsck: %s" (kind_of resp)
 
+(* An intact container holding a well-formed request, but of another file
+   kind, is not a session's request: fsck quarantines it and a daemon
+   started on the directory recovers nothing from it. *)
+let test_wrong_kind_meta_quarantined () =
+  let dir = temp_dir () in
+  let file id ext = Filename.concat dir ("session-" ^ id ^ ext) in
+  let plant () =
+    write_raw (file "odd" ".meta")
+      (Snapshot.encode
+         { Snapshot.kind = "mipsd-run";
+           sections =
+             [ ("request",
+                Protocol.encode_request (run_req ~session:"odd" (sum_source 10)))
+             ] })
+  in
+  plant ();
+  (match Journal.fsck dir with
+  | Error msg -> Alcotest.failf "fsck refused: %s" msg
+  | Ok r ->
+      check_int "sessions scanned" 1 r.Journal.scanned;
+      check_int "sessions quarantined" 1 r.Journal.quarantined);
+  check "wrong-kind meta quarantined" true
+    (Sys.file_exists (Filename.concat dir "quarantine/session-odd.meta"));
+  plant ();
+  with_server ~state_dir:dir @@ fun socket _t ->
+  (match request socket (Protocol.Collect { tenant = "t0"; session = "odd" }) with
+  | Protocol.Err (Protocol.Unknown_session, _) -> ()
+  | resp -> Alcotest.failf "collect of a wrong-kind meta: %s" (kind_of resp));
+  check "no result journalled" false (Sys.file_exists (file "odd" ".done"))
+
 let test_fsck_not_a_directory () =
   match Journal.fsck "/nonexistent/mipsd/state" with
   | Error _ -> ()
@@ -603,4 +633,6 @@ let suite =
     ( "daemon.fsck",
       [ tc_slow "repairs, quarantines, daemon survives"
           test_fsck_repairs_and_quarantines;
-        tc "missing directory is the only error" test_fsck_not_a_directory ] ) ]
+        tc "missing directory is the only error" test_fsck_not_a_directory;
+        tc_slow "wrong-kind meta quarantined, never recovered"
+          test_wrong_kind_meta_quarantined ] ) ]

@@ -108,6 +108,58 @@ let test_kernel_cost_accounting () =
     >= (r.Kernel.switches * r.Kernel.switch_cycle_cost));
   check "total includes kernel" true (r.Kernel.total_cycles > r.Kernel.kernel_cycles)
 
+(* --- the monitor-call ABI ---------------------------------------------------- *)
+
+(* One program making every monitor call: two characters of input and one
+   end-of-input getchar, a putstr whose seven characters span two data
+   words, a yield, then [last] (exit 3 or an unknown trap code). *)
+let abi_program last =
+  let movi8 c d = Word.A (Alu.Movi8 (c, Reg.r d)) in
+  let trap c = Word.B (Branch.Trap c) in
+  let echo put =
+    [ trap Monitor.getchar; Word.A (Alu.Mov (Operand.reg Reg.result, Reg.scratch0));
+      trap put ]
+  in
+  let text = "across!" in
+  let word k =
+    let w = ref 0 in
+    for i = 0 to 3 do
+      let j = (4 * k) + i in
+      if j < String.length text then w := Word32.set_byte !w i (Char.code text.[j])
+    done;
+    (k, !w)
+  in
+  Program.make ~data:[ word 0; word 1 ] ~data_words:2
+    (Array.of_list
+       ([ movi8 72 10; trap Monitor.putchar;
+          Word.M (Mem.Limm (-4096, Reg.scratch0)); trap Monitor.putint ]
+       @ echo Monitor.putchar @ echo Monitor.putchar @ echo Monitor.putint
+       @ [ trap Monitor.yield; movi8 0 10; movi8 7 11; trap Monitor.putstr;
+           movi8 3 10; trap last ]))
+
+let test_monitor_abi_hosted_equals_kernel () =
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (last, status, fault) ->
+          let h = Hosted.run_program ~input:"ab" ~engine (abi_program last) in
+          let k = Kernel.create ~engine () in
+          Kernel.spawn k ~input:"ab" ~name:"abi" (abi_program last);
+          let p = find_proc (Kernel.run k) "abi" in
+          let what = Printf.sprintf "%s, trap %d" (Cpu.engine_name engine) last in
+          check_str (what ^ ": hosted output") "H-4096ab255across!" h.Hosted.output;
+          check_str (what ^ ": kernel output") h.Hosted.output p.Kernel.output;
+          Alcotest.(check (option int)) (what ^ ": hosted status") status
+            h.Hosted.exit_status;
+          Alcotest.(check (option int)) (what ^ ": kernel status") status
+            p.Kernel.exit_status;
+          check (what ^ ": hosted fault") true (h.Hosted.fault = fault);
+          check (what ^ ": kernel kill") true
+            (p.Kernel.killed
+            = Option.map (fun (c, d) -> Kernel.Arch_fault (c, d)) fault))
+        [ (Monitor.exit_, Some 3, None); (99, None, Some (Cause.Trap, 99)) ])
+    [ Cpu.Ref; Cpu.Fast; Cpu.Jit ]
+
 let tc n f = Alcotest.test_case n `Quick f
 
 let suite =
@@ -116,4 +168,6 @@ let suite =
         tc "eviction under pressure" test_eviction_pressure;
         tc "segment violation kills" test_segment_violation_kills;
         tc "tiny quantum round robin" test_yield_round_robin;
-        tc "kernel cost accounting" test_kernel_cost_accounting ] ) ]
+        tc "kernel cost accounting" test_kernel_cost_accounting;
+        tc "monitor ABI: hosted equals kernel"
+          test_monitor_abi_hosted_equals_kernel ] ) ]
