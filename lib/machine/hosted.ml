@@ -1,6 +1,6 @@
 open Mips_isa
 
-let eof_char = 255
+let eof_char = 255  (* see Monitor.getchar *)
 
 type result = {
   halted : bool;
@@ -19,68 +19,83 @@ type host_state = {
   h_fuel_left : int;
 }
 
-(* Read [len] characters of a packed byte array starting at word [addr]. *)
-let read_packed_string cpu ~addr ~len =
-  let buf = Buffer.create len in
-  for i = 0 to len - 1 do
-    let w = Cpu.read_data cpu (addr + (i / 4)) in
-    Buffer.add_char buf (Char.chr (Word32.get_byte w (i mod 4)))
-  done;
-  Buffer.contents buf
+type io = { input : string; mutable in_pos : int; out : Buffer.t }
+
+type served = Resume | Yield | Exit of int | Unknown
+
+let serve io ~read_word cpu code =
+  let arg0 = Cpu.get_reg cpu Reg.scratch0 in
+  if code = Monitor.exit_ then Exit arg0
+  else if code = Monitor.putchar then begin
+    Buffer.add_char io.out (Char.chr (arg0 land 0xFF));
+    Resume
+  end
+  else if code = Monitor.putint then begin
+    Buffer.add_string io.out (string_of_int arg0);
+    Resume
+  end
+  else if code = Monitor.getchar then begin
+    let v =
+      if io.in_pos < String.length io.input then begin
+        let ch = Char.code io.input.[io.in_pos] in
+        io.in_pos <- io.in_pos + 1;
+        ch
+      end
+      else eof_char
+    in
+    Cpu.set_reg cpu Reg.result v;
+    Resume
+  end
+  else if code = Monitor.putstr then begin
+    (* one word read per character, in order; a reader that raises takes
+       back every character of this call *)
+    let mark = Buffer.length io.out in
+    (try
+       for i = 0 to Cpu.get_reg cpu Reg.scratch1 - 1 do
+         let w = read_word (arg0 + (i / 4)) in
+         Buffer.add_char io.out (Char.chr (Word32.get_byte w (i mod 4)))
+       done
+     with e ->
+       Buffer.truncate io.out mark;
+       raise e);
+    Resume
+  end
+  else if code = Monitor.yield then Yield
+  else Unknown
 
 let run ?fuel ?(input = "") ?(on_unhandled = `Abort) ?(engine = Cpu.Ref)
     ?resume ?checkpoint cpu =
-  let out = Buffer.create 256 in
+  let io = { input; in_pos = 0; out = Buffer.create 256 } in
   let exit_status = ref None in
   let fault = ref None in
   let retries = ref 0 in
-  let in_pos = ref 0 in
   (match resume with
   | Some h ->
-      Buffer.add_string out h.h_output;
-      in_pos := h.h_in_pos;
+      Buffer.add_string io.out h.h_output;
+      io.in_pos <- h.h_in_pos;
       retries := h.h_retries
   | None -> ());
-  let arg0 () = Cpu.get_reg cpu Reg.scratch0 in
-  let arg1 () = Cpu.get_reg cpu Reg.scratch1 in
+  (* a word outside data memory faults as a data reference there would *)
+  let dmem_words = (Cpu.config cpu).Cpu.dmem_words in
+  let read_word a =
+    if a < 0 || a >= dmem_words then raise (Cpu.Fault (Cause.Illegal, 1));
+    Cpu.read_data cpu a
+  in
   let handler c cause =
     match cause with
     | Cause.Trap -> (
         let code = (Cpu.surprise c).Surprise.cause_detail in
-        if code = Monitor.exit_ then begin
-          exit_status := Some (arg0 ());
-          `Halt
-        end
-        else if code = Monitor.putchar then begin
-          Buffer.add_char out (Char.chr (arg0 () land 0xFF));
-          `Resume
-        end
-        else if code = Monitor.putint then begin
-          Buffer.add_string out (string_of_int (arg0 ()));
-          `Resume
-        end
-        else if code = Monitor.getchar then begin
-          let v =
-            if !in_pos < String.length input then begin
-              let ch = Char.code input.[!in_pos] in
-              incr in_pos;
-              ch
-            end
-            else eof_char  (* end-of-input marker, the same value through a word
-                         or byte-sized character variable *)
-          in
-          Cpu.set_reg c Reg.result v;
-          `Resume
-        end
-        else if code = Monitor.yield then `Resume
-        else if code = Monitor.putstr then begin
-          Buffer.add_string out (read_packed_string c ~addr:(arg0 ()) ~len:(arg1 ()));
-          `Resume
-        end
-        else begin
-          fault := Some (Cause.Trap, code);
-          `Halt
-        end)
+        match serve io ~read_word c code with
+        | Resume | Yield -> `Resume
+        | Exit status ->
+            exit_status := Some status;
+            `Halt
+        | Unknown ->
+            fault := Some (Cause.Trap, code);
+            `Halt
+        | exception Cpu.Fault (cause, detail) ->
+            fault := Some (cause, detail);
+            `Halt)
     | Cause.Page_fault when Cpu.faulted c = Some Cpu.Transient_ref ->
         (* injected flaky-memory fault: the reference never happened, so a
            plain return-from-exception restarts the word and retries it *)
@@ -112,8 +127,8 @@ let run ?fuel ?(input = "") ?(on_unhandled = `Abort) ?(engine = Cpu.Ref)
           ~boundary:(fun done_ ->
             save
               {
-                h_output = Buffer.contents out;
-                h_in_pos = !in_pos;
+                h_output = Buffer.contents io.out;
+                h_in_pos = io.in_pos;
                 h_retries = !retries;
                 h_fuel_left = total - done_;
               })
@@ -125,7 +140,7 @@ let run ?fuel ?(input = "") ?(on_unhandled = `Abort) ?(engine = Cpu.Ref)
   {
     halted;
     exit_status = !exit_status;
-    output = Buffer.contents out;
+    output = Buffer.contents io.out;
     fault = !fault;
     retries = !retries;
   }

@@ -17,10 +17,26 @@ type result = {
           dispatch path (always 0 without a fault plan) *)
 }
 
-val eof_char : int
-(** Value returned by the [getchar] monitor call at end of input (255 —
-    chosen so the marker survives both word- and byte-sized character
-    variables). *)
+(** {2 Monitor calls}
+
+    This module alone serves the monitor-call ABI ({!Monitor}), for hosted
+    runs and for the machine-resident kernel alike. *)
+
+type io = { input : string; mutable in_pos : int; out : Buffer.t }
+(** One program's monitor-call I/O: [getchar] reads [input] from [in_pos]
+    on, the writing calls append to [out]. *)
+
+type served = Resume | Yield | Exit of int | Unknown
+(** The caller's next move: return from the exception, give up the
+    processor, end the program with a status, or treat the code as no
+    monitor call. *)
+
+val serve : io -> read_word:(int -> int) -> Cpu.t -> int -> served
+(** [serve io ~read_word cpu code] serves monitor call [code], its
+    arguments in [cpu]'s scratch registers.  [putstr] reads its packed
+    string through [read_word], one call per character, in order.  If
+    [read_word] raises, the exception escapes and [out] keeps no character
+    of the call. *)
 
 type host_state = {
   h_output : string;  (** output accumulated so far *)
@@ -47,8 +63,11 @@ val run :
     are acknowledged and resumed.  Other non-trap exceptions abort the run
     and are reported in [fault] (with [`Abort], the default) or resumed
     past (with [`Ignore], which skips the offending instruction — for
-    fault-injection tests).  [engine] selects the execution engine
-    (default {!Cpu.Ref}); {!Cpu.Fast} must be observationally identical.
+    fault-injection tests).  A [putstr] whose string runs outside data
+    memory ends the run with [fault = Some (Illegal, 1)], as an
+    out-of-range data reference does, and writes none of its characters.
+    [engine] selects the execution engine (default {!Cpu.Ref}); {!Cpu.Fast}
+    must be observationally identical.
     A run that ends out of fuel, not halted, sets
     {!Stats.t.fuel_exhausted}.
 

@@ -8,7 +8,9 @@
 val exit_ : int  (** code 1: terminate; status in r10 *)
 val putchar : int  (** code 2: write the character in r10 *)
 val putint : int  (** code 3: write the decimal integer in r10 *)
-val getchar : int  (** code 4: read one character into r12; -1 at EOF *)
+val getchar : int
+(** code 4: read one character into r12; 255 at end of input, a marker that
+    survives both word- and byte-sized character variables *)
 val yield : int  (** code 5: give up the processor (scheduling hint) *)
 val putstr : int
 (** code 6: write a packed string; word address of the packed byte array in

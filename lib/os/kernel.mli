@@ -72,9 +72,7 @@ type pcb = {
   regs : int array;  (** the sixteen general registers *)
   mutable chain : int * int * int;  (** the PC chain *)
   mutable usr : Surprise.t;  (** user-mode surprise register, popped form *)
-  input : string;
-  mutable in_pos : int;  (** next [input] byte [getchar] returns *)
-  out : Buffer.t;  (** everything the process has printed *)
+  io : Hosted.io;  (** its monitor-call input and output *)
   mutable st : state;
   mutable cycles_used : int;  (** user instruction words, for the watchdog *)
   mutable retries : int;

@@ -644,8 +644,8 @@ let sched_to_string (k : Kernel.t) =
       Io.W.int b c1;
       Io.W.int b c2;
       Io.W.int b (Surprise.to_word p.usr);
-      Io.W.int b p.in_pos;
-      Io.W.str b (Buffer.contents p.out);
+      Io.W.int b p.io.in_pos;
+      Io.W.str b (Buffer.contents p.io.out);
       (match p.st with
       | Kernel.Ready -> Io.W.u8 b 0
       | Exited s ->
@@ -719,9 +719,9 @@ let restore_sched (k : Kernel.t) data =
         let c2 = Io.R.int r in
         p.chain <- (c0, c1, c2);
         p.usr <- Surprise.of_word (Io.R.int r);
-        p.in_pos <- Io.R.int r;
-        Buffer.clear p.out;
-        Buffer.add_string p.out (Io.R.str r);
+        p.io.in_pos <- Io.R.int r;
+        Buffer.clear p.io.out;
+        Buffer.add_string p.io.out (Io.R.str r);
         p.st <-
           (match Io.R.u8 r with
           | 0 -> Kernel.Ready

@@ -291,6 +291,19 @@ let test_getchar () =
   let res = Hosted.run_program ~input:"x" (prog words) in
   Alcotest.(check string) "echo" "x" res.Hosted.output
 
+let test_putstr_out_of_range_faults () =
+  (* a putstr whose words lie outside data memory faults like an
+     out-of-range data reference; nothing of that call is written *)
+  let words =
+    [ movi8 72 10; trap Monitor.putchar;
+      Word.M (Mem.Limm (0x7FFFFF, Reg.scratch0)); movi8 4 11;
+      trap Monitor.putstr; movi8 0 10; trap Monitor.exit_ ]
+  in
+  let res = Hosted.run_program (prog words) in
+  Alcotest.(check string) "output before the fault only" "H" res.Hosted.output;
+  check "faults Illegal 1" true (res.Hosted.fault = Some (Cause.Illegal, 1));
+  Alcotest.(check (option int)) "no exit" None res.Hosted.exit_status
+
 let test_overflow_trap_enabled () =
   let cpu = Cpu.create () in
   Cpu.load_program cpu
@@ -610,6 +623,7 @@ let suite =
       [ tc "trap resumes after" test_trap_resumes_after;
         tc "hosted output" test_hosted_output;
         tc "getchar" test_getchar;
+        tc "putstr out of range faults" test_putstr_out_of_range_faults;
         tc "overflow trap" test_overflow_trap_enabled;
         tc "overflow silent when disabled" test_overflow_silent_when_disabled;
         tc "privilege fault" test_privilege_fault;
