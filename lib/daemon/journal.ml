@@ -29,49 +29,93 @@ type report = {
   sessions : (string * verdict) list;
 }
 
-let exts = [ ".meta"; ".ckpt"; ".soak"; ".done" ]
+type file = Meta | Ckpt | Soak | Done
 
-let kind_of_ext = function
-  | ".meta" -> "mipsd-meta"
-  | ".ckpt" -> "mipsd-run"
-  | ".soak" -> "soak"
-  | _ -> "mipsd-done"
+let ext = function
+  | Meta -> ".meta"
+  | Ckpt -> ".ckpt"
+  | Soak -> ".soak"
+  | Done -> ".done"
+
+let kind = function
+  | Meta -> "mipsd-meta"
+  | Ckpt -> "mipsd-run"
+  | Soak -> "soak"
+  | Done -> "mipsd-done"
+
+let name id file = "session-" ^ id ^ ext file
+let path dir id file = Filename.concat dir (name id file)
 
 (* "session-<id><ext>" for a known ext *)
-let classify file =
+let classify f =
   List.find_map
-    (fun ext ->
-      match Filename.chop_suffix_opt ~suffix:ext file with
+    (fun file ->
+      match Filename.chop_suffix_opt ~suffix:(ext file) f with
       | Some base
-        when String.length base > 8 && String.sub base 0 8 = "session-" ->
-          Some (String.sub base 8 (String.length base - 8), ext)
+        when String.length base > 8 && String.starts_with ~prefix:"session-" base ->
+          Some (String.sub base 8 (String.length base - 8), file)
       | _ -> None)
-    exts
+    [ Meta; Ckpt; Soak; Done ]
 
-let section_ok c name decode =
-  match Snapshot.section c name with
-  | Error _ -> false
-  | Ok payload -> decode payload
+(* the sessions among directory entries [names], sorted by id, each with
+   the journal files it has *)
+let sessions names =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      match classify f with
+      | Some (id, file) ->
+          Hashtbl.replace tbl id
+            (file :: Option.value ~default:[] (Hashtbl.find_opt tbl id))
+      | None -> ())
+    names;
+  Hashtbl.fold (fun id files acc -> (id, files) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let valid path ext =
+(* a container of [file]'s kind, its sections read by [decode] *)
+let read path file decode =
   match Snapshot.read_file path with
-  | Error _ -> false
-  | Ok c -> (
-      String.equal c.Snapshot.kind (kind_of_ext ext)
-      &&
-      (* checkpoint payloads are re-validated on resume (a damaged run
-         checkpoint just restarts the run), so container validity is the
-         bar there; .meta and .done are the recovery roots and must decode
-         all the way down *)
-      match ext with
-      | ".meta" ->
-          section_ok c "request" (fun r ->
-              Result.is_ok (Protocol.decode_request r))
-      | ".done" ->
-          section_ok c "tenant" (fun _ -> true)
-          && section_ok c "response" (fun r ->
-                 Result.is_ok (Protocol.decode_response r))
-      | _ -> true)
+  | Ok c when String.equal c.Snapshot.kind (kind file) -> decode c
+  | Ok _ | Error _ -> None
+
+let section c name = Result.to_option (Snapshot.section c name)
+
+let write path file sections =
+  Snapshot.write_file path (Snapshot.encode { Snapshot.kind = kind file; sections })
+
+let write_meta path req = write path Meta [ ("request", Protocol.encode_request req) ]
+
+let read_meta path =
+  read path Meta (fun c ->
+      Option.bind (section c "request") (fun r ->
+          Result.to_option (Protocol.decode_request r)))
+
+let write_done path ~tenant resp =
+  write path Done [ ("tenant", tenant); ("response", Protocol.encode_response resp) ]
+
+let read_done path =
+  read path Done (fun c ->
+      match (section c "tenant", section c "response") with
+      | Some tenant, Some r ->
+          Option.map (fun resp -> (tenant, resp))
+            (Result.to_option (Protocol.decode_response r))
+      | _ -> None)
+
+(* Checkpoint payloads are re-validated on resume (a damaged run
+   checkpoint just restarts the run), so container validity is the bar
+   there; .meta and .done are the recovery roots and must decode all the
+   way down. *)
+let valid path = function
+  | Meta -> read_meta path <> None
+  | Done -> read_done path <> None
+  | (Ckpt | Soak) as file -> read path file (fun _ -> Some ()) <> None
+
+let pending dir =
+  sessions (Array.to_list (Sys.readdir dir))
+  |> List.filter_map (fun (id, files) ->
+         if List.mem Meta files && read_done (path dir id Done) = None then
+           Option.map (fun req -> (id, req)) (read_meta (path dir id Meta))
+         else None)
 
 let fsck dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
@@ -91,26 +135,13 @@ let fsck dir =
           else n)
         0 files
     in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun f ->
-        match classify f with
-        | Some (id, ext) ->
-            Hashtbl.replace tbl id
-              (ext :: Option.value ~default:[] (Hashtbl.find_opt tbl id))
-        | None -> ())
-      files;
-    let ids =
-      Hashtbl.fold (fun id _ acc -> id :: acc) tbl []
-      |> List.sort String.compare
-    in
     let quarantine_dir = Filename.concat dir "quarantine" in
     let quarantine id present =
       if not (Sys.file_exists quarantine_dir) then (
         try Unix.mkdir quarantine_dir 0o755 with Unix.Unix_error _ -> ());
       List.filter_map
-        (fun ext ->
-          let name = "session-" ^ id ^ ext in
+        (fun file ->
+          let name = name id file in
           let src = Filename.concat dir name in
           if Sys.file_exists src then (
             try
@@ -122,41 +153,35 @@ let fsck dir =
     in
     let sessions =
       List.map
-        (fun id ->
-          let present = Hashtbl.find tbl id in
-          let have ext = List.mem ext present in
-          let path ext = Filename.concat dir ("session-" ^ id ^ ext) in
-          let ok ext = have ext && valid (path ext) ext in
-          let rm ext =
-            try Sys.remove (path ext) with Sys_error _ -> ()
+        (fun (id, present) ->
+          let have file = List.mem file present in
+          let ok file = have file && valid (path dir id file) file in
+          let rm file =
+            try Sys.remove (path dir id file) with Sys_error _ -> ()
           in
           let verdict =
-            if ok ".done" then begin
+            if ok Done then begin
               (* the recorded result is the truth; working files are
                  leftovers of a crash after completion *)
-              let stale = List.filter have [ ".meta"; ".ckpt"; ".soak" ] in
+              let stale = List.filter have [ Meta; Ckpt; Soak ] in
               if stale = [] then Intact
               else begin
                 List.iter rm stale;
                 Repaired
-                  (List.map
-                     (fun e -> Printf.sprintf "removed stale session-%s%s" id e)
-                     stale)
+                  (List.map (fun f -> "removed stale " ^ name id f) stale)
               end
             end
-            else if ok ".meta" then begin
+            else if ok Meta then begin
               (* recoverable from the journalled request: drop anything
                  that would poison the resume *)
               let actions = ref [] in
               List.iter
-                (fun ext ->
-                  if have ext && not (ok ext) then begin
-                    rm ext;
-                    actions :=
-                      Printf.sprintf "removed corrupt session-%s%s" id ext
-                      :: !actions
+                (fun file ->
+                  if have file && not (ok file) then begin
+                    rm file;
+                    actions := ("removed corrupt " ^ name id file) :: !actions
                   end)
-                [ ".done"; ".ckpt"; ".soak" ];
+                [ Done; Ckpt; Soak ];
               if !actions = [] then Intact else Repaired (List.rev !actions)
             end
             else
@@ -166,7 +191,7 @@ let fsck dir =
               Quarantined (quarantine id present)
           in
           (id, verdict))
-        ids
+        (sessions files)
     in
     let count p = List.length (List.filter (fun (_, v) -> p v) sessions) in
     Ok

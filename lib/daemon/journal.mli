@@ -1,4 +1,5 @@
-(** [fsck] for the [mipsd] session journal.
+(** The [mipsd] session journal: the one owner of its on-disk format (file
+    names, container kinds and sections), and its [fsck].
 
     The journal's invariant is that every session on disk is one of:
     {ul
@@ -17,6 +18,32 @@
     Validity checks ride the {!Mips_resilience.Snapshot} container digest:
     truncation and bit damage from a torn write are detected, not just
     unparsable bytes. *)
+
+(** {2 The format} *)
+
+(** A session's four files: its request, journalled before any work; a run
+    checkpoint; a soak checkpoint; its recorded final response. *)
+type file = Meta | Ckpt | Soak | Done
+
+val path : string -> string -> file -> string
+(** [path dir id file] is [dir/session-<id><ext>]. *)
+
+val kind : file -> string
+(** The {!Mips_resilience.Snapshot} container kind [file] carries. *)
+
+val write_meta : string -> Protocol.request -> unit
+val write_done : string -> tenant:string -> Protocol.response -> unit
+
+val read_done : string -> (string * Protocol.response) option
+(** The owning tenant and the response; [None] unless both decode from a
+    [Done] container.  fsck judges [.meta] and [.done] files with the same
+    readers. *)
+
+val pending : string -> (string * Protocol.request) list
+(** The sessions in [dir] that recovery resubmits, sorted by id: a valid
+    [.meta] and no valid [.done]. *)
+
+(** {2 fsck} *)
 
 type verdict =
   | Intact
