@@ -38,22 +38,25 @@ type 'b slot =
   | Done of 'b
   | Failed of exn * Printexc.raw_backtrace
 
-(* Run [body 0 .. body (n-1)] on [jobs] domains (the caller counts as one). *)
+(* Run [body lane i] for every [i] in [0 .. n-1] on [jobs] domains.  The
+   caller is lane 0 and the spawned Domains are lanes 1 to [jobs - 1] (no
+   more lanes than items); each lane claims items off a shared counter. *)
 let run_pool ~jobs ~n body =
   let next = Atomic.make 0 in
-  let worker () =
+  let worker lane () =
     let rec go () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        body i;
+        body lane i;
         go ()
       end
     in
     go ()
   in
-  let spawned = max 0 (min (jobs - 1) (n - 1)) in
-  let domains = List.init spawned (fun _ -> Domain.spawn worker) in
-  worker ();
+  let domains =
+    List.init (max 0 (min jobs n - 1)) (fun k -> Domain.spawn (worker (k + 1)))
+  in
+  worker 0 ();
   List.iter Domain.join domains
 
 let collect results =
@@ -65,16 +68,17 @@ let collect results =
          | Pending -> assert false)
        results)
 
-let map ?jobs ?label f xs =
+(* [f lane item] for every item, results in submission order *)
+let map_lanes ?jobs ?label f xs =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let items = Array.of_list xs in
   let n = Array.length items in
   if n = 0 then []
   else begin
     let results = Array.make n Pending in
-    run_pool ~jobs ~n (fun i ->
+    run_pool ~jobs ~n (fun lane i ->
         results.(i) <-
-          (match f items.(i) with
+          (match f lane items.(i) with
           | v -> Done v
           | exception e ->
               (* capture the backtrace of the failing job itself; with
@@ -90,82 +94,22 @@ let map ?jobs ?label f xs =
     collect results
   end
 
+let map ?jobs ?label f xs = map_lanes ?jobs ?label (fun _ x -> f x) xs
+
 (* Map each item, then fold the results in submission order.  The fold is
    sequential and ordered, so [merge] need not be commutative — and when it
    is associative the result is independent of how items were scheduled. *)
 let map_reduce ?jobs ~map:f ~merge ~zero xs =
   List.fold_left merge zero (map ?jobs f xs)
 
-(* Like [map], but each worker records into its own private metrics
-   registry; the registries are folded into [obs] after the join, in worker
-   order.  Counters and timers therefore see no cross-domain writes. *)
 (* Like [map], but each job runs inside a span on its worker's lane, so a
-   host trace shows what every domain was doing when.  Lanes are private to
-   their worker (the [map_obs] discipline), and the caller reads the merged
-   spans only after this returns — i.e. after the join. *)
+   host trace shows what every domain was doing when.  A lane is written
+   only by its own worker, and the caller reads the merged spans only after
+   this returns — i.e. after the join. *)
 let map_spans ?jobs ~tracer ~name f xs =
   if not (Mips_obs.Span.tracer_enabled tracer) then map ?jobs f xs
-  else begin
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    if n = 0 then []
-    else begin
-      let workers = max 1 (min jobs n) in
-      let results = Array.make n Pending in
-      let next = Atomic.make 0 in
-      let worker wid () =
-        let sp = Mips_obs.Span.lane tracer wid in
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            results.(i) <-
-              (match
-                 Mips_obs.Span.with_ sp (name items.(i)) (fun () -> f items.(i))
-               with
-              | v -> Done v
-              | exception e -> Failed (e, Printexc.get_raw_backtrace ()));
-            go ()
-          end
-        in
-        go ()
-      in
-      let domains =
-        List.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1)))
-      in
-      worker 0 ();
-      List.iter Domain.join domains;
-      collect results
-    end
-  end
-
-let map_obs ?jobs ~obs f xs =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  if n = 0 then []
-  else begin
-    let workers = max 1 (min jobs n) in
-    let sinks = Array.init workers (fun _ -> Mips_obs.Metrics.create ()) in
-    let results = Array.make n Pending in
-    let next = Atomic.make 0 in
-    let worker wid () =
-      let obs = sinks.(wid) in
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <-
-            (match f ~obs items.(i) with
-            | v -> Done v
-            | exception e -> Failed (e, Printexc.get_raw_backtrace ()));
-          go ()
-        end
-      in
-      go ()
-    in
-    let domains = List.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    List.iter Domain.join domains;
-    Array.iter (fun sink -> Mips_obs.Metrics.merge ~into:obs sink) sinks;
-    collect results
-  end
+  else
+    map_lanes ?jobs
+      (fun lane x ->
+        Mips_obs.Span.with_ (Mips_obs.Span.lane tracer lane) (name x) (fun () -> f x))
+      xs

@@ -43,14 +43,7 @@ val map_spans :
   ('a -> 'b) -> 'a list -> 'b list
 (** Like {!map}, with each job timed as a span named [name item] on its
     worker's lane of [tracer] — a host trace then shows what every domain
-    was doing when.  With {!Mips_obs.Span.no_tracer} this is exactly
+    was doing when.  The caller is lane 0 and the spawned Domains are lanes
+    1 to [jobs - 1].  With {!Mips_obs.Span.no_tracer} this is exactly
     {!map}.  Read [Mips_obs.Span.tracer_spans] only after this returns
     (the workers have joined by then). *)
-
-val map_obs :
-  ?jobs:int -> obs:Mips_obs.Metrics.t -> (obs:Mips_obs.Metrics.t -> 'a -> 'b) ->
-  'a list -> 'b list
-(** Like {!map} for instrumented work: each worker records into its own
-    private metrics registry, and the registries are folded into [obs]
-    after the join (in worker order), so counters and timers see no
-    cross-domain writes. *)
