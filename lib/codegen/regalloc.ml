@@ -7,7 +7,6 @@ type t = {
   body : Ir.instr list;
   color : Ir.vreg -> Mips_isa.Reg.t;
   spill_words : int;
-  spilled_vregs : int;
 }
 
 (* --- liveness ----------------------------------------------------------- *)
@@ -322,8 +321,6 @@ let allocate (f : Ir.func) =
           (fun v -> if not (List.mem v flow0.defs.(i)) then add crossers 0 v)
           live 0 flow0.nw);
   iter_set add_slot crossers 0 flow0.nw;
-  (* A spilled vreg never reappears in the rewritten body, so slots and
-     spilled vregs count alike. *)
   let rec attempt body flow next_vreg fuel =
     match color_graph (interference flow) with
     | colors, [] ->
@@ -331,8 +328,7 @@ let allocate (f : Ir.func) =
           if v < Array.length colors && colors.(v) >= 0 then Mips_isa.Reg.r colors.(v)
           else Mips_isa.Reg.r 0  (* dead vreg: any register *)
         in
-        let n = Hashtbl.length slots in
-        { body; color; spill_words = n; spilled_vregs = n }
+        { body; color; spill_words = Hashtbl.length slots }
     | _, vs ->
         if fuel = 0 then failwith "Regalloc: spilling did not converge";
         List.iter add_slot vs;

@@ -17,7 +17,6 @@ type t = {
                              remaining vreg carries a color *)
   color : Ir.vreg -> Mips_isa.Reg.t;
   spill_words : int;  (** spill slots used (one word each) *)
-  spilled_vregs : int;  (** how many original vregs went to memory *)
 }
 
 val allocate : Ir.func -> t

@@ -8,10 +8,13 @@ type state = {
 }
 
 let loc st = { Loc.line = st.line; col = st.pos - st.bol + 1 }
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+(* the current character; only when not [at_end] *)
+let peek st = st.src.[st.pos]
+
+(* whether the character after the current one is [c] *)
+let next_is st c = st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = c
 
 let advance st =
   if st.pos < String.length st.src && st.src.[st.pos] = '\n' then begin
@@ -23,49 +26,50 @@ let advance st =
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance st;
-      skip_ws st
-  | Some '{' ->
-      let start = loc st in
-      let rec close () =
-        match peek st with
-        | None -> raise (Error (start, "unterminated comment"))
-        | Some '}' -> advance st
-        | Some _ ->
+  if not (at_end st) then
+    match peek st with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_ws st
+    | '{' ->
+        let start = loc st in
+        let rec close () =
+          if at_end st then raise (Error (start, "unterminated comment"))
+          else if peek st = '}' then advance st
+          else begin
             advance st;
             close ()
-      in
-      advance st;
-      close ();
-      skip_ws st
-  | Some '(' when peek2 st = Some '*' ->
-      let start = loc st in
-      advance st;
-      advance st;
-      let rec close () =
-        match (peek st, peek2 st) with
-        | Some '*', Some ')' ->
+          end
+        in
+        advance st;
+        close ();
+        skip_ws st
+    | '(' when next_is st '*' ->
+        let start = loc st in
+        advance st;
+        advance st;
+        let rec close () =
+          if at_end st then raise (Error (start, "unterminated comment"))
+          else if peek st = '*' && next_is st ')' then begin
             advance st;
             advance st
-        | None, _ -> raise (Error (start, "unterminated comment"))
-        | _ ->
+          end
+          else begin
             advance st;
             close ()
-      in
-      close ();
-      skip_ws st
-  | _ -> ()
+          end
+        in
+        close ();
+        skip_ws st
+    | _ -> ()
 
 let lex_ident st =
   let start = st.pos in
   let rec go () =
-    match peek st with
-    | Some c when is_alpha c || is_digit c ->
-        advance st;
-        go ()
-    | _ -> ()
+    if (not (at_end st)) && (is_alpha (peek st) || is_digit (peek st)) then begin
+      advance st;
+      go ()
+    end
   in
   go ();
   String.lowercase_ascii (String.sub st.src start (st.pos - start))
@@ -73,11 +77,10 @@ let lex_ident st =
 let lex_number st l =
   let start = st.pos in
   let rec go () =
-    match peek st with
-    | Some c when is_digit c ->
-        advance st;
-        go ()
-    | _ -> ()
+    if (not (at_end st)) && is_digit (peek st) then begin
+      advance st;
+      go ()
+    end
   in
   go ();
   let text = String.sub st.src start (st.pos - start) in
@@ -90,15 +93,15 @@ let lex_quoted st l =
   advance st;
   let buf = Buffer.create 8 in
   let rec go () =
+    if at_end st then raise (Error (l, "unterminated string literal"));
     match peek st with
-    | None -> raise (Error (l, "unterminated string literal"))
-    | Some '\'' when peek2 st = Some '\'' ->
+    | '\'' when next_is st '\'' ->
         advance st;
         advance st;
         Buffer.add_char buf '\'';
         go ()
-    | Some '\'' -> advance st
-    | Some c ->
+    | '\'' -> advance st
+    | c ->
         advance st;
         Buffer.add_char buf c;
         go ()
@@ -117,28 +120,27 @@ let symbol st l =
     advance st;
     tok
   in
-  match (peek st, peek2 st) with
-  | Some ':', Some '=' -> two Token.Assign
-  | Some '<', Some '=' -> two Token.Le
-  | Some '<', Some '>' -> two Token.Ne
-  | Some '>', Some '=' -> two Token.Ge
-  | Some '.', Some '.' -> two Token.Dotdot
-  | Some '+', _ -> one Token.Plus
-  | Some '-', _ -> one Token.Minus
-  | Some '*', _ -> one Token.Star
-  | Some '=', _ -> one Token.Eq
-  | Some '<', _ -> one Token.Lt
-  | Some '>', _ -> one Token.Gt
-  | Some '(', _ -> one Token.Lparen
-  | Some ')', _ -> one Token.Rparen
-  | Some '[', _ -> one Token.Lbracket
-  | Some ']', _ -> one Token.Rbracket
-  | Some ',', _ -> one Token.Comma
-  | Some ':', _ -> one Token.Colon
-  | Some ';', _ -> one Token.Semi
-  | Some '.', _ -> one Token.Dot
-  | Some c, _ -> raise (Error (l, Printf.sprintf "unexpected character %C" c))
-  | None, _ -> assert false
+  match peek st with
+  | ':' when next_is st '=' -> two Token.Assign
+  | '<' when next_is st '=' -> two Token.Le
+  | '<' when next_is st '>' -> two Token.Ne
+  | '>' when next_is st '=' -> two Token.Ge
+  | '.' when next_is st '.' -> two Token.Dotdot
+  | '+' -> one Token.Plus
+  | '-' -> one Token.Minus
+  | '*' -> one Token.Star
+  | '=' -> one Token.Eq
+  | '<' -> one Token.Lt
+  | '>' -> one Token.Gt
+  | '(' -> one Token.Lparen
+  | ')' -> one Token.Rparen
+  | '[' -> one Token.Lbracket
+  | ']' -> one Token.Rbracket
+  | ',' -> one Token.Comma
+  | ':' -> one Token.Colon
+  | ';' -> one Token.Semi
+  | '.' -> one Token.Dot
+  | c -> raise (Error (l, Printf.sprintf "unexpected character %C" c))
 
 (* built once, read-only after: safe to share between Domains *)
 let keywords = Hashtbl.of_seq (List.to_seq Token.keyword_table)
@@ -149,26 +151,27 @@ let tokenize src =
   let rec go () =
     skip_ws st;
     let l = loc st in
-    match peek st with
-    | None -> out := (Token.Eof, l) :: !out
-    | Some c when is_alpha c ->
-        let id = lex_ident st in
-        let tok =
-          match Hashtbl.find_opt keywords id with
-          | Some k -> k
-          | None -> Token.Ident id
-        in
-        out := (tok, l) :: !out;
-        go ()
-    | Some c when is_digit c ->
-        out := (Token.Num (lex_number st l), l) :: !out;
-        go ()
-    | Some '\'' ->
-        out := (lex_quoted st l, l) :: !out;
-        go ()
-    | Some _ ->
-        out := (symbol st l, l) :: !out;
-        go ()
+    if at_end st then out := (Token.Eof, l) :: !out
+    else
+      match peek st with
+      | c when is_alpha c ->
+          let id = lex_ident st in
+          let tok =
+            match Hashtbl.find_opt keywords id with
+            | Some k -> k
+            | None -> Token.Ident id
+          in
+          out := (tok, l) :: !out;
+          go ()
+      | c when is_digit c ->
+          out := (Token.Num (lex_number st l), l) :: !out;
+          go ()
+      | '\'' ->
+          out := (lex_quoted st l, l) :: !out;
+          go ()
+      | _ ->
+          out := (symbol st l, l) :: !out;
+          go ()
   in
   go ();
   List.rev !out

@@ -13,7 +13,7 @@ module ISet = Set.Make (Int)
 
 let k_colors = List.length Mips_isa.Reg.allocatable
 
-type t = Mips_codegen.Regalloc.t = {
+type t = {
   body : Ir.instr list;
   color : Ir.vreg -> Mips_isa.Reg.t;
   spill_words : int;
