@@ -137,20 +137,6 @@ let write_host_trace ~process tracer = function
       write_json dest
         (Mips_obs.Span.to_chrome ~process (Mips_obs.Span.tracer_spans tracer))
 
-let engine_flag =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("ref", Mips_machine.Cpu.Ref); ("fast", Mips_machine.Cpu.Fast);
-             ("jit", Mips_machine.Cpu.Jit) ])
-        Mips_machine.Cpu.Ref
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,ref) (the reference interpreter, default),            $(b,fast) (the predecoded closure engine — bit-identical            results, including statistics) or $(b,jit) (the trace \
-           compiler: hot basic blocks become fused closures — bit-identical \
-           results, fastest steady state).")
-
 let fuel_flag =
   Arg.(
     value
@@ -271,13 +257,7 @@ let run_cmd =
         run_remote ~socket ~tenant ~src ~byte ~early_out ~level ~input ~fuel
           ~engine
     | None -> ());
-    let input =
-      if input = "" then
-        match Mips_corpus.Corpus.find file with
-        | e -> e.Mips_corpus.Corpus.input
-        | exception Not_found -> ""
-      else input
-    in
+    let input = input_for file input in
     let trace_sink, trace_close =
       match trace with
       | None -> (Mips_obs.Sink.null, fun () -> ())
@@ -455,13 +435,7 @@ let profile_cmd =
   let profile file byte early_out level input top json =
     let config = Mips_ir.Config.of_flags ~byte ~early_out in
     let src = read_source file in
-    let input =
-      if input = "" then
-        match Mips_corpus.Corpus.find file with
-        | e -> e.Mips_corpus.Corpus.input
-        | exception Not_found -> ""
-      else input
-    in
+    let input = input_for file input in
     let obs = Mips_obs.Metrics.create () in
     let _program =
       Mips_codegen.Compile.compile_profiled ~config ~level:(Mips_reorg.Pipeline.of_rank level) ~obs
@@ -560,13 +534,7 @@ let profile_cmd =
         speedscope json host_trace =
       let config = Mips_ir.Config.of_flags ~byte ~early_out in
       let src = read_source file in
-      let input =
-        if input = "" then
-          match Mips_corpus.Corpus.find file with
-          | e -> e.Mips_corpus.Corpus.input
-          | exception Not_found -> ""
-        else input
-      in
+      let input = input_for file input in
       let tracer = make_tracer ~lanes:1 host_trace in
       let sp = Mips_obs.Span.lane tracer 0 in
       (* --interlock profiles raw program-order code on the hardware-interlock

@@ -59,15 +59,6 @@ let session_flag =
            its state directory and a killed-and-restarted daemon finishes \
            it bit-identically ($(b,mipsd collect) fetches the result).")
 
-let engine_flag =
-  Arg.(
-    value
-    & opt (enum [ ("ref", "ref"); ("fast", "fast"); ("jit", "jit") ]) "ref"
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,ref) (default), $(b,fast) or $(b,jit) (the \
-           trace compiler; bit-identical results).")
-
 let cg_of ~byte ~early_out ~level =
   { Protocol.byte; early_out; level }
 
@@ -317,7 +308,7 @@ let run_cmd =
           cg = cg_of ~byte ~early_out ~level;
           input;
           fuel;
-          engine;
+          engine = Mips_machine.Cpu.engine_name engine;
         }
     in
     match Remote.request_or_die ~policy ~prog:"mipsd" socket req with
@@ -370,7 +361,7 @@ let soak_cmd =
     let req =
       Protocol.Soak
         { tenant; session; seed; steps; programs; segments; differential;
-          engine }
+          engine = Mips_machine.Cpu.engine_name engine }
     in
     match Remote.request_or_die ~policy ~prog:"mipsd" socket req with
     | Protocol.Soaked json -> print_endline json
