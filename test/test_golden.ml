@@ -22,7 +22,10 @@
      pinned whatever its implementation,
    - a digest of kernel runs (report, machine statistics, scheduler and
      machine snapshots, and traces) on every engine, whole and sliced, so
-     the kernel's scheduling and accounting stay pinned whatever drives it.
+     the kernel's scheduling and accounting stay pinned whatever drives it,
+   - a digest of every checkpoint of checkpointed hosted runs on every
+     engine, one of them fault-injected, so the checkpoint bytes stay
+     pinned whatever the machine tracks about the memory a run wrote.
 
    Regenerate intentionally with:
      GOLDEN_UPDATE=1 GOLDEN_DIR=$PWD/test/golden \
@@ -412,11 +415,82 @@ let kernel_digest_text () =
 let test_kernel_digest () =
   check_golden "kernel_digest.txt" (kernel_digest_text ())
 
+(* One line per checkpoint of a checkpointed hosted run: the MD5 of the
+   bytes [Snapshot.hosted_checkpoint] writes there (registers, page map,
+   data memory as runs of nonzero words, statistics, fault plan and the
+   hosted loop's state).  hanoi and queens run on the word and byte
+   machines on every engine, and queens once more on the byte machine
+   under a fault plan whose data-bit flips land all over data memory,
+   mostly in pages the program never writes.  The engines must agree
+   line for line. *)
+let checkpoint_digest_text () =
+  let module Cpu = Mips_machine.Cpu in
+  let module H = Mips_machine.Hosted in
+  let module Plan = Mips_fault.Plan in
+  let module Snapshot = Mips_resilience.Snapshot in
+  let flips =
+    { Plan.quiet with
+      Plan.seed = 3;
+      flip_data_rate = 0.001;
+      flaky_rate = 0.01;
+      irq_rate = 0.005 }
+  in
+  let runs =
+    [ ("hanoi", "word", Mips_ir.Config.default, 70_000, None);
+      ("hanoi", "byte", Mips_ir.Config.byte_machine, 70_000, None);
+      ("queens", "word", Mips_ir.Config.default, 600_000, None);
+      ("queens", "byte", Mips_ir.Config.byte_machine, 600_000, None);
+      ("queens", "byte-faults", Mips_ir.Config.byte_machine, 100_000,
+       Some flips) ]
+  in
+  let lines =
+    List.concat_map
+      (fun (name, cname, ir, every, plan) ->
+        let e = Mips_corpus.Corpus.find name in
+        let program = Mips_codegen.Compile.compile ~config:ir e.source in
+        List.concat_map
+          (fun engine ->
+            let cpu =
+              Cpu.create ~config:(Mips_codegen.Compile.machine_config ir) ()
+            in
+            Option.iter (fun c -> Cpu.set_fault_plan cpu (Plan.make c)) plan;
+            Cpu.load_program cpu program;
+            let saved = ref [] in
+            let save h =
+              let bytes = Snapshot.hosted_checkpoint ~kind:"run" ~meta:name cpu h in
+              saved := Digest.to_hex (Digest.string bytes) :: !saved
+            in
+            let res =
+              H.run ~fuel:50_000_000 ~input:e.input ~engine
+                ~checkpoint:(every, save) cpu
+            in
+            if !saved = [] then
+              Alcotest.failf "%s %s: no checkpoint was written" name cname;
+            List.mapi
+              (fun i d ->
+                Printf.sprintf "%s %s %s %d %s" name cname
+                  (Cpu.engine_name engine) i d)
+              (List.rev !saved)
+            @ [ Printf.sprintf "%s %s %s end %s" name cname
+                  (Cpu.engine_name engine)
+                  (Digest.to_hex
+                     (Digest.string
+                        (res.H.output ^ "\n"
+                        ^ Snapshot.machine_to_string cpu))) ])
+          Cpu.[ Ref; Fast; Jit ])
+      runs
+  in
+  String.concat "\n" lines ^ "\n"
+
+let test_checkpoint_digest () =
+  check_golden "checkpoint_digest.txt" (checkpoint_digest_text ())
+
 let suite =
   [ ( "golden:compile",
       [ tc_slow "reorganizer output digest" test_compile_digest;
         tc_slow "ref engine stats and trace digest" test_ref_stats_digest;
         tc_slow "kernel runs on every engine and slicing" test_kernel_digest;
+        tc_slow "hosted checkpoints on every engine" test_checkpoint_digest;
         tc_slow "reorganizer symbol tables" test_compile_symbols ] );
     ( "golden:cli-json",
       [ tc_slow "run --stats-json fib" (test_stats_golden "fib");
