@@ -243,6 +243,7 @@ let run_cmd =
     apply_jobs jobs;
     let config = Mips_ir.Config.of_flags ~byte ~early_out in
     let src = read_source file in
+    let input = input_for file input in
     (match remote with
     | Some socket ->
         if
@@ -257,7 +258,6 @@ let run_cmd =
         run_remote ~socket ~tenant ~src ~byte ~early_out ~level ~input ~fuel
           ~engine
     | None -> ());
-    let input = input_for file input in
     let trace_sink, trace_close =
       match trace with
       | None -> (Mips_obs.Sink.null, fun () -> ())

@@ -306,7 +306,7 @@ let run_cmd =
           session;
           source = read_source file;
           cg = cg_of ~byte ~early_out ~level;
-          input;
+          input = input_for file input;
           fuel;
           engine = Mips_machine.Cpu.engine_name engine;
         }

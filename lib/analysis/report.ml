@@ -17,16 +17,22 @@ let os_config =
 let os_workload = [ "fib"; "sieve"; "strops" ]
 
 (* The Section 3.2 measurement: the workload time-shared under the kernel
-   on the fast engine.  One run, read by both the text and JSON printers. *)
+   on the fast engine, on this Domain's borrowed machine.  One run, read by
+   both the text and JSON printers; its report is taken inside the
+   borrow. *)
 let os_run () =
-  let k = Mips_os.Kernel.create ~quantum:400 ~engine:Mips_machine.Cpu.Fast () in
-  List.iter
-    (fun name ->
-      let e = Mips_corpus.Corpus.find name in
-      Mips_os.Kernel.spawn k ~input:e.Mips_corpus.Corpus.input ~name
-        (Mips_artifact.compiled ~config:os_config e.Mips_corpus.Corpus.source))
-    os_workload;
-  Mips_os.Kernel.run k
+  Mips_machine.Cpu.with_machine (fun cpu ->
+      let k =
+        Mips_os.Kernel.create ~quantum:400 ~engine:Mips_machine.Cpu.Fast ~cpu ()
+      in
+      List.iter
+        (fun name ->
+          let e = Mips_corpus.Corpus.find name in
+          Mips_os.Kernel.spawn k ~input:e.Mips_corpus.Corpus.input ~name
+            (Mips_artifact.compiled ~config:os_config
+               e.Mips_corpus.Corpus.source))
+        os_workload;
+      Mips_os.Kernel.run k)
 
 (* Every expensive artifact the tables below will ask for, as one flat bag of
    jobs for the worker pool.  The tables then run serially on the calling
@@ -112,10 +118,10 @@ let prepare_supervised ?policy ?breaker ?metrics ?jobs ?include_heavy
 
 (* --- Table 1 ----------------------------------------------------------- *)
 
-let table1 ppf =
+let table1 ?jobs ppf =
   vbox ppf (fun () ->
       header ppf "Table 1: Constant distribution in compiled programs";
-      let d = Constants.of_corpus () in
+      let d = Constants.of_corpus ?jobs () in
       line ppf "%-12s %10s %10s" "magnitude" "count" "percent";
       List.iter
         (fun (label, n, p) -> line ppf "%-12s %10d %9.1f%%" label n p)
@@ -162,10 +168,10 @@ let table3 ppf =
 
 (* --- Table 4 ----------------------------------------------------------- *)
 
-let table4 ppf =
+let table4 ?jobs ppf =
   vbox ppf (fun () ->
       header ppf "Table 4: Boolean expressions (corpus shape)";
-      let b = Bool_stats.of_corpus () in
+      let b = Bool_stats.of_corpus ?jobs () in
       line ppf "boolean expressions                     %6d" b.Bool_stats.expressions;
       line ppf "average operators/boolean expression    %6.2f  (paper: 1.66)"
         (Bool_stats.avg_operators b);
@@ -192,10 +198,10 @@ let table5 ppf =
             (f p.Bool_cost.dynamic_classes))
         (Bool_cost.table5 ()))
 
-let table6 ppf =
+let table6 ?jobs ppf =
   vbox ppf (fun () ->
       header ppf "Table 6: Cost of evaluating boolean expressions (reg=1 cmp=2 br=4)";
-      let stats = Bool_stats.of_corpus () in
+      let stats = Bool_stats.of_corpus ?jobs () in
       let rows = Bool_cost.table6 ~stats () in
       line ppf "%-44s %8s %8s %8s" "support" "store" "jump" "total";
       List.iter
@@ -243,17 +249,17 @@ let pattern_failures ppf failures =
         f.Refpatterns.reason)
     failures
 
-let table7 ?include_heavy ppf =
+let table7 ?jobs ?include_heavy ppf =
   vbox ppf (fun () ->
-      let p, failures = Refpatterns.word_allocated ?include_heavy () in
+      let p, failures = Refpatterns.word_allocated ?jobs ?include_heavy () in
       pattern_table "Table 7: Data reference patterns, word-allocated programs"
         "(paper: 8-bit loads 2.6%, 32-bit loads 68.6%, 8-bit stores 2.6%, 32-bit stores 26.2%)"
         ppf p;
       pattern_failures ppf failures)
 
-let table8 ?include_heavy ppf =
+let table8 ?jobs ?include_heavy ppf =
   vbox ppf (fun () ->
-      let p, failures = Refpatterns.byte_allocated ?include_heavy () in
+      let p, failures = Refpatterns.byte_allocated ?jobs ?include_heavy () in
       pattern_table "Table 8: Data reference patterns, byte-allocated programs"
         "(paper: 8-bit loads 6.6%, 32-bit loads 64.6%, 8-bit stores 5.9%, 32-bit stores 22.9%)"
         ppf p;
@@ -273,11 +279,11 @@ let table9 ppf =
             c.Byte_cost.word_machine)
         (Byte_cost.table9 ()))
 
-let table10 ?include_heavy ppf =
+let table10 ?jobs ?include_heavy ppf =
   vbox ppf (fun () ->
       header ppf "Table 10: Cost per average data reference, word vs byte addressing";
-      let wp, _ = Refpatterns.word_allocated ?include_heavy () in
-      let bp, _ = Refpatterns.byte_allocated ?include_heavy () in
+      let wp, _ = Refpatterns.word_allocated ?jobs ?include_heavy () in
+      let bp, _ = Refpatterns.byte_allocated ?jobs ?include_heavy () in
       let t = Byte_cost.table10 ~word_pattern:wp ~byte_pattern:bp in
       let row name (m : Byte_cost.machine_cost) =
         line ppf "%-34s %6.3f + %6.3f + %6.3f + %6.3f = %6.3f" name
@@ -297,7 +303,7 @@ let table10 ?include_heavy ppf =
 
 (* --- Table 11 ------------------------------------------------------------- *)
 
-let table11 ppf =
+let table11 ?jobs ppf =
   vbox ppf (fun () ->
       header ppf "Table 11: Cumulative static improvements with postpass optimization";
       line ppf "%-12s %8s %8s %8s %8s %12s" "program" "none" "reorg" "pack"
@@ -309,7 +315,7 @@ let table11 ppf =
               line ppf "%-12s %8d %8d %8d %8d %11.1f%%" r.Table11.program a b c d
                 r.Table11.improvement_pct
           | _ -> ())
-        (Table11.run ());
+        (Table11.run ?jobs ());
       line ppf "(paper: fib 20.6%%, puzzle-subscript 24.8%%, puzzle-pointer 35.1%%)")
 
 (* --- figures ---------------------------------------------------------------- *)
@@ -344,10 +350,10 @@ let figure4 ppf =
 
 (* --- systems measurements ------------------------------------------------------ *)
 
-let free_cycles ?include_heavy ppf =
+let free_cycles ?jobs ?include_heavy ppf =
   vbox ppf (fun () ->
       header ppf "Section 3.1: free memory cycles";
-      let p, _ = Refpatterns.word_allocated ?include_heavy () in
+      let p, _ = Refpatterns.word_allocated ?jobs ?include_heavy () in
       line ppf "fraction of issue slots with an idle data-memory port: %.1f%%"
         (100. *. p.Refpatterns.free_cycle_fraction);
       line ppf "(paper: \"the wasted bandwidth came close to 40%%\")")
@@ -373,8 +379,8 @@ let context_switches ppf =
 
 module J = Mips_obs.Json
 
-let json_table1 () =
-  let d = Constants.of_corpus () in
+let json_table1 ?jobs () =
+  let d = Constants.of_corpus ?jobs () in
   J.Obj
     [ ( "rows",
         J.List
@@ -409,8 +415,8 @@ let json_table3 () =
       ("moves_only_for_cc", J.Int s.Mips_cc.Ccstats.moves_only_for_cc);
       ("genuinely_saved", J.Int s.Mips_cc.Ccstats.genuinely_saved) ]
 
-let json_table4 () =
-  let b = Bool_stats.of_corpus () in
+let json_table4 ?jobs () =
+  let b = Bool_stats.of_corpus ?jobs () in
   J.Obj
     [ ("expressions", J.Int b.Bool_stats.expressions);
       ("avg_operators", J.Float (Bool_stats.avg_operators b));
@@ -434,8 +440,8 @@ let json_table5 () =
              ("dynamic", json_classes p.Bool_cost.dynamic_classes) ])
        (Bool_cost.table5 ()))
 
-let json_table6 () =
-  let stats = Bool_stats.of_corpus () in
+let json_table6 ?jobs () =
+  let stats = Bool_stats.of_corpus ?jobs () in
   let rows = Bool_cost.table6 ~stats () in
   J.Obj
     [ ( "rows",
@@ -518,7 +524,7 @@ let json_table10 ~word_pattern ~byte_pattern =
       ("penalty_word_alloc_pct", J.Float t.Byte_cost.penalty_word_alloc_pct);
       ("penalty_byte_alloc_pct", J.Float t.Byte_cost.penalty_byte_alloc_pct) ]
 
-let json_table11 () =
+let json_table11 ?jobs () =
   J.List
     (List.map
        (fun (r : Table11.row) ->
@@ -531,7 +537,7 @@ let json_table11 () =
                       (Mips_reorg.Pipeline.level_name level, J.Int n))
                     r.Table11.counts) );
              ("improvement_pct", J.Float r.Table11.improvement_pct) ])
-       (Table11.run ()))
+       (Table11.run ?jobs ()))
 
 let json_bool_fig (f : Figures.bool_fig) =
   J.Obj
@@ -595,23 +601,23 @@ let json_hotspots () =
 
 let json_all ?jobs ?include_heavy () =
   prepare ?jobs ?include_heavy ();
-  let word_pattern = Refpatterns.word_allocated ?include_heavy () in
-  let byte_pattern = Refpatterns.byte_allocated ?include_heavy () in
+  let word_pattern = Refpatterns.word_allocated ?jobs ?include_heavy () in
+  let byte_pattern = Refpatterns.byte_allocated ?jobs ?include_heavy () in
   J.Obj
     [ ("schema_version", J.Int report_schema_version);
-      ("table1_constants", json_table1 ());
+      ("table1_constants", json_table1 ?jobs ());
       ("table2_cc_taxonomy", json_table2 ());
       ("table3_cc_savings", json_table3 ());
-      ("table4_bool_shapes", json_table4 ());
+      ("table4_bool_shapes", json_table4 ?jobs ());
       ("table5_bool_operators", json_table5 ());
-      ("table6_bool_costs", json_table6 ());
+      ("table6_bool_costs", json_table6 ?jobs ());
       ("table7_word_refpatterns", json_pattern word_pattern);
       ("table8_byte_refpatterns", json_pattern byte_pattern);
       ("table9_byte_op_costs", json_table9 ());
       ( "table10_addressing_penalty",
         json_table10 ~word_pattern:(fst word_pattern)
           ~byte_pattern:(fst byte_pattern) );
-      ("table11_postpass_levels", json_table11 ());
+      ("table11_postpass_levels", json_table11 ?jobs ());
       ("figures", json_figures ());
       ( "free_cycles",
         J.Obj
@@ -621,18 +627,18 @@ let json_all ?jobs ?include_heavy () =
 
 let print_all ?jobs ?include_heavy ppf =
   prepare ?jobs ?include_heavy ();
-  table1 ppf;
+  table1 ?jobs ppf;
   table2 ppf;
   table3 ppf;
-  table4 ppf;
+  table4 ?jobs ppf;
   table5 ppf;
-  table6 ppf;
-  table7 ?include_heavy ppf;
-  table8 ?include_heavy ppf;
+  table6 ?jobs ppf;
+  table7 ?jobs ?include_heavy ppf;
+  table8 ?jobs ?include_heavy ppf;
   table9 ppf;
-  table10 ?include_heavy ppf;
-  table11 ppf;
+  table10 ?jobs ?include_heavy ppf;
+  table11 ?jobs ppf;
   figures1to3 ppf;
   figure4 ppf;
-  free_cycles ?include_heavy ppf;
+  free_cycles ?jobs ?include_heavy ppf;
   context_switches ppf

@@ -32,20 +32,25 @@ val prepare_supervised :
     (tests and the CI smoke run).  On a fault-free run the warmed cache is
     identical to {!prepare}'s. *)
 
-val table1 : Format.formatter -> unit
+(** A printer that folds over the corpus runs its fold on the
+    {!Mips_par} pool of [jobs] Domains (default
+    {!Mips_par.default_jobs}); [print_all] and [json_all] pass theirs
+    down, so a [~jobs:1] report spawns no Domain. *)
+
+val table1 : ?jobs:int -> Format.formatter -> unit
 val table3 : Format.formatter -> unit
-val table4 : Format.formatter -> unit
+val table4 : ?jobs:int -> Format.formatter -> unit
 val table5 : Format.formatter -> unit
-val table6 : Format.formatter -> unit
+val table6 : ?jobs:int -> Format.formatter -> unit
 
 val table9 : Format.formatter -> unit
-val table10 : ?include_heavy:bool -> Format.formatter -> unit
-val table11 : Format.formatter -> unit
+val table10 : ?jobs:int -> ?include_heavy:bool -> Format.formatter -> unit
+val table11 : ?jobs:int -> Format.formatter -> unit
 
 val figures1to3 : Format.formatter -> unit
 val figure4 : Format.formatter -> unit
 
-val free_cycles : ?include_heavy:bool -> Format.formatter -> unit
+val free_cycles : ?jobs:int -> ?include_heavy:bool -> Format.formatter -> unit
 (** Section 3.1's free-memory-cycle measurement. *)
 
 val hotspots : ?top:int -> Format.formatter -> unit

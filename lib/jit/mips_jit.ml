@@ -276,7 +276,13 @@ let[@inline] read_lane t a =
 let[@inline] write_lane t a v =
   let p = a lsr 2 in
   Array.unsafe_set t.dmem p
-    (Word32.set_byte (Array.unsafe_get t.dmem p) (a land 3) v)
+    (Word32.set_byte (Array.unsafe_get t.dmem p) (a land 3) v);
+  mark_data t p
+
+(* A resolved word store. *)
+let[@inline] write_word t p v =
+  Array.unsafe_set t.dmem p v;
+  mark_data t p
 
 (* flat resolved address for the pinned state, one closure per mode *)
 let flat_addr ~rule ~dmem_words a =
@@ -458,7 +464,7 @@ let flat_store_frag ~k ~rule ~dmem_words src addr =
     let v = Array.unsafe_get t.regs s in
     match rule with
     | Lane -> write_lane t p v
-    | Whole | Aligned | No_lane -> Array.unsafe_set t.dmem p v
+    | Whole | Aligned | No_lane -> write_word t p v
   in
   match addr with
   | Mem.Abs c ->
@@ -617,7 +623,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           t.jit_k <- k;
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
-          Array.unsafe_set t.dmem a sv;
+          write_word t a sv;
           pf t
     | MXstore_w (src, fp), AXreg (da, f) ->
         fun t ->
@@ -625,7 +631,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
           let v = f t in
-          Array.unsafe_set t.dmem a sv;
+          write_word t a sv;
           pf t;
           Array.unsafe_set t.regs da v
     | MXload_b (_, fp), AXnone ->
@@ -717,7 +723,7 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
               t.sc_target <- t.regs.(r)
           | BXnone | BXtrap _ -> assert false);
           (match mx with
-          | MXstore_w _ -> t.dmem.(t.sc_a) <- t.sc_b
+          | MXstore_w _ -> write_word t t.sc_a t.sc_b
           | MXstore_b _ -> write_lane t t.sc_a t.sc_b
           | _ -> ());
           pf t;

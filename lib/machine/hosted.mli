@@ -51,7 +51,6 @@ type host_state = {
 val run :
   ?fuel:int ->
   ?input:string ->
-  ?on_unhandled:[ `Abort | `Ignore ] ->
   ?engine:Cpu.engine ->
   ?resume:host_state ->
   ?checkpoint:int * (host_state -> unit) ->
@@ -60,10 +59,8 @@ val run :
 (** Run the loaded program to completion.  Monitor calls are served from
     [input] (for [getchar]) and into the result's [output].  Injected
     transient memory faults are retried (counted in [retries]); interrupts
-    are acknowledged and resumed.  Other non-trap exceptions abort the run
-    and are reported in [fault] (with [`Abort], the default) or resumed
-    past (with [`Ignore], which skips the offending instruction — for
-    fault-injection tests).  A [putstr] whose string runs outside data
+    are acknowledged and resumed.  Other non-trap exceptions end the run
+    and are reported in [fault].  A [putstr] whose string runs outside data
     memory ends the run with [fault = Some (Illegal, 1)], as an
     out-of-range data reference does, and writes none of its characters.
     [engine] selects the execution engine (default {!Cpu.Ref}); {!Cpu.Fast}

@@ -97,9 +97,15 @@ let cpu t = t.cpu
 let create ?(data_frames = 32) ?(code_frames = 32) ?(quantum = 2000)
     ?watchdog ?(max_retries = 8) ?(double_fault_limit = 8) ?backing_limit
     ?(fault_plan = Mips_fault.Plan.none) ?(trace = Mips_obs.Sink.null)
-    ?(engine = Cpu.Ref) () =
-  let cfg = Cpu.default_config in
-  let cpu = Cpu.create ~config:cfg () in
+    ?(engine = Cpu.Ref) ?cpu () =
+  let cpu =
+    match cpu with
+    | None -> Cpu.create ()
+    | Some cpu ->
+        if Cpu.config cpu <> Cpu.default_config then
+          invalid_arg "Kernel.create: the machine must have the default config";
+        cpu
+  in
   (* machine-level events (issues, monitor calls, dispatches) flow into the
      same sink as the kernel's scheduling decisions *)
   Cpu.set_trace cpu trace;

@@ -134,9 +134,16 @@ val create :
   ?fault_plan:Mips_fault.Plan.t ->
   ?trace:Mips_obs.Sink.t ->
   ?engine:Mips_machine.Cpu.engine ->
+  ?cpu:Cpu.t ->
   unit ->
   t
-(** [data_frames]/[code_frames]: physical frames available for paging
+(** [cpu] is the machine the kernel runs on: a fresh
+    {!Mips_machine.Cpu.default_config} machine by default, or one the
+    caller lends, such as a {!Mips_machine.Cpu.with_machine} borrow, which
+    must have that config and be in its {!Mips_machine.Cpu.reset} state.
+    Read the kernel's {!report} before a borrowed machine goes back.
+
+    [data_frames]/[code_frames]: physical frames available for paging
     (default 32 each); [quantum]: instructions between timer interrupts
     (default 2000).
 

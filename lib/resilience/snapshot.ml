@@ -397,14 +397,18 @@ let r_stats r (st : Stats.t) =
   List.iter (fun (k, n) -> Hashtbl.replace st.stall_pairs k n) pairs
 
 (* data memory as runs of nonzero words: a fresh machine's memory is all
-   zero, so only touched regions cost checkpoint bytes *)
+   zero, so only touched regions cost checkpoint bytes.  The scan skips
+   every page the machine has not written, which holds only zeros; a run
+   may still continue into the next page. *)
 let w_dmem b cpu =
   let n = (Cpu.config cpu).Cpu.dmem_words in
   Io.W.int b n;
   let runs = ref [] in
   let i = ref 0 in
   while !i < n do
-    if Cpu.read_data cpu !i <> 0 then begin
+    if not (Cpu.data_written cpu !i) then
+      i := (!i lor (Pagemap.page_words - 1)) + 1
+    else if Cpu.read_data cpu !i <> 0 then begin
       let start = !i in
       while !i < n && Cpu.read_data cpu !i <> 0 do
         incr i
@@ -434,9 +438,7 @@ let r_dmem r cpu =
   (* the runs only cover nonzero words, and the target machine has the
      program's pristine data image loaded — words the checkpointed run had
      zeroed must not survive, so clear everything first *)
-  for k = 0 to n - 1 do
-    Cpu.write_data cpu k 0
-  done;
+  Cpu.clear_data cpu;
   let nruns = Io.R.int r in
   if nruns < 0 then raise Io.R.Underflow;
   for _ = 1 to nruns do
