@@ -1,6 +1,7 @@
 (* Command-line arguments shared by mipsc and mipsd: the program to
    compile (a file or a corpus name), its input, the code-generation
-   options and the execution engine. *)
+   options, the execution engine and the fuel, and the run description
+   they make. *)
 
 open Cmdliner
 
@@ -71,3 +72,45 @@ let engine_flag =
            including statistics) or $(b,jit) (the trace compiler: hot basic \
            blocks become fused closures — bit-identical results, fastest \
            steady state).")
+
+let fuel_flag =
+  Arg.(
+    value
+    & opt int 500_000_000
+    & info [ "fuel" ] ~docv:"STEPS"
+        ~doc:
+          "Maximum machine steps to execute; the run exits with the \
+           out-of-fuel status when the budget is exhausted.  A daemon \
+           clamps it to the tenant's quota.")
+
+(* The one place a run's description is made from the flags, for
+   `mipsc run` (local or --remote) and `mipsd run`: the term yields a
+   thunk, so the source is read only once every flag has parsed. *)
+let run_term ~prog =
+  let describe file byte early_out level input engine fuel () =
+    ( file,
+      {
+        Mips_daemon.Protocol.source = read_source ~prog file;
+        cg = { Mips_daemon.Protocol.byte; early_out; level };
+        input = input_for file input;
+        fuel;
+        engine = Mips_machine.Cpu.engine_name engine;
+      } )
+  in
+  Term.(
+    const describe $ file_arg $ byte_flag $ early_flag $ level_flag
+    $ input_flag $ engine_flag $ fuel_flag)
+
+(* A source that does not compile: FILE:LINE:COL: message, exit 2.
+   [at] is the error's "LINE:COL: message". *)
+let does_not_compile file at =
+  Printf.eprintf "%s:%s\n" file at;
+  exit Exit_code.usage
+
+(* Run a front-end pass over [file]'s source, exiting as above on a
+   compile error. *)
+let compiling file f =
+  match Mips_daemon.Executor.compiling f with
+  | Ok v -> v
+  | Error e ->
+      does_not_compile file (Mips_daemon.Executor.compile_error_to_string e)

@@ -3,7 +3,7 @@
    codes show up in every subcommand's --help. *)
 
 let ok = Cmdliner.Cmd.Exit.ok (* 0 *)
-let usage = 2 (* bad arguments, missing or unwritable file *)
+let usage = 2 (* bad arguments, missing or unwritable file, bad source *)
 let out_of_fuel = 3 (* the program did not halt within the fuel budget *)
 let divergence = 4 (* a soak variant diverged from the reference *)
 let checkpoint = 5 (* a checkpoint could not be read, or does not match *)
@@ -18,8 +18,9 @@ let infos =
   [
     info ok ~doc:"on success.";
     info usage
-      ~doc:"on a usage error: bad arguments, a missing input file, or an \
-            unwritable output file.";
+      ~doc:"on a usage error: bad arguments, a missing input file, an \
+            unwritable output file, or a source that does not compile \
+            (reported as FILE:LINE:COL: message).";
     info out_of_fuel ~doc:"when the program did not halt within the fuel \
                            budget.";
     info divergence

@@ -44,6 +44,7 @@
 
 open Cmdliner
 module Supervise = Mips_resilience.Supervise
+module Executor = Mips_daemon.Executor
 
 open Compile_args
 
@@ -137,15 +138,6 @@ let write_host_trace ~process tracer = function
       write_json dest
         (Mips_obs.Span.to_chrome ~process (Mips_obs.Span.tracer_spans tracer))
 
-let fuel_flag =
-  Arg.(
-    value
-    & opt int 500_000_000
-    & info [ "fuel" ] ~docv:"STEPS"
-        ~doc:
-          "Maximum machine steps to execute; the run exits with the \
-           out-of-fuel status when the budget is exhausted.")
-
 (* checkpoint/restore flags for `run` and `soak` *)
 let checkpoint_flag =
   Arg.(
@@ -216,35 +208,13 @@ let remote_tenant_flag =
     & info [ "tenant" ] ~docv:"NAME"
         ~doc:"Tenant to bill a $(b,--remote) run to (default $(b,mipsc)).")
 
-let run_remote ~socket ~tenant ~src ~byte ~early_out ~level ~input ~fuel
-    ~engine =
-  let req =
-    Mips_daemon.Protocol.Run
-      {
-        tenant;
-        session = None;
-        source = src;
-        cg = { Mips_daemon.Protocol.byte; early_out; level };
-        input;
-        fuel;
-        engine = Mips_machine.Cpu.engine_name engine;
-      }
-  in
-  match Remote.request_or_die ~prog:"mipsc" socket req with
-  | Mips_daemon.Protocol.Ran r -> Remote.finish_run ~prog:"mipsc" r
-  | _ ->
-      Printf.eprintf "mipsc: unexpected response to run\n";
-      exit Exit_code.protocol
-
 let run_cmd =
-  let run file byte early_out level input stats trace trace_format stats_json
-      fault_seed fault_rate engine fuel jobs checkpoint checkpoint_every
-      resume host_trace remote tenant =
+  let run describe stats trace trace_format stats_json fault_seed fault_rate
+      jobs checkpoint checkpoint_every resume host_trace remote tenant =
     apply_jobs jobs;
-    let config = Mips_ir.Config.of_flags ~byte ~early_out in
-    let src = read_source file in
-    let input = input_for file input in
-    (match remote with
+    let file, desc = describe () in
+    let finish = Remote.finish ~prog:"mipsc" ~file in
+    match remote with
     | Some socket ->
         if
           stats || trace <> None || stats_json <> None || fault_seed <> None
@@ -255,150 +225,78 @@ let run_cmd =
              --stats-json/--fault-seed/--checkpoint/--resume/--host-trace\n";
           exit Exit_code.usage
         end;
-        run_remote ~socket ~tenant ~src ~byte ~early_out ~level ~input ~fuel
-          ~engine
-    | None -> ());
-    let trace_sink, trace_close =
-      match trace with
-      | None -> (Mips_obs.Sink.null, fun () -> ())
-      | Some dest ->
-          let oc, close = open_dest dest in
-          (Mips_obs.Sink.to_channel trace_format oc, close)
-    in
-    let fault_plan =
-      Option.map
-        (fun seed ->
-          Mips_fault.Plan.make
-            { Mips_fault.Plan.quiet with
-              Mips_fault.Plan.seed;
-              flaky_rate = fault_rate;
-              irq_rate = fault_rate /. 2. })
-        fault_seed
-    in
-    let tracer = make_tracer ~lanes:1 host_trace in
-    let sp = Mips_obs.Span.lane tracer 0 in
-    (* what [Compile.run_with_machine] does, each phase timed as a span;
-       under --checkpoint the hosted loop runs in slices and saves machine
-       + host state at each boundary.  The meta section pins everything the
-       run depends on; a resume against different arguments is refused
-       rather than silently diverging. *)
-    let module Snapshot = Mips_resilience.Snapshot in
-    let meta =
-      let open Snapshot.Io.W in
-      let b = create () in
-      str b (Digest.string src);
-      bool b byte;
-      bool b early_out;
-      int b level;
-      str b (Mips_machine.Cpu.engine_name engine);
-      str b (Digest.string input);
-      int b fuel;
-      opt int b fault_seed;
-      float b fault_rate;
-      contents b
-    in
-    let program =
-      Mips_obs.Span.with_ sp "compile" (fun () ->
-          Mips_codegen.Compile.compile ~config
-            ~level:(Mips_reorg.Pipeline.of_rank level) src)
-    in
-    let cpu =
-      Mips_machine.Cpu.create
-        ~config:(Mips_codegen.Compile.machine_config config) ()
-    in
-    if Mips_obs.Sink.enabled trace_sink then
-      Mips_machine.Cpu.set_trace cpu trace_sink;
-    (match fault_plan with
-    | Some plan -> Mips_machine.Cpu.set_fault_plan cpu plan
-    | None -> ());
-    Mips_machine.Cpu.load_program cpu program;
-    let resume_state =
-      match resume with
-      | None -> None
-      | Some path -> (
-          match Snapshot.restore_hosted ~kind:"run" ~meta cpu path with
-          | Ok h ->
-              if Mips_obs.Sink.enabled trace_sink then
-                Mips_obs.Sink.emit trace_sink
-                  (Mips_obs.Event.Checkpoint_restore
-                     { path; phase = "run";
-                       steps = fuel - h.Mips_machine.Hosted.h_fuel_left });
-              Some h
-          | Error e ->
-              Printf.eprintf "mipsc: cannot resume from %s: %s\n" path
-                (Snapshot.error_to_string e);
-              exit Exit_code.checkpoint)
-    in
-    let ckpt =
-      Option.map
-        (fun path ->
-          ( checkpoint_every,
-            fun (h : Mips_machine.Hosted.host_state) ->
-              let data = Snapshot.hosted_checkpoint ~kind:"run" ~meta cpu h in
-              (try Snapshot.write_file path data
-               with Sys_error msg ->
-                 Printf.eprintf "mipsc: cannot write checkpoint %s: %s\n"
-                   path msg;
-                 exit Exit_code.checkpoint);
-              if Mips_obs.Sink.enabled trace_sink then
-                Mips_obs.Sink.emit trace_sink
-                  (Mips_obs.Event.Checkpoint_write
-                     { path; phase = "run";
-                       steps = fuel - h.Mips_machine.Hosted.h_fuel_left;
-                       bytes = String.length data }) ))
-        checkpoint
-    in
-    let fuel =
-      match resume_state with
-      | Some h -> h.Mips_machine.Hosted.h_fuel_left
-      | None -> fuel
-    in
-    let res =
-      Mips_obs.Span.with_ sp "simulate" (fun () ->
-          Mips_machine.Hosted.run ~fuel ~input ~engine ?resume:resume_state
-            ?checkpoint:ckpt cpu)
-    in
-    Mips_obs.Sink.flush trace_sink;
-    trace_close ();
-    write_host_trace ~process:"mipsc run" tracer host_trace;
-    print_string res.Mips_machine.Hosted.output;
-    (match res.Mips_machine.Hosted.fault with
-    | Some (c, d) ->
-        Printf.eprintf "fault: %s (%d)\n" (Mips_machine.Cause.name c) d
-    | None -> ());
-    (* the machine's plan: a resume replaced the one made from the flags *)
-    if fault_plan <> None then
-      Printf.eprintf "faults: %d injected, %d transient restarts\n"
-        (Mips_fault.Plan.injected (Mips_machine.Cpu.fault_plan cpu))
-        res.Mips_machine.Hosted.retries;
-    if stats then Format.eprintf "%a@." Mips_machine.Stats.pp (Mips_machine.Cpu.stats cpu);
-    (match stats_json with
-    | Some dest ->
-        write_json dest (Mips_machine.Stats.to_json (Mips_machine.Cpu.stats cpu))
-    | None -> ());
-    if (Mips_machine.Cpu.stats cpu).Mips_machine.Stats.fuel_exhausted then begin
-      prerr_endline "mipsc: out of fuel (execution did not complete)";
-      exit Exit_code.out_of_fuel
-    end;
-    exit (Option.value ~default:0 res.Mips_machine.Hosted.exit_status)
+        finish ~extra:ignore
+          (Remote.run ~prog:"mipsc" ~tenant ~session:None socket desc)
+    | None -> (
+        let trace_sink, trace_close =
+          match trace with
+          | None -> (Mips_obs.Sink.null, fun () -> ())
+          | Some dest ->
+              let oc, close = open_dest dest in
+              (Mips_obs.Sink.to_channel trace_format oc, close)
+        in
+        let tracer = make_tracer ~lanes:1 host_trace in
+        (* under --checkpoint the run goes in slices, each boundary saving
+           machine + host state *)
+        let save path (h : Mips_machine.Hosted.host_state) data =
+          let data = Lazy.force data in
+          (try Mips_resilience.Snapshot.write_file path data
+           with Sys_error msg ->
+             Printf.eprintf "mipsc: cannot write checkpoint %s: %s\n" path msg;
+             exit Exit_code.checkpoint);
+          if Mips_obs.Sink.enabled trace_sink then
+            Mips_obs.Sink.emit trace_sink
+              (Mips_obs.Event.Checkpoint_write
+                 { path; phase = "run";
+                   steps = desc.fuel - h.Mips_machine.Hosted.h_fuel_left;
+                   bytes = String.length data })
+        in
+        let fault = Option.map (fun seed -> (seed, fault_rate)) fault_seed in
+        match
+          Executor.run
+            { Executor.trace = trace_sink; fault;
+              lane = Mips_obs.Span.lane tracer 0; resume;
+              slices =
+                Option.map (fun path -> (checkpoint_every, save path)) checkpoint }
+            desc
+        with
+        | Error (Executor.Compile_error e) ->
+            does_not_compile file (Executor.compile_error_to_string e)
+        | Error (Executor.Resume_refused e) ->
+            Printf.eprintf "mipsc: cannot resume from %s: %s\n"
+              (Option.value ~default:"" resume)
+              (Mips_resilience.Snapshot.error_to_string e);
+            exit Exit_code.checkpoint
+        | Ok o ->
+            Mips_obs.Sink.flush trace_sink;
+            trace_close ();
+            write_host_trace ~process:"mipsc run" tracer host_trace;
+            finish (Remote.Ran (Executor.reply o)) ~extra:(fun () ->
+                if fault <> None then
+                  Printf.eprintf "faults: %d injected, %d transient restarts\n"
+                    o.Executor.injected o.Executor.result.Mips_machine.Hosted.retries;
+                if stats then Format.eprintf "%a@." Mips_machine.Stats.pp o.Executor.stats;
+                Option.iter
+                  (fun dest -> write_json dest (Mips_machine.Stats.to_json o.Executor.stats))
+                  stats_json))
   in
   Cmd.v
     (Cmd.info "run" ~exits:Exit_code.infos
        ~doc:"Compile and execute a program on the simulator.")
     Term.(
-      const run $ file_arg $ byte_flag $ early_flag $ level_flag $ input_flag
-      $ stats_flag $ trace_flag $ trace_format_flag $ stats_json_flag
-      $ fault_seed_flag $ fault_rate_flag $ engine_flag $ fuel_flag
-      $ jobs_flag
-      $ checkpoint_flag $ checkpoint_every_flag 1_000_000 $ resume_flag
-      $ host_trace_flag $ remote_flag $ remote_tenant_flag)
+      const run $ run_term ~prog:"mipsc" $ stats_flag $ trace_flag
+      $ trace_format_flag $ stats_json_flag $ fault_seed_flag $ fault_rate_flag
+      $ jobs_flag $ checkpoint_flag $ checkpoint_every_flag 1_000_000
+      $ resume_flag $ host_trace_flag $ remote_flag $ remote_tenant_flag)
 
 let compile_cmd =
   let compile file byte early_out level =
     let config = Mips_ir.Config.of_flags ~byte ~early_out in
+    let src = read_source file in
     let p =
-      Mips_codegen.Compile.compile ~config ~level:(Mips_reorg.Pipeline.of_rank level)
-        (read_source file)
+      compiling file (fun () ->
+          Mips_codegen.Compile.compile ~config
+            ~level:(Mips_reorg.Pipeline.of_rank level) src)
     in
     Format.printf "%a@." Mips_machine.Program.pp_listing p;
     Format.printf "; %d instruction words@." (Mips_machine.Program.static_count p)
@@ -409,7 +307,8 @@ let compile_cmd =
 let asm_cmd =
   let asm file byte early_out =
     let config = Mips_ir.Config.of_flags ~byte ~early_out in
-    let a = Mips_codegen.Compile.to_asm ~config (read_source file) in
+    let src = read_source file in
+    let a = compiling file (fun () -> Mips_codegen.Compile.to_asm ~config src) in
     Format.printf "%a@." Mips_reorg.Asm.pp a
   in
   Cmd.v (Cmd.info "asm" ~exits:Exit_code.infos ~doc:"Print the symbolic assembly before the reorganizer.")
@@ -418,7 +317,8 @@ let asm_cmd =
 let levels_cmd =
   let levels file byte =
     let config = Mips_ir.Config.of_flags ~byte ~early_out:false in
-    let asm = Mips_codegen.Compile.to_asm ~config (read_source file) in
+    let src = read_source file in
+    let asm = compiling file (fun () -> Mips_codegen.Compile.to_asm ~config src) in
     List.iter
       (fun level ->
         let p = Mips_reorg.Pipeline.compile ~level asm in
@@ -438,8 +338,9 @@ let profile_cmd =
     let input = input_for file input in
     let obs = Mips_obs.Metrics.create () in
     let _program =
-      Mips_codegen.Compile.compile_profiled ~config ~level:(Mips_reorg.Pipeline.of_rank level) ~obs
-        src
+      compiling file (fun () ->
+          Mips_codegen.Compile.compile_profiled ~config
+            ~level:(Mips_reorg.Pipeline.of_rank level) ~obs src)
     in
     (* execute raw program-order code on the hardware-interlock comparison
        machine: there the stalls are real, so every load-use pair the
@@ -542,7 +443,8 @@ let profile_cmd =
          real there, so the attribution's stall column and the load+use pair
          table fill in, where delayed-mode schedules keep both empty. *)
       let program =
-        Mips_obs.Span.with_ sp "compile" (fun () ->
+        Mips_obs.Span.with_ sp "compile" @@ fun () ->
+        compiling file (fun () ->
             if interlock then
               Mips_reorg.Pipeline.compile_raw
                 (Mips_codegen.Compile.to_asm ~config src)

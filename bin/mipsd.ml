@@ -59,9 +59,6 @@ let session_flag =
            its state directory and a killed-and-restarted daemon finishes \
            it bit-identically ($(b,mipsd collect) fetches the result).")
 
-let cg_of ~byte ~early_out ~level =
-  { Protocol.byte; early_out; level }
-
 (* Retry policy for client commands: mutating requests ride the Tagged
    idempotency envelope, so resending after a wire fault (or across a
    daemon restart) is safe — the daemon answers retries from its replay
@@ -262,9 +259,7 @@ let ping_cmd =
           Remote.request_or_die ~policy ~prog:"mipsd" socket Protocol.Ping
         with
         | Protocol.Pong -> print_endline "pong"
-        | _ ->
-            Printf.eprintf "mipsd: unexpected response to ping\n";
-            exit Exit_code.protocol)
+        | _ -> Remote.unexpected ~prog:"mipsd" "ping")
   in
   Cmd.v
     (Cmd.info "ping" ~exits:Exit_code.infos
@@ -285,9 +280,7 @@ let status_cmd =
       Remote.request_or_die ~policy ~prog:"mipsd" socket Protocol.Status
     with
     | Protocol.Status_r json -> print_endline json
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to status\n";
-        exit Exit_code.protocol
+    | _ -> Remote.unexpected ~prog:"mipsd" "status"
   in
   Cmd.v
     (Cmd.info "status" ~exits:Exit_code.infos
@@ -297,25 +290,10 @@ let status_cmd =
     Term.(const status $ socket_flag $ policy_term)
 
 let run_cmd =
-  let run socket policy tenant session file byte early_out level input engine
-      fuel =
-    let req =
-      Protocol.Run
-        {
-          tenant;
-          session;
-          source = read_source file;
-          cg = cg_of ~byte ~early_out ~level;
-          input = input_for file input;
-          fuel;
-          engine = Mips_machine.Cpu.engine_name engine;
-        }
-    in
-    match Remote.request_or_die ~policy ~prog:"mipsd" socket req with
-    | Protocol.Ran r -> Remote.finish_run ~prog:"mipsd" r
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to run\n";
-        exit Exit_code.protocol
+  let run socket policy tenant session describe =
+    let file, desc = describe () in
+    Remote.finish ~prog:"mipsd" ~file ~extra:ignore
+      (Remote.run ~policy ~prog:"mipsd" ~tenant ~session socket desc)
   in
   Cmd.v
     (Cmd.info "run" ~exits:Exit_code.infos
@@ -325,27 +303,18 @@ let run_cmd =
           code, exactly like a local $(b,mipsc run).")
     Term.(
       const run $ socket_flag $ policy_term $ tenant_flag $ session_flag
-      $ file_arg
-      $ byte_flag $ early_flag $ level_flag $ input_flag $ engine_flag
-      $ Arg.(
-          value & opt int 500_000_000
-          & info [ "fuel" ] ~docv:"STEPS"
-              ~doc:
-                "Requested step budget (default 500000000; clamped to the \
-                 tenant's quota)."))
+      $ run_term ~prog:"mipsd")
 
 let compile_cmd =
   let compile socket policy tenant file byte early_out level =
     let req =
       Protocol.Compile
         { tenant; source = read_source file;
-          cg = cg_of ~byte ~early_out ~level }
+          cg = { Protocol.byte; early_out; level } }
     in
     match Remote.request_or_die ~policy ~prog:"mipsd" socket req with
     | Protocol.Listing s -> print_string s
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to compile\n";
-        exit Exit_code.protocol
+    | _ -> Remote.unexpected ~prog:"mipsd" "compile"
   in
   Cmd.v
     (Cmd.info "compile" ~exits:Exit_code.infos
@@ -365,9 +334,7 @@ let soak_cmd =
     in
     match Remote.request_or_die ~policy ~prog:"mipsd" socket req with
     | Protocol.Soaked json -> print_endline json
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to soak\n";
-        exit Exit_code.protocol
+    | _ -> Remote.unexpected ~prog:"mipsd" "soak"
   in
   Cmd.v
     (Cmd.info "soak" ~exits:Exit_code.infos
@@ -409,9 +376,7 @@ let report_cmd =
         (Protocol.Report { tenant })
     with
     | Protocol.Reported json -> print_string json
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to report\n";
-        exit Exit_code.protocol
+    | _ -> Remote.unexpected ~prog:"mipsd" "report"
   in
   Cmd.v
     (Cmd.info "report" ~exits:Exit_code.infos
@@ -424,12 +389,10 @@ let collect_cmd =
   let collect socket policy tenant session =
     let req = Protocol.Collect { tenant; session } in
     match Remote.request_or_die ~policy ~prog:"mipsd" socket req with
-    | Protocol.Ran r -> Remote.finish_run ~prog:"mipsd" r
+    | Protocol.Ran r -> Remote.finish ~prog:"mipsd" ~file:session ~extra:ignore (Remote.Ran r)
     | Protocol.Soaked json -> print_endline json
     | Protocol.Listing s | Protocol.Reported s -> print_string s
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to collect\n";
-        exit Exit_code.protocol
+    | _ -> Remote.unexpected ~prog:"mipsd" "collect"
   in
   Cmd.v
     (Cmd.info "collect" ~exits:Exit_code.infos
@@ -449,9 +412,7 @@ let stop_cmd =
       Remote.request_or_die ~policy ~prog:"mipsd" socket Protocol.Shutdown
     with
     | Protocol.Bye -> ()
-    | _ ->
-        Printf.eprintf "mipsd: unexpected response to shutdown\n";
-        exit Exit_code.protocol
+    | _ -> Remote.unexpected ~prog:"mipsd" "shutdown"
   in
   Cmd.v
     (Cmd.info "stop" ~exits:Exit_code.infos
@@ -576,10 +537,9 @@ let load_cmd =
               Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
               match
                 Client.request c
-                  (Protocol.Run
-                     { tenant; session = None; source;
-                       cg = Protocol.default_codegen; input = ""; fuel;
-                       engine = "ref" })
+                  (Protocol.run_request ~tenant ~session:None
+                     { Protocol.source; cg = Protocol.default_codegen;
+                       input = ""; fuel; engine = "ref" })
               with
               | Ok (Protocol.Ran _) -> `Ok
               | Ok (Protocol.Err ((Protocol.Overloaded | Protocol.Quarantined
@@ -642,9 +602,7 @@ let load_cmd =
           value & opt string "load"
           & info [ "tenant-prefix" ] ~docv:"NAME"
               ~doc:"Tenants are named $(docv)-0 .. $(docv)-(N-1).")
-      $ Arg.(
-          value & opt int 500_000_000
-          & info [ "fuel" ] ~docv:"STEPS" ~doc:"Step budget per request."))
+      $ fuel_flag)
 
 let () =
   let doc = "fault-tolerant multi-tenant simulation daemon" in

@@ -23,14 +23,11 @@ let machine_config (cfg : Config.t) =
   | Config.Byte_addressed -> Mips_machine.Cpu.byte_addressed_config
 
 let run_with_machine ?(config = Config.default) ?level ?fuel ?input ?trace
-    ?fault_plan ?engine src =
+    ?engine src =
   let program = compile ~config ?level src in
   let cpu = Mips_machine.Cpu.create ~config:(machine_config config) () in
   (match trace with
   | Some sink -> Mips_machine.Cpu.set_trace cpu sink
-  | None -> ());
-  (match fault_plan with
-  | Some plan -> Mips_machine.Cpu.set_fault_plan cpu plan
   | None -> ());
   let res = Mips_machine.Hosted.run_program_on ?fuel ?input ?engine cpu program in
   (res, cpu)

@@ -48,14 +48,12 @@ val run_with_machine :
   ?fuel:int ->
   ?input:string ->
   ?trace:Mips_obs.Sink.t ->
-  ?fault_plan:Mips_fault.Plan.t ->
   ?engine:Mips_machine.Cpu.engine ->
   string ->
   Mips_machine.Hosted.result * Mips_machine.Cpu.t
 (** Like {!run}, also returning the machine for statistics inspection.
-    [trace] attaches an event sink, [fault_plan] a seeded transient-fault
-    plan, to the machine before execution; [engine] selects the reference
-    or the predecoded fast execution engine (default reference). *)
+    [trace] attaches an event sink to the machine before execution;
+    [engine] selects the execution engine (default reference). *)
 
 val machine_config : Config.t -> Mips_machine.Cpu.config
 (** The simulator configuration matching a code-generation configuration. *)

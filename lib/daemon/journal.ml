@@ -1,7 +1,7 @@
 (* The session journal on disk is four file kinds per session id:
 
      session-<id>.meta   "mipsd-meta"   the request, journalled before work
-     session-<id>.ckpt   "mipsd-run"    a run checkpoint (machine + host)
+     session-<id>.ckpt   "run"          a run checkpoint (Executor's)
      session-<id>.soak   "soak"         a soak checkpoint
      session-<id>.done   "mipsd-done"   the recorded final response
 
@@ -39,7 +39,7 @@ let ext = function
 
 let kind = function
   | Meta -> "mipsd-meta"
-  | Ckpt -> "mipsd-run"
+  | Ckpt -> Executor.checkpoint_kind
   | Soak -> "soak"
   | Done -> "mipsd-done"
 

@@ -9,6 +9,14 @@ type codegen = { byte : bool; early_out : bool; level : int }
 
 let default_codegen = { byte = false; early_out = false; level = 3 }
 
+type desc = {
+  source : string;
+  cg : codegen;
+  input : string;
+  fuel : int;
+  engine : string;
+}
+
 type request =
   | Ping
   | Compile of { tenant : string; source : string; cg : codegen }
@@ -112,6 +120,9 @@ let mutating = function
 
 let untag = function Tagged { id; req } -> (Some id, req) | req -> (None, req)
 
+let run_request ~tenant ~session { source; cg; input; fuel; engine } =
+  Run { tenant; session; source; cg; input; fuel; engine }
+
 let valid_name s =
   let n = String.length s in
   n >= 1 && n <= 64
@@ -136,6 +147,27 @@ let r_codegen r =
     raise (Mips_resilience.Snapshot.Bad (Printf.sprintf "bad level %d" level));
   { byte; early_out; level }
 
+(* a run description is laid out as the tail of a Run request *)
+let w_desc b { source; cg; input; fuel; engine } =
+  Io.W.str b source;
+  w_codegen b cg;
+  Io.W.str b input;
+  Io.W.int b fuel;
+  Io.W.str b engine
+
+let r_desc r =
+  let source = Io.R.str r in
+  let cg = r_codegen r in
+  let input = Io.R.str r in
+  let fuel = Io.R.int r in
+  let engine = Io.R.str r in
+  { source; cg; input; fuel; engine }
+
+let encode_desc d =
+  let b = Io.W.create () in
+  w_desc b d;
+  Io.W.contents b
+
 let rec w_request b req =
   (match req with
   | Ping -> Io.W.u8 b 0
@@ -148,11 +180,7 @@ let rec w_request b req =
       Io.W.u8 b 2;
       Io.W.str b tenant;
       Io.W.opt Io.W.str b session;
-      Io.W.str b source;
-      w_codegen b cg;
-      Io.W.str b input;
-      Io.W.int b fuel;
-      Io.W.str b engine
+      w_desc b { source; cg; input; fuel; engine }
   | Soak { tenant; session; seed; steps; programs; segments; differential;
            engine } ->
       Io.W.u8 b 3;
@@ -209,12 +237,7 @@ let rec decode_request data =
       | 2 ->
           let tenant = Io.R.str r in
           let session = Io.R.opt Io.R.str r in
-          let source = Io.R.str r in
-          let cg = r_codegen r in
-          let input = Io.R.str r in
-          let fuel = Io.R.int r in
-          let engine = Io.R.str r in
-          Run { tenant; session; source; cg; input; fuel; engine }
+          run_request ~tenant ~session (r_desc r)
       | 3 ->
           let tenant = Io.R.str r in
           let session = Io.R.opt Io.R.str r in

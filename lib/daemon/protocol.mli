@@ -17,6 +17,17 @@ type codegen = { byte : bool; early_out : bool; level : int  (** 0-3 *) }
 val default_codegen : codegen
 (** Word-addressed, set-conditionally booleans, postpass level 3. *)
 
+type desc = {
+  source : string;  (** Pascal-subset source text *)
+  cg : codegen;
+  input : string;  (** the getchar stream *)
+  fuel : int;  (** machine steps before the run stops out of fuel *)
+  engine : string;  (** "ref", "fast" or "jit" *)
+}
+(** Everything one run of a program depends on: the fields a [Run]
+    request carries besides its tenant and session, and what
+    {!Executor.run} takes. *)
+
 type request =
   | Ping
   | Compile of { tenant : string; source : string; cg : codegen }
@@ -24,7 +35,7 @@ type request =
       tenant : string;
       session : string option;
           (** names a resumable, checkpointed session (see {!Server}) *)
-      source : string;
+      source : string;  (** [source] to [engine]: a {!desc}, field by field *)
       cg : codegen;
       input : string;
       fuel : int;
@@ -105,6 +116,13 @@ val mutating : request -> bool
 val untag : request -> string option * request
 (** Strip one [Tagged] envelope: [(Some id, inner)] for a tagged request,
     [(None, req)] otherwise. *)
+
+val run_request : tenant:string -> session:string option -> desc -> request
+(** The [Run] request for a description. *)
+
+val encode_desc : desc -> string
+(** A description's bytes, laid out as in a [Run] request after its
+    session. *)
 
 val valid_name : string -> bool
 (** Tenant and session names: 1-64 chars of [A-Za-z0-9._-] — safe as file

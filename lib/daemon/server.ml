@@ -133,99 +133,75 @@ let remove_session_files t id files =
 
 (* --- job bodies ------------------------------------------------------------- *)
 
-let config_of { Protocol.byte; early_out; level = _ } =
-  Mips_ir.Config.of_flags ~byte ~early_out
-
 let compile_job ~source ~cg () =
-  let config = config_of cg in
-  let level = Mips_reorg.Pipeline.of_rank cg.Protocol.level in
-  let p = Mips_artifact.compiled ~config ~level source in
-  Protocol.Listing
-    (Format.asprintf "%a@.; %d instruction words@." Mips_machine.Program.pp_listing
-       p
-       (Mips_machine.Program.static_count p))
+  match Executor.compile source cg with
+  | Ok p ->
+      Protocol.Listing
+        (Format.asprintf "%a@.; %d instruction words@."
+           Mips_machine.Program.pp_listing p
+           (Mips_machine.Program.static_count p))
+  | Error e -> Protocol.Err (Protocol.Bad_request, Executor.compile_error_detail e)
 
 (* A run request, optionally checkpointed under a session.  The quota
-   watchdog rides the checkpoint-slice callback: every
+   watchdog rides the executor's slice hook: every
    [config.checkpoint_every] steps the output-size and wall-clock budgets
    are checked, and an overrun raises Supervise.Deadline — the same
    deterministic-budget discipline the supervised pool uses — which lands
-   as a typed [Quota] kill. *)
-let run_job t ~req ~session ~source ~cg ~input ~fuel ~engine () =
+   as a typed [Quota] kill.  The fuel quota clamps the description. *)
+let run_job t ~session (d : Protocol.desc) () =
   let quota = Tenants.quota t.tenants in
-  let config = config_of cg in
-  let level = Mips_reorg.Pipeline.of_rank cg.Protocol.level in
-  let program = Mips_artifact.compiled ~config ~level source in
-  Cpu.with_machine ~config:(Mips_codegen.Compile.machine_config config)
-  @@ fun cpu ->
-  Cpu.load_program cpu program;
-  let budget = min fuel quota.Tenants.max_fuel in
-  let req_digest = Digest.string (Protocol.encode_request req) in
-  let kind = Journal.kind Ckpt in
   let ckpt_path = Option.bind session (fun id -> session_file t id Journal.Ckpt) in
-  let resume_state =
-    match ckpt_path with
-    | Some path when Sys.file_exists path -> (
-        match Snapshot.restore_hosted ~kind ~meta:req_digest cpu path with
-        | Ok h -> Some h
-        | Error _ ->
-            (* a damaged checkpoint is not fatal: the run is a pure
-               function of its journalled parameters, so start over *)
-            None)
-    | _ -> None
-  in
-  let budget =
-    match resume_state with
-    | Some h -> h.Hosted.h_fuel_left
-    | None -> budget
-  in
   let started = now () in
   let checkpoints = ref 0 in
-  let save (h : Hosted.host_state) =
+  let at_slice (h : Hosted.host_state) ckpt =
     if String.length h.Hosted.h_output > quota.Tenants.max_output then
       raise (Supervise.Deadline "memory");
     if now () -. started > quota.Tenants.max_wall_s then
       raise (Supervise.Deadline "deadline");
-    (match ckpt_path with
-    | None -> ()
-    | Some path ->
+    Option.iter
+      (fun path ->
         journal_op t;
-        Snapshot.write_file path
-          (Snapshot.hosted_checkpoint ~kind ~meta:req_digest cpu h));
+        Snapshot.write_file path (Lazy.force ckpt))
+      ckpt_path;
     incr checkpoints;
     match t.config.test_crash_after_checkpoints with
     | Some n when session <> None && !checkpoints >= n -> raise Crashed
     | _ -> ()
   in
+  let run resume =
+    Executor.run
+      { Executor.hooks with resume;
+        slices = Some (t.config.checkpoint_every, at_slice) }
+      { d with fuel = min d.fuel quota.Tenants.max_fuel }
+  in
   match
-    Hosted.run ~fuel:budget ~input ~engine ?resume:resume_state
-      ~checkpoint:(t.config.checkpoint_every, save) cpu
+    match ckpt_path with
+    | Some path when Sys.file_exists path -> (
+        match run (Some path) with
+        | Error (Executor.Resume_refused _) ->
+            (* a damaged checkpoint is not fatal: the run is a pure
+               function of its journalled parameters, so start over *)
+            run None
+        | r -> r)
+    | _ -> run None
   with
   | exception Supervise.Deadline what ->
       Protocol.Err
         ( Protocol.Quota what,
           Printf.sprintf "killed by the %s watchdog" what )
-  | res ->
-      let stats = Cpu.stats cpu in
-      if stats.Mips_machine.Stats.fuel_exhausted && fuel > quota.Tenants.max_fuel
+  | Error (Executor.Compile_error e) ->
+      Protocol.Err (Protocol.Bad_request, Executor.compile_error_detail e)
+  | Error (Executor.Resume_refused e) ->
+      Protocol.Err (Protocol.Internal, Snapshot.error_to_string e)
+  | Ok o ->
+      if o.Executor.stats.Mips_machine.Stats.fuel_exhausted
+         && d.fuel > quota.Tenants.max_fuel
       then
         Protocol.Err
           ( Protocol.Quota "fuel",
-            Printf.sprintf "killed after %d steps (fuel quota)" budget )
-      else
-        Protocol.Ran
-          {
-            Protocol.output = res.Hosted.output;
-            exit_status = res.Hosted.exit_status;
-            halted = res.Hosted.halted;
-            fault =
-              Option.map
-                (fun (c, d) ->
-                  Printf.sprintf "%s (%d)" (Mips_machine.Cause.name c) d)
-                res.Hosted.fault;
-            cycles = stats.Mips_machine.Stats.cycles;
-            retries = res.Hosted.retries;
-          }
+            Printf.sprintf "killed after %d steps (fuel quota)"
+              quota.Tenants.max_fuel )
+      else Protocol.Ran (Executor.reply o)
 
 (* Same knob settings as `mipsc soak` so a collected response is
    byte-comparable with `mipsc soak --json` at equal parameters. *)
@@ -403,19 +379,10 @@ let job_of t req =
   match req with
   | Protocol.Compile { source; cg; _ } -> Some (compile_job ~source ~cg)
   | Protocol.Run { session; source; cg; input; fuel; engine; _ } ->
-      let engine =
-        match Cpu.engine_of_string engine with
-        | Some e -> e
-        | None -> Cpu.Ref
-      in
-      Some (run_job t ~req ~session ~source ~cg ~input ~fuel ~engine)
+      Some (run_job t ~session { Protocol.source; cg; input; fuel; engine })
   | Protocol.Soak
       { session; seed; steps; programs; segments; differential; engine; _ } ->
-      let engine =
-        match Cpu.engine_of_string engine with
-        | Some e -> e
-        | None -> Cpu.Ref
-      in
+      let engine = Option.value ~default:Cpu.Ref (Cpu.engine_of_string engine) in
       Some
         (soak_job t ~session ~seed ~steps ~programs ~segments ~differential
            ~engine)

@@ -1319,7 +1319,7 @@ let compile t entry_pc =
    out of fuel.  Written with recursion and scalar state only — the
    steady-state loop allocates nothing. *)
 
-let run ?(fuel = 10_000_000) t handler =
+let run ~fuel t handler =
   let eligible = not t.cfg.interlock in
   let rec loop fuel =
     if fuel <= 0 then 0
@@ -1346,7 +1346,7 @@ let run ?(fuel = 10_000_000) t handler =
           | fuel' -> chain fuel'
           | exception Fault (cause, detail) ->
               let consumed = t.jit_k in
-              (match dispatch t cause detail ~epcs:(t.p0, t.p1, t.p2) with
+              (match dispatch t cause detail t.p0 t.p1 t.p2 with
               | Dispatched c -> dispatched c (fuel - consumed)
               | Stepped -> assert false)
         else step_once fuel
@@ -1390,7 +1390,7 @@ let run ?(fuel = 10_000_000) t handler =
             | fuel' -> chain fuel'
             | exception Fault (cause, detail) ->
                 let consumed = t.jit_k in
-                (match dispatch t cause detail ~epcs:(t.p0, t.p1, t.p2) with
+                (match dispatch t cause detail t.p0 t.p1 t.p2 with
                 | Dispatched c -> dispatched c (fuel - consumed)
                 | Stepped -> assert false)
           else loop fuel

@@ -32,7 +32,7 @@ val hot_threshold : int
 (** Executions of an entry pc before its block is compiled (32). *)
 
 val run :
-  ?fuel:int ->
+  fuel:int ->
   Mips_machine.Cpu.t ->
   (Mips_machine.Cpu.t -> Mips_machine.Cause.t -> [ `Resume | `Halt ]) -> int
 (** The whole-run jit dispatch loop; same contract, fuel semantics and

@@ -486,7 +486,7 @@ let[@inline] set_chain t a b c =
   t.p1 <- b;
   t.p2 <- c
 
-let set_pc_chain t (a, b, c) = set_chain t a b c
+let set_pc_chain = set_chain
 
 let set_pc t a = set_chain t a (a + 1) (a + 2)
 let set_interrupt t b = t.interrupt_line <- b
@@ -740,7 +740,7 @@ let[@inline] commit_pending t =
     t.pend_r <- -1
   end
 
-let dispatch t cause detail ~epcs:(e0, e1, e2) =
+let dispatch t cause detail e0 e1 e2 =
   commit_pending t;
   t.epcs.(0) <- e0;
   t.epcs.(1) <- e1;
@@ -967,7 +967,7 @@ let step_core t =
     | None -> ()
   end;
   if t.interrupt_line && t.sr.int_enable then
-    dispatch t Cause.Interrupt 0 ~epcs:(t.p0, t.p1, t.p2)
+    dispatch t Cause.Interrupt 0 t.p0 t.p1 t.p2
   else begin
     if t.trace_on then
       Mips_obs.Sink.emit t.trace (Mips_obs.Event.Fetch { pc = t.p0 });
@@ -1006,7 +1006,7 @@ let step_core t =
       compute t word;
       fetch_phys
     with
-    | exception Fault (cause, detail) -> dispatch t cause detail ~epcs:(e0, e1, e2)
+    | exception Fault (cause, detail) -> dispatch t cause detail e0 e1 e2
     | exception Trap_dispatch code ->
         (* a trap commits nothing else in its word and resumes after itself *)
         let w =
@@ -1023,7 +1023,7 @@ let step_core t =
                  name = (match Monitor.name code with Some n -> n | None -> "?");
                })
         end;
-        dispatch t Cause.Trap code ~epcs:(t.p1, t.p2, t.p2 + 1)
+        dispatch t Cause.Trap code t.p1 t.p2 (t.p2 + 1)
     | fetch_phys ->
         let word = t.imem.(fetch_phys) in
         count_cycle t word;
@@ -1618,11 +1618,11 @@ let step_fast_quiet t =
       x.runs <- x.runs + 1;
       Stepped
   | exception Fault (cause, detail) ->
-      dispatch t cause detail ~epcs:(e0, e1, e2)
+      dispatch t cause detail e0 e1 e2
   | exception Trap_dispatch code ->
       let x = t.xcode.(translate_word t Pagemap.Ispace ~write:false t.p0) in
       x.runs <- x.runs + 1;
-      dispatch t Cause.Trap code ~epcs:(t.p1, t.p2, t.p2 + 1)
+      dispatch t Cause.Trap code t.p1 t.p2 (t.p2 + 1)
 
 let step_fast t = if quiet t then step_fast_quiet t else step t
 
@@ -1643,34 +1643,33 @@ let resume t =
   t.sr <- Surprise.pop t.sr;
   set_chain t t.epcs.(0) t.epcs.(1) t.epcs.(2)
 
-let run_with stepf ?(fuel = 10_000_000) t handler =
-  let rec loop fuel =
-    if fuel <= 0 then 0
-    else
-      match stepf t with
-      | Stepped -> loop (fuel - 1)
-      | Dispatched cause -> (
-          match handler t cause with
-          | `Halt -> fuel
-          | `Resume ->
-              resume t;
-              loop (fuel - 1))
-  in
-  loop fuel
+(* Arguments, not a closure over them: a call allocates nothing. *)
+let rec run_with stepf t handler fuel =
+  if fuel <= 0 then 0
+  else
+    match stepf t with
+    | Stepped -> run_with stepf t handler (fuel - 1)
+    | Dispatched cause -> (
+        match handler t cause with
+        | `Halt -> fuel
+        | `Resume ->
+            resume t;
+            run_with stepf t handler (fuel - 1))
 
 (* The jit run loop lives in [Mips_jit] (lib/jit), which depends on this
    module; it registers itself here at [install] time.  Requesting the jit
    engine without having linked it is a programming error, and failing loud
    beats silently falling back to a slower engine. *)
 let jit_runner :
-    (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int) ref =
-  ref (fun ?fuel:_ _ _ ->
+    (fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int) ref =
+  ref (fun ~fuel:_ _ _ ->
       failwith "Cpu.run_engine: jit engine not installed (call Mips_jit.install)")
 
 let set_jit_runner f = jit_runner := f
 
-let run_engine ?fuel ~engine t handler =
+(* inlined, so a caller's [~fuel] is never boxed *)
+let[@inline] run_engine ?(fuel = 10_000_000) ~engine t handler =
   match engine with
-  | Ref -> run_with step ?fuel t handler
-  | Fast -> run_with step_fast ?fuel t handler
-  | Jit -> !jit_runner ?fuel t handler
+  | Ref -> run_with step t handler fuel
+  | Fast -> run_with step_fast t handler fuel
+  | Jit -> !jit_runner ~fuel t handler

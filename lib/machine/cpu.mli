@@ -300,7 +300,7 @@ val pc : t -> int
 (** Current instruction address (head of the three-deep chain). *)
 
 val pc_chain : t -> int * int * int
-val set_pc_chain : t -> int * int * int -> unit
+val set_pc_chain : t -> int -> int -> int -> unit
 
 val set_pc : t -> int -> unit
 (** Reset the chain to sequential flow from the given address. *)
@@ -426,9 +426,9 @@ val overflow_trap : t -> unit
 (** Raises [Fault (Overflow, 0)] when the surprise register enables
     overflow traps; called by a piece whose arithmetic overflowed. *)
 
-val dispatch : t -> Cause.t -> int -> epcs:int * int * int -> event
-(** Accept an exception: commit the pending load, save the given chain into
-    the EPCs, push the surprise register, redirect to physical 0, count the
+val dispatch : t -> Cause.t -> int -> int -> int -> int -> event
+(** [dispatch t cause detail e0 e1 e2] accepts an exception: commit the
+    pending load, save the chain [e0 e1 e2] into the EPCs, push the surprise register, redirect to physical 0, count the
     exception and emit the trace event.  Always returns [Dispatched]. *)
 
 (** Resolved ALU piece: destination picked apart from the value computation. *)
@@ -523,6 +523,6 @@ val jit_register : t -> tally -> unit
     [tl_pcs] gets a compiled slot, which holds its count. *)
 
 val set_jit_runner :
-  (?fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int) -> unit
+  (fuel:int -> t -> (t -> Cause.t -> [ `Resume | `Halt ]) -> int) -> unit
 (** Register the whole-run jit loop that {!run_engine} dispatches [Jit] to;
     it returns the fuel left, as {!run_engine} does. *)

@@ -15,7 +15,7 @@ type t = {
   mutable mem_busy_cycles : int;
   mutable free_cycles : int;
   weighted : float array;  (* length 1; unboxed accumulation cell *)
-  mutable exceptions : (Cause.t * int) list;
+  mutable exceptions : (Cause.t * int ref) list;
   mutable synthetic_refs : int;
   mutable fuel_exhausted : bool;
   word_refs : ref_class;
@@ -53,6 +53,16 @@ let create () =
     stall_pairs = Hashtbl.create 16;
   }
 
+(* [n] more of [cause]: counted in place, or a new counter at the end
+   the first time; no closure, so a repeat allocates nothing *)
+let rec bump cause n = function
+  | (c, m) :: rest -> if Cause.equal c cause then (m := !m + n; true) else bump cause n rest
+  | [] -> false
+
+let add_exception t cause n =
+  if not (bump cause n t.exceptions) then
+    t.exceptions <- t.exceptions @ [ (cause, ref n) ]
+
 (* the identity of [merge]: a fresh, empty record *)
 let zero = create
 
@@ -81,16 +91,7 @@ let merge a b =
   t.synthetic_refs <- a.synthetic_refs + b.synthetic_refs;
   t.fuel_exhausted <- a.fuel_exhausted || b.fuel_exhausted;
   let add_exceptions exns =
-    List.iter
-      (fun (cause, n) ->
-        let rec bump = function
-          | [] -> [ (cause, n) ]
-          | (c, m) :: rest ->
-              if Cause.equal c cause then (c, m + n) :: rest
-              else (c, m) :: bump rest
-        in
-        t.exceptions <- bump t.exceptions)
-      exns
+    List.iter (fun (cause, n) -> add_exception t cause !n) exns
   in
   add_exceptions a.exceptions;
   add_exceptions b.exceptions;
@@ -117,22 +118,15 @@ let merge a b =
   add_pairs b.stall_pairs;
   t
 
-let count_exception t cause =
-  let rec bump = function
-    | [] -> [ (cause, 1) ]
-    | (c, n) :: rest ->
-        if Cause.equal c cause then (c, n + 1) :: rest else (c, n) :: bump rest
-  in
-  t.exceptions <- bump t.exceptions
+let count_exception t cause = add_exception t cause 1
 
 let exception_count t cause =
-  match List.assoc_opt cause t.exceptions with Some n -> n | None -> 0
+  match List.assoc_opt cause t.exceptions with Some n -> !n | None -> 0
 
 let exceptions_sorted t =
-  List.sort
-    (fun (ca, na) (cb, nb) ->
-      match compare nb na with 0 -> Cause.compare ca cb | c -> c)
-    t.exceptions
+  List.map (fun (c, n) -> (c, !n)) t.exceptions
+  |> List.sort (fun (ca, na) (cb, nb) ->
+         match compare nb na with 0 -> Cause.compare ca cb | c -> c)
 
 let record_stall_pair t ~producer_pc ~consumer_pc =
   let key = (producer_pc, consumer_pc) in

@@ -36,7 +36,9 @@ type t = {
           fetch-overhead factor (equals [cycles] on the word-addressed
           machine); a flat float array so the per-cycle accumulation does not
           box — read it through {!weighted_cycles} *)
-  mutable exceptions : (Cause.t * int) list;  (** per-cause counters *)
+  mutable exceptions : (Cause.t * int ref) list;
+      (** per-cause counters, in the order the causes first occurred; a
+          cause seen before is counted in place, allocating nothing *)
   mutable synthetic_refs : int;
       (** machine-artifact references (the extra read in a byte store's
           read-modify-write), excluded from the logical classes below *)

@@ -85,9 +85,3 @@ val to_text : t -> string
 val to_json : t -> Json.t
 (** One-line JSON object with an ["ev"] discriminator — the JSONL encoding. *)
 
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; every constructor round-trips. *)
-
-val samples : t list
-(** At least one value of every constructor (both stall reasons, all three
-    delay-slot kinds) — what the round-trip tests iterate over. *)

@@ -43,7 +43,7 @@ type pcb = {
   program : Program.t;
   data_image : int array;
   regs : int array;
-  mutable chain : int * int * int;
+  chain : int array;
   mutable usr : Surprise.t;  (* user-mode surprise register, popped form *)
   io : Hosted.io;
   mutable st : state;
@@ -174,8 +174,7 @@ let spawn t ?(input = "") ~name (program : Program.t) =
       program;
       data_image;
       regs = Array.make 16 0;
-      chain =
-        (program.Program.entry, program.Program.entry + 1, program.Program.entry + 2);
+      chain = Array.init 3 (fun i -> program.Program.entry + i);
       usr = user_sr;
       io = { Hosted.input; in_pos = 0; out = Buffer.create 128 };
       st = Ready;
@@ -346,7 +345,9 @@ let save_current t =
       for i = 0 to 15 do
         p.regs.(i) <- Cpu.get_reg t.cpu (Reg.r i)
       done;
-      p.chain <- (Cpu.epc t.cpu 0, Cpu.epc t.cpu 1, Cpu.epc t.cpu 2);
+      for i = 0 to 2 do
+        p.chain.(i) <- Cpu.epc t.cpu i
+      done;
       p.usr <- Surprise.pop (Cpu.surprise t.cpu)
 
 let install t (p : pcb) =
@@ -355,24 +356,25 @@ let install t (p : pcb) =
   done;
   Cpu.set_segmap t.cpu (Segmap.make ~pid:p.pid ~mask_bits);
   Cpu.set_surprise t.cpu p.usr;
-  Cpu.set_pc_chain t.cpu p.chain;
+  Cpu.set_pc_chain t.cpu p.chain.(0) p.chain.(1) p.chain.(2);
   t.current <- Some p
 
-let ready_procs t = List.filter (fun p -> p.st = Ready) t.procs
+(* the first ready process with a pid past [after], else [first], else
+   the first ready one *)
+let rec ready_after after first = function
+  | [] -> first
+  | ({ st = Ready; _ } as p) :: rest ->
+      if p.pid > after then Some p
+      else ready_after after (match first with None -> Some p | Some _ -> first) rest
+  | _ :: rest -> ready_after after first rest
 
 (* rotate to the ready process after the current one *)
 let next_ready t =
-  let ready = ready_procs t in
-  match (ready, t.current) with
-  | [], _ -> None
-  | _, None -> Some (List.hd ready)
-  | _, Some cur -> (
-      let after = List.filter (fun p -> p.pid > cur.pid) ready in
-      match after with p :: _ -> Some p | [] -> Some (List.hd ready))
+  ready_after (match t.current with Some cur -> cur.pid | None -> min_int) None t.procs
 
 (* install the next ready process; the kernel halts when there is none *)
 let switch t =
-  let from_pid = match t.current with Some p -> Some p.pid | None -> None in
+  let from = t.current in
   save_current t;
   t.in_switch <- true;
   let next = next_ready t in
@@ -384,8 +386,8 @@ let switch t =
     Mips_obs.Sink.emit t.trace
       (Mips_obs.Event.Context_switch
          {
-           from_pid;
-           to_pid = (match next with Some p -> Some p.pid | None -> None);
+           from_pid = Option.map (fun p -> p.pid) from;
+           to_pid = Option.map (fun p -> p.pid) next;
          });
   if next = None then t.halted <- true
 

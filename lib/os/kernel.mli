@@ -70,7 +70,7 @@ type pcb = {
   program : Program.t;
   data_image : int array;  (** the initial static data, filled on demand *)
   regs : int array;  (** the sixteen general registers *)
-  mutable chain : int * int * int;  (** the PC chain *)
+  chain : int array;  (** the PC chain, three words *)
   mutable usr : Surprise.t;  (** user-mode surprise register, popped form *)
   io : Hosted.io;  (** its monitor-call input and output *)
   mutable st : state;

@@ -336,7 +336,7 @@ let w_stats b (st : Stats.t) =
   Io.W.list
     (fun b (c, n) ->
       w_cause b c;
-      Io.W.int b n)
+      Io.W.int b !n)
     b st.exceptions;
   Io.W.int b st.synthetic_refs;
   Io.W.bool b st.fuel_exhausted;
@@ -375,7 +375,7 @@ let r_stats r (st : Stats.t) =
     Io.R.list
       (fun r ->
         let c = r_cause r in
-        (c, Io.R.int r))
+        (c, ref (Io.R.int r)))
       r;
   st.synthetic_refs <- Io.R.int r;
   st.fuel_exhausted <- Io.R.bool r;
@@ -505,7 +505,7 @@ let restore_machine cpu data =
     let c0 = Io.R.int r in
     let c1 = Io.R.int r in
     let c2 = Io.R.int r in
-    Cpu.set_pc_chain cpu (c0, c1, c2);
+    Cpu.set_pc_chain cpu c0 c1 c2;
     for i = 0 to 2 do
       Cpu.set_epc cpu i (Io.R.int r)
     done;
@@ -641,10 +641,7 @@ let sched_to_string (k : Kernel.t) =
       Io.W.int b p.pid;
       Io.W.str b p.pname;
       Io.W.list Io.W.int b (Array.to_list p.regs);
-      let c0, c1, c2 = p.chain in
-      Io.W.int b c0;
-      Io.W.int b c1;
-      Io.W.int b c2;
+      Array.iter (Io.W.int b) p.chain;
       Io.W.int b (Surprise.to_word p.usr);
       Io.W.int b p.io.in_pos;
       Io.W.str b (Buffer.contents p.io.out);
@@ -716,10 +713,7 @@ let restore_sched (k : Kernel.t) data =
         if Io.R.int r <> Array.length p.regs then
           raise (Bad "register-file size mismatch");
         Array.iteri (fun i _ -> p.regs.(i) <- Io.R.int r) p.regs;
-        let c0 = Io.R.int r in
-        let c1 = Io.R.int r in
-        let c2 = Io.R.int r in
-        p.chain <- (c0, c1, c2);
+        Array.iteri (fun i _ -> p.chain.(i) <- Io.R.int r) p.chain;
         p.usr <- Surprise.of_word (Io.R.int r);
         p.io.in_pos <- Io.R.int r;
         Buffer.clear p.io.out;

@@ -139,7 +139,7 @@ let test_interleaved_steps () =
               else begin
                 (* monitor calls other than exit: skip output, resume *)
                 Cpu.set_surprise cpu (Surprise.pop (Cpu.surprise cpu));
-                Cpu.set_pc_chain cpu (Cpu.epc cpu 0, Cpu.epc cpu 1, Cpu.epc cpu 2)
+                Cpu.set_pc_chain cpu (Cpu.epc cpu 0) (Cpu.epc cpu 1) (Cpu.epc cpu 2)
               end
           | Cpu.Dispatched _ -> Alcotest.failf "seed %d: unexpected fault" seed);
           incr i

@@ -372,7 +372,7 @@ let test_interrupt_line () =
   (* return from exception and finish *)
   Cpu.set_interrupt cpu false;
   Cpu.set_surprise cpu (Surprise.pop (Cpu.surprise cpu));
-  Cpu.set_pc_chain cpu (Cpu.epc cpu 0, Cpu.epc cpu 1, Cpu.epc cpu 2);
+  Cpu.set_pc_chain cpu (Cpu.epc cpu 0) (Cpu.epc cpu 1) (Cpu.epc cpu 2);
   let res = Hosted.run cpu in
   check "finished" true res.Hosted.halted;
   check_int "r2 executed on resume" 2 (Cpu.get_reg cpu (Reg.r 2))
@@ -402,7 +402,7 @@ let test_fault_in_delay_slot_restarts () =
   (* handler: repair the operand and return through the saved chain *)
   Cpu.set_reg cpu (Reg.r 1) 5;
   Cpu.set_surprise cpu (Surprise.pop (Cpu.surprise cpu));
-  Cpu.set_pc_chain cpu (Cpu.epc cpu 0, Cpu.epc cpu 1, Cpu.epc cpu 2);
+  Cpu.set_pc_chain cpu (Cpu.epc cpu 0) (Cpu.epc cpu 1) (Cpu.epc cpu 2);
   let res = Hosted.run cpu in
   check "finished" true (res.Hosted.halted && res.Hosted.fault = None);
   check_int "slot re-executed exactly once" 6 (Cpu.get_reg cpu (Reg.r 2));
@@ -446,7 +446,8 @@ let test_double_fault_overwrites_chain () =
   Cpu.set_surprise cpu (Surprise.of_word saved_sr);
   check "surprise word round-trips exactly" true
     (Surprise.equal (Cpu.surprise cpu) sr1);
-  Cpu.set_pc_chain cpu saved_epcs;
+  (let e0, e1, e2 = saved_epcs in
+   Cpu.set_pc_chain cpu e0 e1 e2);
   let res = Hosted.run cpu in
   check "resumed past the first trap" true
     (res.Hosted.halted && res.Hosted.fault = None);

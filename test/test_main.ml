@@ -7,5 +7,6 @@ let () =
     @ Test_compiler.suite @ Test_golden.suite @ Test_os.suite
     @ Test_analysis.suite @ Test_obs.suite @ Test_profile.suite
     @ Test_fault.suite @ Test_par.suite @ Test_resilience.suite
-    @ Test_policy.suite @ Test_daemon.suite @ Test_chaos.suite
+    @ Test_policy.suite @ Test_daemon.suite @ Test_executor.suite
+    @ Test_chaos.suite
     @ Test_reuse.suite)

@@ -64,7 +64,7 @@ let test_event_samples_cover () =
   (* every constructor appears in [samples] — guards the round-trip test
      against silently losing coverage when a constructor is added *)
   let kinds =
-    List.sort_uniq compare (List.map Event.kind_name Event.samples)
+    List.sort_uniq compare (List.map Event.kind_name Event_reader.samples)
   in
   checki "distinct kinds" 23 (List.length kinds)
 
@@ -75,10 +75,10 @@ let test_event_jsonl_roundtrip () =
       match Json.of_string line with
       | Error msg -> Alcotest.failf "%s: unparseable %s" msg line
       | Ok j -> (
-          match Event.of_json j with
+          match Event_reader.of_json j with
           | Error msg -> Alcotest.failf "%s: undecodable %s" msg line
           | Ok e' -> check event line e e'))
-    Event.samples
+    Event_reader.samples
 
 let test_event_text_one_line () =
   List.iter
@@ -86,7 +86,7 @@ let test_event_text_one_line () =
       let s = Event.to_text e in
       checkb (Printf.sprintf "no newline in %S" s) false
         (String.contains s '\n'))
-    Event.samples
+    Event_reader.samples
 
 (* ---------- Sink ---------- *)
 
@@ -134,19 +134,19 @@ let test_tee () =
 let test_jsonl_buffer_sink () =
   let buf = Buffer.create 256 in
   let sink = Sink.jsonl_buffer buf in
-  List.iter (Sink.emit sink) Event.samples;
+  List.iter (Sink.emit sink) Event_reader.samples;
   Sink.flush sink;
   let lines =
     String.split_on_char '\n' (Buffer.contents buf)
     |> List.filter (fun l -> l <> "")
   in
-  checki "one line per event" (List.length Event.samples) (List.length lines);
+  checki "one line per event" (List.length Event_reader.samples) (List.length lines);
   List.iter2
     (fun e line ->
-      match Event.of_json (Json.of_string_exn line) with
+      match Event_reader.of_json (Json.of_string_exn line) with
       | Ok e' -> check event line e e'
       | Error msg -> Alcotest.failf "%s: %s" msg line)
-    Event.samples lines
+    Event_reader.samples lines
 
 (* ---------- Metrics ---------- *)
 
@@ -192,7 +192,7 @@ let run_traced ?(config = Mips_ir.Config.default) name =
     String.split_on_char '\n' (Buffer.contents buf)
     |> List.filter (fun l -> l <> "")
     |> List.map (fun l ->
-           match Event.of_json (Json.of_string_exn l) with
+           match Event_reader.of_json (Json.of_string_exn l) with
            | Ok e -> e
            | Error msg -> Alcotest.failf "bad trace line (%s): %s" msg l)
   in
