@@ -664,6 +664,165 @@ let prop_pagemap_matches_oracle =
               = List.map (fun (sp, v, e) -> (sp, v, ofields e)) (O.entries !o))
         (ops @ [ Pm_entries ]))
 
+(* Data memory against a flat array ([Dmem_oracle]): random sequences of
+   direct writes, stores executed by the reference and fast engines (byte
+   lanes on the byte machine), reads, [clear_data], [reset] and checkpoint
+   round trips leave the same contents, every nonzero word reads as
+   written, and a checkpoint is the one a machine given the oracle's words
+   one address at a time writes.  Zeros are stored often, addresses
+   cluster at page edges, and reads and writes reach past [dmem_words],
+   which on two of the configs is not a page multiple. *)
+type dm_op =
+  | Dm_write of int * int
+  | Dm_store of Cpu.engine * Mem.width * int * int
+      (** engine, width, native address, value *)
+  | Dm_read of int
+  | Dm_clear
+  | Dm_reset
+  | Dm_roundtrip
+
+let show_dm_op = function
+  | Dm_write (a, v) -> Printf.sprintf "write %d %d" a v
+  | Dm_store (e, w, a, v) ->
+      Printf.sprintf "store %s %s %d %d" (Cpu.engine_name e)
+        (match w with Mem.W8 -> "byte" | Mem.W32 -> "word")
+        a v
+  | Dm_read a -> Printf.sprintf "read %d" a
+  | Dm_clear -> "clear_data"
+  | Dm_reset -> "reset"
+  | Dm_roundtrip -> "checkpoint round trip"
+
+let dm_configs =
+  let odd = (3 * Pagemap.page_words) + 100 in
+  [ { Cpu.default_config with Cpu.dmem_words = odd };
+    { Cpu.byte_addressed_config with Cpu.dmem_words = odd };
+    { Cpu.default_config with Cpu.dmem_words = 4 * Pagemap.page_words } ]
+
+let dm_op_gen (config : Cpu.config) =
+  let open QCheck2.Gen in
+  let n = config.Cpu.dmem_words in
+  let edge =
+    map2
+      (fun page off -> min (n - 1) ((page * Pagemap.page_words) + off))
+      (int_range 0 ((n - 1) / Pagemap.page_words))
+      (oneofl [ 0; 1; Pagemap.page_words - 2; Pagemap.page_words - 1 ])
+  in
+  let addr = frequency [ (3, edge); (2, int_range 0 (n - 1)) ] in
+  let past =
+    oneofl [ n; n + 1; (n - 1) lor (Pagemap.page_words - 1); n + Pagemap.page_words;
+             -1; -Pagemap.page_words ]
+  in
+  let value =
+    frequency
+      [ (3, pure 0); (3, int_range 1 255);
+        (2, int_range (-0x8000_0000) 0x7FFF_FFFF); (1, int_range 0 (1 lsl 40)) ]
+  in
+  let store =
+    let engine = oneofl Cpu.[ Ref; Fast ] in
+    if config.Cpu.byte_addressed then
+      map4
+        (fun e byte a (lane, v) ->
+          if byte then Dm_store (e, Mem.W8, (4 * a) + lane, v)
+          else Dm_store (e, Mem.W32, 4 * a, v))
+        engine bool addr (pair (int_range 0 3) value)
+    else map3 (fun e a v -> Dm_store (e, Mem.W32, a, v)) engine addr value
+  in
+  frequency
+    [ (6, map2 (fun a v -> Dm_write (a, v)) addr value);
+      (6, store);
+      (3, map (fun a -> Dm_read a) addr);
+      (1, map2 (fun a v -> Dm_write (a, v)) past value);
+      (1, map (fun a -> Dm_read a) past);
+      (1, pure Dm_clear);
+      (1, pure Dm_reset);
+      (1, pure Dm_roundtrip) ]
+
+(* One store word at slot 0, run by one step of [engine]. *)
+let dm_store cpu engine width addr v =
+  Cpu.write_code cpu 0 (Word.M (Mem.Store (width, Reg.r 1, Mem.Disp (Reg.r 2, 0))));
+  Cpu.set_reg cpu (Reg.r 1) v;
+  Cpu.set_reg cpu (Reg.r 2) addr;
+  Cpu.set_pc cpu 0;
+  match if engine = Cpu.Ref then Cpu.step cpu else Cpu.step_fast cpu with
+  | Cpu.Stepped -> true
+  | Cpu.Dispatched _ -> false
+
+(* Every word equal, and every nonzero word in a written page. *)
+let dm_agrees cpu (o : Dmem_oracle.t) =
+  let ok = ref true in
+  Array.iteri
+    (fun a v ->
+      if Cpu.read_data cpu a <> v || (v <> 0 && not (Cpu.data_written cpu a)) then
+        ok := false)
+    o;
+  !ok
+
+let dm_outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let prop_dmem_matches_oracle =
+  let module O = Dmem_oracle in
+  let module Snapshot = Mips_resilience.Snapshot in
+  let gen =
+    QCheck2.Gen.(
+      int_range 0 (List.length dm_configs - 1) >>= fun c ->
+      let config = List.nth dm_configs c in
+      map (fun ops -> (config, ops)) (list_size (int_range 1 80) (dm_op_gen config)))
+  in
+  QCheck2.Test.make ~name:"data memory: equals the flat-array oracle" ~count:300
+    ~print:(fun ((config : Cpu.config), ops) ->
+      Printf.sprintf "%s, %d words: %s"
+        (if config.Cpu.byte_addressed then "byte" else "word")
+        config.Cpu.dmem_words
+        (String.concat "; " (List.map show_dm_op ops)))
+    gen
+    (fun (config, ops) ->
+      let n = config.Cpu.dmem_words in
+      let cpu = ref (Cpu.create ~config ()) and o = O.create ~words:n in
+      List.for_all
+        (fun op ->
+          match op with
+          | Dm_write (a, v) ->
+              dm_outcome (fun () -> Cpu.write_data !cpu a v)
+              = dm_outcome (fun () -> O.write o a v)
+          | Dm_store (engine, width, addr, v) ->
+              (match (config.Cpu.byte_addressed, width) with
+              | true, Mem.W8 -> O.write_lane o (addr asr 2) (addr land 3) v
+              | true, Mem.W32 -> O.write o (addr asr 2) v
+              | false, _ -> O.write o addr v);
+              dm_store !cpu engine width addr v
+          | Dm_read a ->
+              dm_outcome (fun () -> Cpu.read_data !cpu a)
+              = dm_outcome (fun () -> O.read o a)
+          | Dm_clear ->
+              Cpu.clear_data !cpu;
+              O.clear o;
+              true
+          | Dm_reset ->
+              Cpu.reset !cpu;
+              O.clear o;
+              true
+          | Dm_roundtrip ->
+              let s = Snapshot.machine_to_string !cpu in
+              (* a machine holding other data, which the restore replaces *)
+              let c = Cpu.create ~config () in
+              Cpu.write_data c 7 9;
+              Cpu.write_data c (n - 1) 5;
+              let restored = Snapshot.restore_machine c s = Ok () in
+              (* the same state, its memory written at every address *)
+              let full = Cpu.create ~config () in
+              ignore (Snapshot.restore_machine full s);
+              Cpu.clear_data full;
+              Array.iteri (fun a v -> Cpu.write_data full a v) o;
+              let ok =
+                restored
+                && Snapshot.machine_to_string c = s
+                && Snapshot.machine_to_string full = s
+                && dm_agrees !cpu o && dm_agrees c o
+              in
+              cpu := c;
+              ok)
+        (ops @ [ Dm_roundtrip ]))
+
 let test_segmap_word_roundtrip () =
   let seg = Segmap.make ~pid:5 ~mask_bits:4 in
   check "roundtrip" true (Segmap.equal seg (Segmap.of_word (Segmap.to_word seg)))
@@ -739,7 +898,7 @@ let suite =
     ( "machine:paging",
       [ tc "page fault and restart" test_page_fault_and_restart;
         tc "ifetch fault" test_ispace_page_fault ]
-      @ qsuite [ prop_pagemap_matches_oracle ] );
+      @ qsuite [ prop_pagemap_matches_oracle; prop_dmem_matches_oracle ] );
     ( "machine:segmentation",
       [ tc "two halves" test_segmap_two_halves;
         tc "segmap word roundtrip" test_segmap_word_roundtrip ]
