@@ -30,15 +30,18 @@ let set_deadline t seconds =
     Unix.setsockopt_float t.fd Unix.SO_SNDTIMEO s
   with Unix.Unix_error _ | Invalid_argument _ -> ()
 
-let request t req =
+(* one round trip of an encoded request *)
+let send t payload =
   if t.closed then Error (Frame.Io_error "connection is closed")
   else
-    match Frame.write t.fd (Protocol.encode_request req) with
+    match Frame.write t.fd payload with
     | Error e -> Error e
     | Ok () -> (
         match Frame.read t.fd with
         | Error e -> Error e
-        | Ok payload -> Protocol.decode_response payload)
+        | Ok reply -> Protocol.decode_response reply)
+
+let request t req = send t (Protocol.encode_request req)
 
 let with_connection path f =
   match connect path with
@@ -105,12 +108,12 @@ let call ?(policy = default_policy) ?id ?(metrics = Mips_obs.Metrics.null)
       Protocol.Tagged { id; req }
     else req
   in
-  (* jitter decorrelates concurrent clients retrying the same outage; the
-     stream is seeded from the request bytes so a test with a pinned ID
-     sees a reproducible backoff schedule *)
-  let jitter =
-    Mips_fault.Rng.create (Hashtbl.hash (Protocol.encode_request req))
-  in
+  (* encoded once, sent on every attempt; jitter decorrelates concurrent
+     clients retrying the same outage, and its stream is seeded from the
+     request bytes so a test with a pinned ID sees a reproducible backoff
+     schedule *)
+  let payload = Protocol.encode_request req in
+  let jitter = Mips_fault.Rng.create (Hashtbl.hash payload) in
   let backoff =
     { Mips_resilience.Policy.Backoff.base_s = policy.base_backoff_s;
       max_s = policy.max_backoff_s }
@@ -133,7 +136,7 @@ let call ?(policy = default_policy) ?id ?(metrics = Mips_obs.Metrics.null)
         | Ok t -> (
             Fun.protect ~finally:(fun () -> close t) @@ fun () ->
             set_deadline t (deadline -. Unix.gettimeofday ());
-            match request t req with
+            match send t payload with
             | Error e -> Error (Transport e)
             | Ok (Protocol.Err (Protocol.Garbled, detail)) ->
                 (* the server's frame layer rejected what arrived: our

@@ -68,13 +68,35 @@ let keyword_table =
     ("packed", Packed); ("record", Record); ("div", Div); ("mod", Mod);
     ("and", And); ("or", Or); ("not", Not); ("true", True); ("false", False) ]
 
+(* How a parser message names a token: symbols by their source spelling. *)
 let describe = function
   | Ident s -> Printf.sprintf "identifier %S" s
   | Num n -> Printf.sprintf "number %d" n
   | CharLit c -> Printf.sprintf "character %C" c
   | StrLit s -> Printf.sprintf "string %S" s
   | Eof -> "end of file"
-  | t -> (
-      match List.find_opt (fun (_, k) -> equal k t) keyword_table with
-      | Some (name, _) -> Printf.sprintf "keyword %S" name
-      | None -> show t)
+  | ( Program | Const | Type | Var | Procedure | Function | Begin | End | If
+    | Then | Else | While | Do | Repeat | Until | For | To | Downto | Case
+    | Of | Array | Packed | Record | Div | Mod | And | Or | Not | True | False )
+    as t ->
+      Printf.sprintf "keyword %S"
+        (fst (List.find (fun (_, k) -> equal k t) keyword_table))
+  | Plus -> "'+'"
+  | Minus -> "'-'"
+  | Star -> "'*'"
+  | Eq -> "'='"
+  | Ne -> "'<>'"
+  | Lt -> "'<'"
+  | Le -> "'<='"
+  | Gt -> "'>'"
+  | Ge -> "'>='"
+  | Assign -> "':='"
+  | Lparen -> "'('"
+  | Rparen -> "')'"
+  | Lbracket -> "'['"
+  | Rbracket -> "']'"
+  | Comma -> "','"
+  | Colon -> "':'"
+  | Semi -> "';'"
+  | Dot -> "'.'"
+  | Dotdot -> "'..'"

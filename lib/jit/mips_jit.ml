@@ -265,24 +265,16 @@ let flat_ax e =
    under the pinned state, where translation is the identity, so the
    faults are the reference engine's, in its order.  The result is in
    range by construction, which is what lets the fragment generators use
-   unsafe data-memory accesses. *)
+   [Cpu.load_word] and [Cpu.store_word], which check nothing. *)
 let[@inline] resolve rule ~dmem_words a =
   rule_place rule ~dmem_words a (rule_word rule a)
 
 (* A resolved byte reference's lane, read and written in place. *)
-let[@inline] read_lane t a =
-  Word32.get_byte (Array.unsafe_get t.dmem (a lsr 2)) (a land 3)
+let[@inline] read_lane t a = Word32.get_byte (load_word t (a lsr 2)) (a land 3)
 
 let[@inline] write_lane t a v =
   let p = a lsr 2 in
-  Array.unsafe_set t.dmem p
-    (Word32.set_byte (Array.unsafe_get t.dmem p) (a land 3) v);
-  mark_data t p
-
-(* A resolved word store. *)
-let[@inline] write_word t p v =
-  Array.unsafe_set t.dmem p v;
-  mark_data t p
+  store_word t p (Word32.set_byte (load_word t p) (a land 3) v)
 
 (* flat resolved address for the pinned state, one closure per mode *)
 let flat_addr ~rule ~dmem_words a =
@@ -419,7 +411,7 @@ let flat_load_frag ~k ~rule ~dmem_words addr =
     t.jit_pv <-
       (match rule with
       | Lane -> read_lane t p
-      | Whole | Aligned | No_lane -> Array.unsafe_get t.dmem p)
+      | Whole | Aligned | No_lane -> load_word t p)
   in
   match addr with
   | Mem.Abs c ->
@@ -464,7 +456,7 @@ let flat_store_frag ~k ~rule ~dmem_words src addr =
     let v = Array.unsafe_get t.regs s in
     match rule with
     | Lane -> write_lane t p v
-    | Whole | Aligned | No_lane -> write_word t p v
+    | Whole | Aligned | No_lane -> store_word t p v
   in
   match addr with
   | Mem.Abs c ->
@@ -609,7 +601,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           t.jit_k <- k;
           let a = fp t in
           pf t;
-          t.jit_pv <- Array.unsafe_get t.dmem a
+          t.jit_pv <- load_word t a
     | MXload_w (_, fp), AXreg (da, f) ->
         fun t ->
           t.jit_k <- k;
@@ -617,13 +609,13 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           let v = f t in
           pf t;
           Array.unsafe_set t.regs da v;
-          t.jit_pv <- Array.unsafe_get t.dmem a
+          t.jit_pv <- load_word t a
     | MXstore_w (src, fp), AXnone ->
         fun t ->
           t.jit_k <- k;
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
-          write_word t a sv;
+          store_word t a sv;
           pf t
     | MXstore_w (src, fp), AXreg (da, f) ->
         fun t ->
@@ -631,7 +623,7 @@ let gen_plain ~k ~pend_in ~pure mx ax =
           let a = fp t in
           let sv = Array.unsafe_get t.regs src in
           let v = f t in
-          write_word t a sv;
+          store_word t a sv;
           pf t;
           Array.unsafe_set t.regs da v
     | MXload_b (_, fp), AXnone ->
@@ -723,14 +715,14 @@ let gen_term ~pc ~k ~pend_in mx ax bx =
               t.sc_target <- t.regs.(r)
           | BXnone | BXtrap _ -> assert false);
           (match mx with
-          | MXstore_w _ -> write_word t t.sc_a t.sc_b
+          | MXstore_w _ -> store_word t t.sc_a t.sc_b
           | MXstore_b _ -> write_lane t t.sc_a t.sc_b
           | _ -> ());
           pf t;
           (match ax with AXreg (d, _) -> t.regs.(d) <- t.sc_v | _ -> ());
           (match mx with
           | MXlimm (d, c) -> t.regs.(d) <- c
-          | MXload_w (_, _) -> t.jit_pv <- t.dmem.(t.sc_a)
+          | MXload_w (_, _) -> t.jit_pv <- load_word t t.sc_a
           | MXload_b (_, _) -> t.jit_pv <- read_lane t t.sc_a
           | _ -> ());
           (match bx with
@@ -778,7 +770,7 @@ let gen_load_use ~k ~pend_in ~byte d fp da f mx ax =
     t.jit_k <- k;
     let a = fp t in
     pf t;
-    let v = if byte then read_lane t a else t.dmem.(a) in
+    let v = if byte then read_lane t a else load_word t a in
     t.jit_pv <- v;
     t.jit_k <- k + 1;
     let v2 = f t in

@@ -94,7 +94,10 @@ type t = {
   mutable last_load_writes : Reg.Set.t;  (* interlock-mode stall detection *)
   imem : int Word.t array;
   notes : Note.t array;
-  dmem : int array;
+  (* data memory, one slot per page of [Pagemap.page_words] words: a
+     slot holds the shared [zero_page] until a nonzero word is stored in
+     it *)
+  dmem : int array array;
   pagemap : Pagemap.t;
   mutable interrupt_line : bool;
   mutable fault : fault_kind option;
@@ -137,13 +140,15 @@ type t = {
   mutable jit_live : tally list;
   mutable jit_k : int;
   mutable jit_pv : int;
-  (* one byte per page of [dmem] and one per page of [imem], [notes] and
-     [xcode], nonzero once a word of the page is written after [create]
-     or [reset]: every other page still holds its initial contents.  Kept
-     last: placed among the fields the engines read on every word, they
-     slowed the fast engine by ~6% *)
-  dpages : Bytes.t;
+  (* one byte per page of [imem], [notes] and [xcode], nonzero once a
+     word of the page is written after [create] or [reset]: every other
+     page still holds its initial contents; and the private data pages
+     [clear_data] took out of [dmem], which the next first stores reuse
+     so that a reset machine's run allocates none.  Kept last: fields
+     placed among those the engines read on every word slowed the fast
+     engine by ~6% *)
   ipages : Bytes.t;
+  mutable spare_pages : int array list;
 }
 
 (* One instruction slot's state for every compiled engine.  The fast engine
@@ -204,8 +209,11 @@ let new_latch () =
     l_alu = No_alu; l_alu_reg = 0; l_alu_val = 0; l_special = Alu.Surprise;
     l_taken = false; l_target = 0; l_delay = 0; l_link = -1; l_ret = 0 }
 
-let pages_of words =
-  Bytes.make ((words + Pagemap.page_words - 1) / Pagemap.page_words) '\000'
+let pages_of words = (words + Pagemap.page_words - 1) / Pagemap.page_words
+
+(* The page every data-memory slot starts as, shared by every machine.
+   No store ever writes it, so it reads all zeros. *)
+let zero_page = Array.make Pagemap.page_words 0
 
 let create ?(config = default_config) () =
   {
@@ -223,7 +231,7 @@ let create ?(config = default_config) () =
     last_load_writes = Reg.Set.empty;
     imem = Array.make config.imem_words Word.Nop;
     notes = Array.make config.imem_words Note.plain;
-    dmem = Array.make config.dmem_words 0;
+    dmem = Array.make (pages_of config.dmem_words) zero_page;
     pagemap = Pagemap.create ();
     interrupt_line = false;
     fault = None;
@@ -250,34 +258,56 @@ let create ?(config = default_config) () =
     jit_live = [];
     jit_k = 0;
     jit_pv = 0;
-    dpages = pages_of config.dmem_words;
-    ipages = pages_of config.imem_words;
+    ipages = Bytes.make (pages_of config.imem_words) '\000';
+    spare_pages = [];
   }
 
-(* Mark the page of data word [p], or of instruction slot [p], written.
-   Every caller has just written the word, so [p] is in range. *)
-let[@inline] mark_data t p =
-  Bytes.unsafe_set t.dpages (p lsr Pagemap.page_bits) '\001'
-
+(* Mark the page of instruction slot [p] written.  Every caller has just
+   written the slot, so [p] is in range. *)
 let[@inline] mark_code t p =
   Bytes.unsafe_set t.ipages (p lsr Pagemap.page_bits) '\001'
 
-(* Unmark every marked page of [marks], calling [clear lo n] on its
-   [n] words from [lo] ([words] long in all). *)
-let sweep marks ~words clear =
-  for pg = 0 to Bytes.length marks - 1 do
-    if Bytes.unsafe_get marks pg <> '\000' then begin
-      Bytes.unsafe_set marks pg '\000';
-      let lo = pg lsl Pagemap.page_bits in
-      clear lo (min Pagemap.page_words (words - lo))
+(* Data word [p], which must be in range: its page, then the word. *)
+let[@inline] load_word t p =
+  Array.unsafe_get
+    (Array.unsafe_get t.dmem (p lsr Pagemap.page_bits))
+    (p land (Pagemap.page_words - 1))
+
+(* Give slot [pg] a page of its own, all zeros: a spare one if
+   [clear_data] left any. *)
+let own_page t pg =
+  let page =
+    match t.spare_pages with
+    | page :: rest ->
+        t.spare_pages <- rest;
+        Array.fill page 0 Pagemap.page_words 0;
+        page
+    | [] -> Array.make Pagemap.page_words 0
+  in
+  Array.unsafe_set t.dmem pg page;
+  page
+
+(* Store [v] into data word [p], which must be in range.  A slot still
+   holding the zero page gets its own page first, unless [v] is 0, which
+   the zero page already reads. *)
+let[@inline] store_word t p v =
+  let pg = p lsr Pagemap.page_bits in
+  let page = Array.unsafe_get t.dmem pg in
+  if page != zero_page then
+    Array.unsafe_set page (p land (Pagemap.page_words - 1)) v
+  else if v <> 0 then
+    Array.unsafe_set (own_page t pg) (p land (Pagemap.page_words - 1)) v
+
+let clear_data t =
+  for pg = 0 to Array.length t.dmem - 1 do
+    let page = Array.unsafe_get t.dmem pg in
+    if page != zero_page then begin
+      t.spare_pages <- page :: t.spare_pages;
+      Array.unsafe_set t.dmem pg zero_page
     end
   done
 
-let clear_data t =
-  sweep t.dpages ~words:t.cfg.dmem_words (fun lo n -> Array.fill t.dmem lo n 0)
-
-let data_written t a =
-  Bytes.get t.dpages (a lsr Pagemap.page_bits) <> '\000'
+let data_written t a = t.dmem.(a lsr Pagemap.page_bits) != zero_page
 
 (* Discard every live trace whose body covers address [a] and clear its
    entry's hotness count, so a recompile observes the new word.  Traces do
@@ -302,9 +332,9 @@ let jit_invalidate t a =
 (* ---------------------------------------------------------------------- *)
 (* Derived statistics.  The fast engine and the jit do not write the static
    [Stats] fields: they count executions per slot (in its [xword], and per
-   trace in a [tally]), and [fold] charges each count with its word's
-   [Predecode.charge].  Integer sums commute, so the folded record equals
-   the reference step's per-cycle one at any fold point.  The weighted
+   trace in a [tally]), and [fold] charges each count with its word
+   through [Stats.charge].  Integer sums commute, so the folded record
+   equals the reference step's per-cycle one at any fold point.  The weighted
    cell is folded only off the byte machine, where every word weighs
    exactly 1.0; the byte machine's fractional weights are added per word
    ([weight]), in execution order, by every engine.
@@ -325,15 +355,21 @@ let charge t x =
   let n = x.runs in
   if n > 0 then begin
     x.runs <- 0;
-    Stats.charge t.stats
-      (Predecode.charge t.imem.(x.slot) t.notes.(x.slot))
-      n ~weighted:(not t.cfg.byte_addressed)
+    Stats.charge t.stats t.imem.(x.slot) t.notes.(x.slot) n
+      ~weighted:(not t.cfg.byte_addressed)
   end
 
-(* Before slot [p]'s word or note changes. *)
+let rec spread_all t = function
+  | [] -> ()
+  | tl :: rest ->
+      spread t tl;
+      spread_all t rest
+
+(* Before slot [p]'s word or note changes.  A page fill calls it on every
+   slot of a frame, so it builds no closure. *)
 let flush_slot t p =
   let x = t.xcode.(p) in
-  List.iter (spread t) x.cover;
+  spread_all t x.cover;
   charge t x
 
 (* After slot [p]'s word changed: recompile on its next execution, and
@@ -359,10 +395,11 @@ let fold t =
 
 (* Back to the state [create ~config:t.cfg ()] gives, keeping the big
    arrays and clearing only their pages written since, and the page map in
-   place.  [stats] is replaced, not cleared: a caller may still hold the
-   last run's record (the artifact cache does), so pending execution
-   counts are dropped, not folded.  Every engine's per-slot state goes
-   with the [xcode] records. *)
+   place.  The private data pages become spares, which no read sees: a
+   machine with spares behaves as one without.  [stats] is replaced, not
+   cleared: a caller may still hold the last run's record (the artifact
+   cache does), so pending execution counts are dropped, not folded.
+   Every engine's per-slot state goes with the [xcode] records. *)
 let reset t =
   Array.fill t.regs 0 (Array.length t.regs) 0;
   t.p0 <- 0;
@@ -375,10 +412,16 @@ let reset t =
   t.pend_r <- -1;
   t.pend_v <- 0;
   t.last_load_writes <- Reg.Set.empty;
-  sweep t.ipages ~words:t.cfg.imem_words (fun lo n ->
+  for pg = 0 to Bytes.length t.ipages - 1 do
+    if Bytes.unsafe_get t.ipages pg <> '\000' then begin
+      Bytes.unsafe_set t.ipages pg '\000';
+      let lo = pg lsl Pagemap.page_bits in
+      let n = min Pagemap.page_words (t.cfg.imem_words - lo) in
       Array.fill t.imem lo n Word.Nop;
       Array.fill t.notes lo n Note.plain;
-      Array.fill t.xcode lo n stale);
+      Array.fill t.xcode lo n stale
+    end
+  done;
   clear_data t;
   Pagemap.clear t.pagemap;
   t.interrupt_line <- false;
@@ -407,9 +450,10 @@ let reset t =
   t.jit_pv <- 0
 
 (* One machine per config per Domain, lent to run-and-discard callers so a
-   run costs a [reset] instead of a 3.5 MB allocation (and, with it, a
-   share of a major GC cycle that stops every Domain).  The systhreads of
-   a Domain share its DLS, so a slot is taken with a compare-and-set; a
+   run costs a [reset] instead of a 1.5 MB allocation of code arrays (and,
+   with it, a share of a major GC cycle that stops every Domain); its data
+   pages come from the spares the last run left.  The systhreads of a
+   Domain share its DLS, so a slot is taken with a compare-and-set; a
    nested or concurrent borrow gets a machine of its own. *)
 type slot = { machine : t; busy : bool Atomic.t }
 
@@ -504,11 +548,20 @@ let write_note t a n =
   flush_slot t a;
   t.notes.(a) <- n;
   mark_code t a
-let read_data t a = t.dmem.(a)
+
+(* Out of range, both raise what a flat array's index check raises, also
+   past [dmem_words] inside the last page. *)
+let check_data t a =
+  if a < 0 || a >= t.cfg.dmem_words then invalid_arg "index out of bounds"
+
+let read_data t a =
+  check_data t a;
+  load_word t a
 
 let write_data t a v =
-  t.dmem.(a) <- Word32.norm v;
-  mark_data t a
+  check_data t a;
+  store_word t a (Word32.norm v)
+
 let faulted t = t.fault
 
 let faulted_addr t =
@@ -615,8 +668,8 @@ let compute_mem t m =
       l.l_mem <- Load;
       l.l_mem_reg <- Reg.to_int d;
       l.l_mem_val <-
-        (if l.l_lane < 0 then t.dmem.(l.l_phys)
-         else Word32.get_byte t.dmem.(l.l_phys) l.l_lane)
+        (if l.l_lane < 0 then load_word t l.l_phys
+         else Word32.get_byte (load_word t l.l_phys) l.l_lane)
   | Mem.Store (width, s, a) ->
       check_flaky t;
       resolve t ~write:true ~width (effective_addr t a);
@@ -804,7 +857,7 @@ let apply_injection t inj =
       t.regs.(r) <- Word32.norm (t.regs.(r) lxor (1 lsl (bit land 31)))
   | Mips_fault.Plan.Flip_data { word; bit } ->
       let w = word mod t.cfg.dmem_words in
-      write_data t w (t.dmem.(w) lxor (1 lsl (bit land 31)))
+      write_data t w (read_data t w lxor (1 lsl (bit land 31)))
   | Mips_fault.Plan.Spurious_interrupt -> t.interrupt_line <- true
   | Mips_fault.Plan.Drop_page { pick } ->
       ignore (Pagemap.drop_clean t.pagemap ~pick)
@@ -883,10 +936,9 @@ let commit t word note =
   let l = t.latch in
   (match l.l_mem with
   | Store ->
-      t.dmem.(l.l_phys) <-
+      store_word t l.l_phys
         (if l.l_lane < 0 then l.l_mem_val
-         else Word32.set_byte t.dmem.(l.l_phys) l.l_lane l.l_mem_val);
-      mark_data t l.l_phys;
+         else Word32.set_byte (load_word t l.l_phys) l.l_lane l.l_mem_val);
       count_mem_ref t note ~load:false
   | Load | Imm | No_mem -> ());
   commit_pending t;
@@ -1349,13 +1401,10 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
         raise (Trap_dispatch code));
     (* commit phase: store, then the pending load, then alu, then load *)
     (match mx with
-    | MXstore_w _ ->
-        t.dmem.(t.sc_a) <- t.sc_b;
-        mark_data t t.sc_a
+    | MXstore_w _ -> store_word t t.sc_a t.sc_b
     | MXstore_b _ ->
         let phys = t.sc_a lsr 2 and lane = t.sc_a land 3 in
-        t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) lane t.sc_b;
-        mark_data t phys
+        store_word t phys (Word32.set_byte (load_word t phys) lane t.sc_b)
     | MXnone | MXlimm _ | MXload_w _ | MXload_b _ -> ());
     commit_pending t;
     (match ax with
@@ -1366,14 +1415,14 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
     (match mx with
     | MXlimm (d, c) -> t.regs.(d) <- c
     | MXload_w (d, _) ->
-        let v = t.dmem.(t.sc_a) in
+        let v = load_word t t.sc_a in
         if interlock then t.regs.(d) <- v
         else begin
           t.pend_r <- d;
           t.pend_v <- v
         end
     | MXload_b (d, _) ->
-        let v = Word32.get_byte t.dmem.(t.sc_a lsr 2) (t.sc_a land 3) in
+        let v = Word32.get_byte (load_word t (t.sc_a lsr 2)) (t.sc_a land 3) in
         if interlock then t.regs.(d) <- v
         else begin
           t.pend_r <- d;
@@ -1443,7 +1492,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           weigh_word t;
           commit_pending t;
           t.pend_r <- d;
-          t.pend_v <- t.dmem.(a);
+          t.pend_v <- load_word t a;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXload_b (d, fp), AXnone, BXnone ->
         fun t ->
@@ -1451,15 +1500,14 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           weigh_word t;
           commit_pending t;
           t.pend_r <- d;
-          t.pend_v <- Word32.get_byte t.dmem.(a lsr 2) (a land 3);
+          t.pend_v <- Word32.get_byte (load_word t (a lsr 2)) (a land 3);
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXstore_w (src, fp), AXnone, BXnone ->
         fun t ->
           let a = fp t in
           let v = t.regs.(src) in
           weigh_word t;
-          t.dmem.(a) <- v;
-          mark_data t a;
+          store_word t a v;
           commit_pending t;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXstore_b (src, fp), AXnone, BXnone ->
@@ -1468,8 +1516,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           let v = t.regs.(src) in
           weigh_word t;
           let phys = a lsr 2 in
-          t.dmem.(phys) <- Word32.set_byte t.dmem.(phys) (a land 3) v;
-          mark_data t phys;
+          store_word t phys (Word32.set_byte (load_word t phys) (a land 3) v);
           commit_pending t;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXnone, AXnone, BXcbr (f, target) ->
@@ -1546,7 +1593,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           commit_pending t;
           t.regs.(da) <- v;
           t.pend_r <- dm;
-          t.pend_v <- t.dmem.(a);
+          t.pend_v <- load_word t a;
           set_chain t t.p1 t.p2 (t.p2 + 1)
     | MXstore_w (src, fp), AXreg (da, fa), BXnone ->
         fun t ->
@@ -1554,8 +1601,7 @@ let compile_word (cfg : config) (w : int Word.t) : t -> unit =
           let sv = t.regs.(src) in
           let v = fa t in
           weigh_word t;
-          t.dmem.(a) <- sv;
-          mark_data t a;
+          store_word t a sv;
           commit_pending t;
           t.regs.(da) <- v;
           set_chain t t.p1 t.p2 (t.p2 + 1)

@@ -103,7 +103,12 @@ type t = {
   mutable last_load_writes : Reg.Set.t;  (* interlock-mode stall detection *)
   imem : int Word.t array;
   notes : Note.t array;
-  dmem : int array;
+  dmem : int array array;
+      (** data memory, one slot per page of {!Pagemap.page_words} words
+          (the last page may reach past [dmem_words]): a slot holds
+          {!zero_page} until a nonzero word is stored in it, and then a
+          page of its own.  Engines read it through {!load_word} and store
+          through {!store_word}. *)
   pagemap : Pagemap.t;  (* cleared in place by [reset] *)
   mutable interrupt_line : bool;
   mutable fault : fault_kind option;
@@ -144,12 +149,12 @@ type t = {
   mutable jit_live : tally list;
   mutable jit_k : int;
   mutable jit_pv : int;
-  (* one byte per page ({!Pagemap.page_words} words) of [dmem], and one per
-     page of [imem], [notes] and [xcode], nonzero once a word of the page
-     is written after [create] or [reset]; an engine that stores to
-     [dmem] marks the page through {!mark_data} *)
-  dpages : Bytes.t;
+  (* one byte per page ({!Pagemap.page_words} words) of [imem], [notes]
+     and [xcode], nonzero once a word of the page is written after
+     [create] or [reset]; and the private data pages {!clear_data} took
+     out of [dmem], which the next first stores reuse *)
   ipages : Bytes.t;
+  mutable spare_pages : int array list;
 }
 
 (** One instruction slot's state, for every compiled engine.  A slot never
@@ -215,8 +220,9 @@ val with_machine : ?config:config -> (t -> 'a) -> 'a
     For callers that build a machine only to run one program and read its
     results: the machine must not outlive [f].  A nested or concurrent
     borrow on the same Domain gets a freshly created machine.  A
-    long-lived process therefore retains one machine (~3.5 MB at the
-    default sizes) per Domain per config it has borrowed. *)
+    long-lived process therefore retains one machine per Domain per
+    config it has borrowed: ~1.5 MB of code arrays at the default sizes,
+    plus the data pages (8 KB each) of the largest run it served. *)
 
 val config : t -> config
 
@@ -229,7 +235,7 @@ val stats : t -> Stats.t
     [exceptions].  For everything else they count executions — one per
     completed word, or one per trace run — and this
     call folds the pending counts into the record, each charged with its
-    word's {!Predecode.charge} through {!Stats.charge}.  Integer sums
+    word and note through {!Stats.charge}.  Integer sums
     commute, so the result is bit-identical to the reference engine's at
     any fold point, and a count is always charged with the word it
     counted: {!write_code}, {!write_note} and {!load_program} flush the
@@ -316,18 +322,21 @@ val read_code : t -> int -> int Word.t
 val write_code : t -> int -> int Word.t -> unit
 val write_note : t -> int -> Note.t -> unit
 val read_data : t -> int -> Word32.t
-(** Physical word read (word index into data memory). *)
+(** Physical word read (word index into data memory).  An index outside
+    [0, dmem_words) raises [Invalid_argument], as for a flat array. *)
 
 val write_data : t -> int -> Word32.t -> unit
+(** Physical word write; out of range, it raises as {!read_data}. *)
 
 val data_written : t -> int -> bool
-(** Whether a word of data word [a]'s page has been written since
-    {!create} or the last {!reset}.  Every word of a page not written is
-    0, so a reader of all nonzero words may skip those pages. *)
+(** Whether data word [a]'s page holds a page of its own: one a nonzero
+    word was stored in since {!create} or the last {!clear_data} or
+    {!reset}.  Every word of any other page is 0, so a reader of all
+    nonzero words may skip those pages. *)
 
 val clear_data : t -> unit
 (** Zero data memory, at the cost of the pages written since {!create} or
-    the last {!reset}. *)
+    the last {!clear_data} or {!reset}: each goes back to {!zero_page}. *)
 
 val load_program : ?at:int -> ?data_at:int -> t -> Program.t -> unit
 (** Copy a program image into physical memory ([at] = code origin,
@@ -512,10 +521,18 @@ val jit_stale : t -> int -> int
 val slot : t -> int -> xword
 (** Slot [p]'s own record, compiled first when its word is stale. *)
 
-val mark_data : t -> int -> unit
-(** [mark_data t p] records a write to data word [p], which must be in
-    range: every store an engine makes to {!t.dmem} calls it after the
-    store, so {!reset} and the checkpoint codec find the word. *)
+val zero_page : int array
+(** The page every {!t.dmem} slot starts as, shared by every machine.
+    Nothing may write it: it reads all zeros. *)
+
+val load_word : t -> int -> int
+(** [load_word t p] reads data word [p], which must be in range
+    ([0 <= p < dmem_words]); nothing checks it. *)
+
+val store_word : t -> int -> int -> unit
+(** [store_word t p v] stores [v] into data word [p], which must be in
+    range.  Every engine store goes through it: a slot that still holds
+    {!zero_page} gets a page of its own first, unless [v] is 0. *)
 
 val jit_register : t -> tally -> unit
 (** Enter a newly compiled trace's tally: the fold visits it, and a write

@@ -65,42 +65,6 @@ let of_program (p : Program.t) =
     (fun w -> match w with Word.Nop -> nop | _ -> lower w)
     p.Program.code
 
-type reference = No_ref | Load of Note.t | Store of Note.t
-
-type charge = {
-  nop : bool;
-  packed : bool;
-  alu_pieces : int;
-  mem_pieces : int;
-  branch_pieces : int;
-  reference : reference;
-}
-
-let charge (w : int Word.t) note =
-  let alu_pieces, mem_pieces, branch_pieces =
-    match w with
-    | Word.Nop -> (0, 0, 0)
-    | Word.A _ -> (1, 0, 0)
-    | Word.M _ -> (0, 1, 0)
-    | Word.B _ -> (0, 0, 1)
-    | Word.AM _ -> (1, 1, 0)
-    | Word.AB _ -> (1, 0, 1)
-  in
-  {
-    nop = (match w with Word.Nop -> true | _ -> false);
-    packed = (match w with Word.AM _ | Word.AB _ -> true | _ -> false);
-    alu_pieces;
-    mem_pieces;
-    branch_pieces;
-    reference =
-      (match w with
-      | Word.M (Mem.Load _) | Word.AM (_, Mem.Load _) -> Load note
-      | Word.M (Mem.Store _) | Word.AM (_, Mem.Store _) -> Store note
-      | Word.M (Mem.Limm _) | Word.AM (_, Mem.Limm _) | Word.Nop | Word.A _
-      | Word.B _ | Word.AB _ ->
-          No_ref);
-  }
-
 (* Block-structure helpers for the profiler: a branch piece terminates a
    basic block; direct branches expose a static target, and the delay count
    tells how many shadow words follow the terminator in delayed mode. *)

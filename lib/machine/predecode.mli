@@ -9,8 +9,8 @@
     instruction word.  The fast engine ({!Cpu.step_fast}) then executes
     from these records (further specialized into per-word closures) and the
     reference interpreter remains the oracle: both must produce
-    bit-identical architectural state and {!Stats}.  What a word adds to
-    {!Stats} each time it executes is its {!charge}.
+    bit-identical architectural state and {!Stats}.  {!Stats.charge} adds
+    what a word costs each time it executes.
 
     Entries are pure data and machine-independent: the same entry is valid
     for the word- and byte-addressed machines, interlocked or not (the
@@ -44,39 +44,6 @@ val lower : int Word.t -> entry
 val of_program : Program.t -> entry array
 (** The one-time pass: lower every word of a program image.  Element [i]
     describes [code.(i)]. *)
-
-(** {2 Per-word charge}
-
-    What one execution of a word adds to the static {!Stats} fields: one
-    word and one issue cycle (one weighted cycle off the byte machine), a
-    busy or a free cycle, the nop and packed-word counts, the piece counts,
-    and its data reference.  The fast engine and the jit count executions
-    per word, and {!Cpu.stats} folds [count × charge] into the record
-    through {!Stats.charge}: this is the one summary the fold uses.  The
-    dynamic fields (taken branches, stalls, exceptions, fuel exhaustion)
-    are not in it. *)
-
-type reference =
-  | No_ref  (** no data-memory reference: a free cycle *)
-  | Load of Note.t
-      (** a load; its annotation gives the class (word or byte, character
-          or not) or marks it synthetic *)
-  | Store of Note.t
-
-type charge = {
-  nop : bool;
-  packed : bool;  (** two pieces in one word *)
-  alu_pieces : int;
-  mem_pieces : int;
-  branch_pieces : int;
-  reference : reference;
-      (** a word with a reference keeps the data port busy for its cycle;
-          [Limm] and a trap word reference nothing *)
-}
-
-val charge : int Word.t -> Note.t -> charge
-(** The charge of a word under its annotation — exactly what the reference
-    step's per-cycle accounting adds when the word completes. *)
 
 (** {2 Block structure}
 

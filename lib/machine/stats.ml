@@ -157,23 +157,34 @@ let add_ref t ~load note n =
 
 let count_ref t ~load note = add_ref t ~load note 1
 
-let charge t (c : Predecode.charge) n ~weighted =
+let charge t (w : int Mips_isa.Word.t) note n ~weighted =
+  let open Mips_isa in
   t.cycles <- t.cycles + n;
   t.words <- t.words + n;
   if weighted then t.weighted.(0) <- t.weighted.(0) +. float_of_int n;
-  if c.Predecode.nop then t.nops <- t.nops + n;
-  if c.Predecode.packed then t.packed_words <- t.packed_words + n;
-  t.alu_pieces <- t.alu_pieces + (n * c.Predecode.alu_pieces);
-  t.mem_pieces <- t.mem_pieces + (n * c.Predecode.mem_pieces);
-  t.branch_pieces <- t.branch_pieces + (n * c.Predecode.branch_pieces);
-  match c.Predecode.reference with
-  | Predecode.No_ref -> t.free_cycles <- t.free_cycles + n
-  | Predecode.Load note ->
+  (match w with
+  | Word.Nop -> t.nops <- t.nops + n
+  | Word.A _ -> t.alu_pieces <- t.alu_pieces + n
+  | Word.M _ -> t.mem_pieces <- t.mem_pieces + n
+  | Word.B _ -> t.branch_pieces <- t.branch_pieces + n
+  | Word.AM _ ->
+      t.packed_words <- t.packed_words + n;
+      t.alu_pieces <- t.alu_pieces + n;
+      t.mem_pieces <- t.mem_pieces + n
+  | Word.AB _ ->
+      t.packed_words <- t.packed_words + n;
+      t.alu_pieces <- t.alu_pieces + n;
+      t.branch_pieces <- t.branch_pieces + n);
+  match w with
+  | Word.M (Mem.Load _) | Word.AM (_, Mem.Load _) ->
       t.mem_busy_cycles <- t.mem_busy_cycles + n;
       add_ref t ~load:true note n
-  | Predecode.Store note ->
+  | Word.M (Mem.Store _) | Word.AM (_, Mem.Store _) ->
       t.mem_busy_cycles <- t.mem_busy_cycles + n;
       add_ref t ~load:false note n
+  | Word.M (Mem.Limm _) | Word.AM (_, Mem.Limm _) | Word.Nop | Word.A _
+  | Word.B _ | Word.AB _ ->
+      t.free_cycles <- t.free_cycles + n
 
 let classes t = [ t.word_refs; t.word_char_refs; t.byte_refs; t.byte_char_refs ]
 let total_loads t = List.fold_left (fun acc c -> acc + c.loads) 0 (classes t)

@@ -78,14 +78,19 @@ val stall_pairs : t -> ((int * int) * int) list
 val count_ref : t -> load:bool -> Mips_isa.Note.t -> unit
 (** Classify one data reference by the compiler's annotation. *)
 
-val charge : t -> Predecode.charge -> int -> weighted:bool -> unit
-(** [charge t c n ~weighted] adds [n] executions of a word with charge [c]:
-    [n] words and issue cycles, busy or free cycles, the piece counts and
-    the classified references, and with [weighted] also [n] to the
-    weighted cycles.  Integer sums commute, so [n] executions charged at
-    once equal [n] per-step charges in any order; the weighted cell is
-    left to the caller where its per-word weight is not integral (the byte
-    machine).  The fold in {!Cpu.stats} is the only caller. *)
+val charge :
+  t -> int Mips_isa.Word.t -> Mips_isa.Note.t -> int -> weighted:bool -> unit
+(** [charge t w note n ~weighted] adds [n] executions of word [w] under
+    its annotation [note], exactly what the reference step's per-cycle
+    accounting adds when the word completes: [n] words and issue cycles,
+    the nop and packed-word counts, the piece counts, a busy cycle and a
+    classified reference for a load or a store (a free cycle for any
+    other word, [Limm] and traps included), and with [weighted] also [n]
+    to the weighted cycles.  It allocates nothing.  Integer sums commute,
+    so [n] executions charged at once equal [n] per-step charges in any
+    order; the weighted cell is left to the caller where its per-word
+    weight is not integral (the byte machine).  The fold in {!Cpu.stats}
+    is the only caller in the program. *)
 
 val total_loads : t -> int
 val total_stores : t -> int

@@ -398,8 +398,8 @@ let r_stats r (st : Stats.t) =
 
 (* data memory as runs of nonzero words: a fresh machine's memory is all
    zero, so only touched regions cost checkpoint bytes.  The scan skips
-   every page the machine has not written, which holds only zeros; a run
-   may still continue into the next page. *)
+   every page that still holds the shared zero page; a run may still
+   continue into the next page. *)
 let w_dmem b cpu =
   let n = (Cpu.config cpu).Cpu.dmem_words in
   Io.W.int b n;

@@ -852,6 +852,12 @@ let test_steady_state_allocation () =
         [ Cpu.Ref; Cpu.Fast; Cpu.Jit ])
     [ "queens"; "hanoi" ]
 
+(* Every engine stores through [Cpu.store_word], which never writes the
+   page every data slot starts as; this case runs after the battery. *)
+let test_zero_page_clear () =
+  if Array.exists (( <> ) 0) Cpu.zero_page then
+    Alcotest.fail "a store wrote the shared zero page"
+
 let suite =
   [ ( "engine:differential",
       [ tc_slow "56 seeds x 4 variants, all engines" test_differential;
@@ -868,4 +874,6 @@ let suite =
         tc "jit: load_program keeps traces over words it does not reload"
           test_reload_keeps_disjoint_traces;
         tc "ref/fast/jit steady state allocates < 0.05 words/word"
-          test_steady_state_allocation ] ) ]
+          test_steady_state_allocation;
+        tc "the shared zero page reads zeros after the battery"
+          test_zero_page_clear ] ) ]

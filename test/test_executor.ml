@@ -149,6 +149,42 @@ let test_compile_error_daemon () =
     bad_sources;
   check_int "no internal error counted" 0 (counter socket "daemon.rejects.internal")
 
+let contains s sub = Re.execp (Re.compile (Re.str sub)) s
+
+(* A parser message names a symbol by its spelling, never by the OCaml
+   constructor: over every token the lexer makes of a source holding each
+   symbol and keyword, and for the syntax error above, locally and through
+   the daemon. *)
+let test_parser_messages_spell_symbols () =
+  let module Token = Mips_frontend.Token in
+  let source =
+    "x 1 'c' 'str' + - * = <> < <= > >= := ( ) [ ] , : ; . .. "
+    ^ String.concat " " (List.map fst Token.keyword_table)
+  in
+  let tokens = List.map fst (Mips_frontend.Lexer.tokenize source) in
+  check_int "every token kind lexed" (4 + 19 + List.length Token.keyword_table + 1)
+    (List.length (List.sort_uniq compare tokens));
+  List.iter
+    (fun t ->
+      let d = Token.describe t in
+      if contains d "Token." then Alcotest.failf "token described as %s" d)
+    tokens;
+  let _, source, _ = List.hd bad_sources in
+  let found = "found ';'" in
+  (match Executor.run Executor.hooks { (desc fib) with source } with
+  | Error (Executor.Compile_error e) ->
+      let msg = Executor.compile_error_to_string e in
+      if not (contains msg found) then Alcotest.failf "local: %s" msg
+  | Ok _ | Error (Executor.Resume_refused _) -> Alcotest.fail "local: the source ran");
+  with_server @@ fun socket _t ->
+  match
+    request socket
+      (Protocol.run_request ~tenant:"t0" ~session:None { (desc fib) with source })
+  with
+  | Protocol.Err (Protocol.Bad_request, detail) ->
+      if not (contains detail found) then Alcotest.failf "daemon: %s" detail
+  | resp -> Alcotest.failf "daemon answered %s" (kind_of resp)
+
 (* --- checkpoint meta --------------------------------------------------------- *)
 
 let temp_file =
@@ -275,6 +311,7 @@ let test_old_daemon_checkpoint_reruns () =
 let suite =
   [ ( "daemon.executor",
       [ tc "compile errors are typed" test_compile_error_local;
+        tc "parser messages spell symbols" test_parser_messages_spell_symbols;
         tc_slow "the daemon answers a compile error as a bad request"
           test_compile_error_daemon;
         tc "checkpoint meta refuses every other description"

@@ -200,6 +200,7 @@ let prop_reg_set_model =
 (* --- Predecode (fast-engine lowering) ------------------------------------ *)
 
 module Predecode = Mips_machine.Predecode
+module Stats = Mips_machine.Stats
 
 let word_of_piece = function
   | Piece.Nop -> Word.Nop
@@ -227,20 +228,28 @@ let prop_predecode_roundtrip =
       && e.Predecode.mem = Word.mem w
       && e.Predecode.branch = Word.branch w)
 
+(* What one execution of [w] adds to a zero record. *)
+let charged w =
+  let s = Stats.zero () in
+  Stats.charge s w Note.plain 1 ~weighted:true;
+  s
+
 let prop_predecode_piece_counts =
   QCheck2.Test.make ~name:"predecode: piece counts and classification"
     ~count:1000 Gen.piece (fun p ->
       let w = word_of_piece p in
-      let c = Predecode.charge w Note.plain in
+      let c = charged w in
       let count f = List.length (List.filter f (Word.pieces w)) in
-      c.Predecode.alu_pieces
+      c.Stats.alu_pieces
         = count (function Piece.Alu _ -> true | _ -> false)
-      && c.Predecode.mem_pieces
+      && c.Stats.mem_pieces
          = count (function Piece.Mem _ -> true | _ -> false)
-      && c.Predecode.branch_pieces
+      && c.Stats.branch_pieces
          = count (function Piece.Branch _ -> true | _ -> false)
-      && c.Predecode.nop = (match Word.pieces w with [] -> true | _ -> false)
-      && (c.Predecode.reference <> Predecode.No_ref) = Word.references_memory w)
+      && (c.Stats.nops = 1) = (match Word.pieces w with [] -> true | _ -> false)
+      && (c.Stats.mem_busy_cycles = 1) = Word.references_memory w
+      && c.Stats.mem_busy_cycles + c.Stats.free_cycles = 1
+      && Stats.total_loads c + Stats.total_stores c = c.Stats.mem_busy_cycles)
 
 let prop_predecode_hazard_flags =
   QCheck2.Test.make ~name:"predecode: hazard flags" ~count:2000 Gen.word
@@ -249,7 +258,7 @@ let prop_predecode_hazard_flags =
       e.Predecode.may_stall = not (Reg.Set.is_empty (Word.reads w))
       && e.Predecode.is_trap
          = (match Word.branch w with Some (Branch.Trap _) -> true | _ -> false)
-      && (Predecode.charge w Note.plain).Predecode.packed
+      && ((charged w).Stats.packed_words = 1)
          = (match w with Word.AM _ | Word.AB _ -> true | _ -> false)
       (* every memory reference, trap, privileged or overflow-capable op
          must be in the guarded (may_fault) class *)

@@ -111,6 +111,9 @@ let assert_pristine what (got : Cpu.t) (fresh : Cpu.t) =
   if Snapshot.machine_to_string got <> Snapshot.machine_to_string fresh then
     fail "machine state differs from a fresh machine";
   if got.Cpu.imem <> fresh.Cpu.imem then fail "instruction memory not cleared";
+  if not (Array.for_all (fun page -> page == Cpu.zero_page) got.Cpu.dmem) then
+    fail "a data page of its own survived";
+  if Array.exists (fun v -> v <> 0) Cpu.zero_page then fail "the zero page was written";
   if got.Cpu.notes <> fresh.Cpu.notes then fail "notes not cleared";
   if Cpu.profile got <> None then fail "profiling still armed";
   if Cpu.fault_plan got != Cpu.fault_plan fresh then fail "fault plan attached";
@@ -195,9 +198,11 @@ let test_reset_is_create () =
 (* --- written pages ---------------------------------------------------------- *)
 
 (* [reset], the checkpoint writer and the checkpoint reader visit only the
-   pages a run marked written, so every word that differs from a fresh
-   machine's must lie in a marked page: nonzero data, a non-[Nop] code
-   word, a non-plain note and a compiled slot. *)
+   data pages a run made its own and the code pages it marked written, so
+   every word that differs from a fresh machine's must lie in one: nonzero
+   data, a non-[Nop] code word, a non-plain note and a compiled slot.  A
+   store that bypassed [Cpu.store_word] would leave its word in the shared
+   zero page, in no page of the machine's own. *)
 let assert_marked what ~(fresh : Cpu.t) (cpu : Cpu.t) =
   let stale = fresh.Cpu.xcode.(0) in
   let code_marked a =
@@ -206,10 +211,10 @@ let assert_marked what ~(fresh : Cpu.t) (cpu : Cpu.t) =
   let unmarked kind a =
     Alcotest.failf "%s: %s word %d lies in an unmarked page" what kind a
   in
-  Array.iteri
-    (fun a v ->
-      if v <> 0 && not (Cpu.data_written cpu a) then unmarked "data" a)
-    cpu.Cpu.dmem;
+  for a = 0 to (Cpu.config cpu).Cpu.dmem_words - 1 do
+    if Cpu.read_data cpu a <> 0 && not (Cpu.data_written cpu a) then
+      Alcotest.failf "%s: data word %d lies in the zero page" what a
+  done;
   let check_code kind initial =
     Array.iteri (fun a x ->
         if not (initial x || code_marked a) then unmarked kind a)
@@ -374,12 +379,18 @@ let prop_checkpoint_scan_is_full_scan =
       let a = Cpu.create () and b = Cpu.create () in
       List.iter (fun (addr, v) -> Cpu.write_data a addr v) (writes @ runs);
       let sparse = Snapshot.machine_to_string a in
-      (* mark every page, changing no word *)
-      Array.iteri (fun i v -> Cpu.write_data a i v) (Array.copy a.Cpu.dmem);
+      (* give every page a page of its own, changing no word *)
+      for page = 0 to pages - 1 do
+        let w = page * Pagemap.page_words in
+        let v = Cpu.read_data a w in
+        Cpu.write_data a w 1;
+        Cpu.write_data a w v
+      done;
       let full = Snapshot.machine_to_string a in
       Cpu.write_data b 12345 9;
       Cpu.write_data b (dmem_words - 1) 9;
       sparse = full
+      && Array.for_all (fun page -> page != Cpu.zero_page) a.Cpu.dmem
       && Snapshot.restore_machine b sparse = Ok ()
       && b.Cpu.dmem = a.Cpu.dmem)
 
@@ -483,8 +494,9 @@ let test_cold_report_no_corruption () =
 (* --- the guardrail ---------------------------------------------------------- *)
 
 (* A run on a warm Domain must not allocate a machine.  [Cpu.create] puts
-   ~459K words on the major heap (imem, notes, xcode, dmem); a borrowed
-   machine is reset in place, so what is left is the run's own small
+   ~197K words on the major heap (imem, notes, xcode and the data page
+   table); a borrowed machine is reset in place and its data pages come
+   from the last run's spares, so what is left is the run's own small
    records. *)
 let max_major_words_per_borrowed_run = 1_000.
 
@@ -551,11 +563,12 @@ let test_borrowed_kernel_run_allocates_no_machine () =
 
 (* A hit in the page map is one array read and allocates nothing, and
    neither does a machine slice, a context switch's process pick and PC
-   chain, or a repeated exception's count.  Measured on the fast engine
-   (OCaml 5.1.1): 0.343 minor words per user cycle (0.502 before the
-   switch path stopped allocating, 7.494 with the hash-table map); the
-   bound is the measured count + 10%. *)
-let max_kernel_minor_words_per_cycle = 0.377
+   chain, a repeated exception's count, or a page fill's code, note and
+   zero data writes.  Measured on the fast engine (OCaml 5.1.1): 0.258
+   minor words per user cycle (0.343 before page fills stopped
+   allocating, 0.502 before the switch path did, 7.494 with the
+   hash-table map); the bound is the measured count + 10%. *)
+let max_kernel_minor_words_per_cycle = 0.284
 
 let test_kernel_run_minor_words () =
   ignore (Cpu.with_machine (report_kernel_run ~measure:Gc.minor_words));
@@ -586,6 +599,60 @@ let test_first_jit_run_allocates_no_tables () =
     Alcotest.failf "queens on jit: %.0f major words in a fresh machine's first run"
       (m1 -. m0)
 
+(* --- footprint ---------------------------------------------------------------- *)
+
+(* A machine costs its code arrays and the data pages it writes: the data
+   page table starts with every slot on the shared zero page.  Measured
+   (OCaml 5.1.1): 196,673 words, 458,968 with a flat data array.  The
+   Domain's counters also count what another systhread allocates when it
+   runs inside the bracket, so the test reads the smallest of five. *)
+let max_create_words = 210_000.
+
+let test_create_words () =
+  let create_words () =
+    let a0 = Gc.allocated_bytes () in
+    let cpu = Cpu.create () in
+    let words = (Gc.allocated_bytes () -. a0) /. 8. in
+    ignore (Sys.opaque_identity cpu);
+    words
+  in
+  let words = List.fold_left Float.min infinity (List.init 5 (fun _ -> create_words ())) in
+  if words > max_create_words then
+    Alcotest.failf "Cpu.create allocated %.0f words, bound %.0f" words
+      max_create_words
+
+(* The data pages of a machine's own are the ones a run wrote: a fresh
+   fib run on each engine owns its data page and its stack page, each
+   holding a nonzero word. *)
+let test_fib_owns_written_pages () =
+  let e = Mips_corpus.Corpus.find "fib" in
+  let p = Mips_artifact.compiled e.Mips_corpus.Corpus.source in
+  List.iter
+    (fun engine ->
+      let cpu = Cpu.create () in
+      let res =
+        Hosted.run_program_on ~input:e.Mips_corpus.Corpus.input ~engine cpu p
+      in
+      if not res.Hosted.halted then Alcotest.fail "fib did not halt";
+      let pages f =
+        List.filter f (List.init (Array.length cpu.Cpu.dmem) Fun.id)
+      in
+      let own = pages (fun pg -> cpu.Cpu.dmem.(pg) != Cpu.zero_page) in
+      let nonzero = pages (fun pg -> Array.exists (( <> ) 0) cpu.Cpu.dmem.(pg)) in
+      let show l = String.concat "," (List.map string_of_int l) in
+      let what = Cpu.engine_name engine in
+      check_string (what ^ ": own pages are the written ones") (show nonzero)
+        (show own);
+      check_int (what ^ ": data pages owned") 2 (List.length own))
+    Cpu.[ Ref; Fast; Jit ]
+
+(* Every engine's stores on every Domain of a report leave the shared
+   zero page as it was. *)
+let test_zero_page_after_report () =
+  ignore (Mips_analysis.Report.json_all ~jobs:2 ());
+  if Array.exists (( <> ) 0) Cpu.zero_page then
+    Alcotest.fail "a store wrote the shared zero page"
+
 let suite =
   [ ( "machine:reuse",
       [ tc_slow "reset equals create, then runs bit-identically"
@@ -605,5 +672,10 @@ let suite =
         tc "kernel run minor words per user cycle" test_kernel_run_minor_words;
         tc_slow "kernel runs leave every written word in a marked page"
           test_kernel_pages_marked;
-        tc "every engine's stores mark their pages" test_stores_mark_pages ]
+        tc "every engine's stores mark their pages" test_stores_mark_pages;
+        tc "Cpu.create allocates at most 210,000 words" test_create_words;
+        tc "a fresh fib run owns only the data pages it wrote"
+          test_fib_owns_written_pages;
+        tc_slow "the shared zero page reads zeros after a report"
+          test_zero_page_after_report ]
       @ qsuite [ prop_written_pages_marked; prop_checkpoint_scan_is_full_scan ] ) ]
